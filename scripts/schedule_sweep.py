@@ -4,7 +4,7 @@
 Verifies the complete sum-side / alpha-side / character chain for every
 (pair, family, k, i) cell with k up to --max-k, printing one line per cell.
 
-    python3 scripts/table2_sweep.py --max-k 3 --order 40
+    python3 scripts/schedule_sweep.py --max-k 3 --order 40
 """
 
 import argparse

@@ -116,10 +116,10 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
     if not unified.eq_to_order(target, order):
         return False
 
-    if not verify_limit_identity(s, order):
+    case = alpha_side(s, order)
+    if not verify_limit_identity(s, order, case):
         return False
 
-    case = alpha_side(s, order)
     if kind == "lim2" and i == 0:
         expected = (unified * LaurentSeries({0: 1, 1: 1}, order)).truncated(order)
     else:

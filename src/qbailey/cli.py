@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import NoReturn
 
 from .bailey import RegistryError, registry_pair, verify_pair
 from .characters import ModuleLabel, char_product, char_qtpi
@@ -40,14 +41,40 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
+def _usage_exit(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _default_order() -> int:
     raw = os.environ.get("QBAILEY_ORDER")
     if raw is None:
         return 40
     try:
-        return int(raw)
+        order = int(raw)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        _usage_exit(f"QBAILEY_ORDER must be an integer, got {raw!r}")
+    if order < 1:
+        _usage_exit(f"QBAILEY_ORDER must be at least 1, got {order}")
+    return order
+
+
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
+def _jobs(text: str) -> int:
+    """An argparse type: a worker count of at least 1, clamped to the CPUs."""
+    return min(_int_at_least(1)(text), os.cpu_count() or 1)
 
 
 def _registry_path() -> str | None:
@@ -159,12 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "characters via Bailey-lattice schedules",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    order_kw = dict(type=int, default=_default_order(),
+    order_kw = dict(type=_int_at_least(1), default=_default_order(),
                     help="truncation order (default: QBAILEY_ORDER or 40)")
 
     p = sub.add_parser("verify-pair", help="check the Bailey defining relation")
     p.add_argument("--pair", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_int_at_least(0), default=10)
     p.add_argument("--order", **order_kw)
     p.set_defaults(func=cmd_verify_pair)
 
@@ -182,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", **order_kw)
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p.add_argument("--output", help="write to a file instead of stdout")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="verify cells in parallel processes")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="verify cells in parallel processes (at most the "
+                        "number of CPUs)")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("character", help="print a principal character")

@@ -590,10 +590,13 @@ def alpha_side_lim1_i0_form(s: Schedule, order: int) -> LaurentSeries:
     return total
 
 
-def verify_limit_identity(s: Schedule, order: int) -> bool:
-    """sum_side * (q^c; q)_inf == alpha_side (case forms), to order."""
+def verify_limit_identity(s: Schedule, order: int,
+                          alpha: LaurentSeries | None = None) -> bool:
+    """sum_side * (q^c; q)_inf == alpha_side (case forms), to order.
+
+    ``alpha`` is the case-form alpha side, when the caller has it already."""
     lhs = sum_side(s, order) * poch_inf(PochFactor(1, s.base_exp, 1), order)
-    rhs = alpha_side(s, order)
+    rhs = alpha_side(s, order) if alpha is None else alpha
     return lhs.eq_to_order(rhs, order)
 
 

@@ -7,6 +7,21 @@ ints, so arithmetic is exact at arbitrary precision.  Truncation is
 propagated conservatively through multiplication (via valuations), so a
 result never reports a coefficient it does not actually know.
 
+A product of two series takes one of two exact paths, chosen by the
+operands' term counts.  Short operands use the schoolbook double loop over
+the stored terms.  When both operands have at least ``KRONECKER_MIN_TERMS``
+terms, the product goes by Kronecker substitution: each operand, clipped to
+the exponents that can reach the result's truncation, is written as a dense
+coefficient list and packed into one Python int, one fixed-width digit per
+exponent, and a single big-int multiply (Karatsuba inside CPython) gives
+every coefficient at once.  The digit width comes from a proved bound on
+the product's coefficients, so digits never overflow into each other.
+
+Inversion solves for the inverse's coefficients one exponent at a time,
+summing only over the nonzero terms of the series being inverted.  The
+series inverted here are mostly Pochhammer products, which are sparse, so
+this skips most of the work of the dense recurrence.
+
 Values are immutable after construction and safe to share between threads.
 """
 
@@ -34,6 +49,52 @@ RUNAWAY_BASE = 50
 
 def _floor_for(trunc: int) -> int:
     return -RUNAWAY_FACTOR * max(abs(trunc), RUNAWAY_BASE)
+
+
+# Products where both operands have at least this many terms go through
+# Kronecker substitution; below it the schoolbook loop is faster, because
+# packing and unpacking cost a few microseconds per product whatever its size.
+KRONECKER_MIN_TERMS = 24
+
+
+def _kronecker_mul(xs: dict[int, int], ys: dict[int, int], trunc: int) -> dict[int, int]:
+    """Nonzero coefficients of xs * ys at exponents <= trunc.
+
+    Both operands are nonempty and trunc >= val(xs) + val(ys).  Each is
+    written as a dense coefficient list, packed into one Python int with a
+    digit of ``8 * width`` bits per exponent, and the two ints are
+    multiplied once.  Every product coefficient is a sum of at most
+    min(#xs, #ys) terms, each at most max|xs| * max|ys| in absolute value;
+    the width makes that bound smaller than half a digit, so a bias of half
+    a digit makes every digit of the biased product nonnegative and no
+    digit carries into the next.
+    """
+    vx, vy = min(xs), min(ys)
+    xs = {e: c for e, c in xs.items() if e <= trunc - vy}
+    ys = {e: c for e, c in ys.items() if e <= trunc - vx}
+    bound = (max(map(abs, xs.values())) * max(map(abs, ys.values()))
+             * min(len(xs), len(ys)))
+    width = (bound.bit_length() + 8) // 8  # bytes per digit; bound < 2**(8*width-1)
+    bias = 1 << (8 * width - 1)
+    pad = bias.to_bytes(width, "little")
+
+    def pack(terms: dict[int, int], v: int) -> tuple[int, int]:
+        n = max(terms) - v + 1
+        dense = [bias] * n
+        for e, c in terms.items():
+            dense[e - v] = c + bias
+        raw = b"".join([d.to_bytes(width, "little") for d in dense])
+        return int.from_bytes(raw, "little") - int.from_bytes(pad * n, "little"), n
+
+    x, nx = pack(xs, vx)
+    y, ny = pack(ys, vy)
+    n = min(nx + ny - 1, trunc - vx - vy + 1)  # digits at exponents <= trunc
+    nbytes = n * width
+    low = (x * y + int.from_bytes(pad * n, "little")) & ((1 << (8 * nbytes)) - 1)
+    raw = low.to_bytes(nbytes, "little")
+    digits = [int.from_bytes(raw[i:i + width], "little") for i in range(0, nbytes, width)]
+    base = vx + vy
+    return {base + k: d - bias for k, d in enumerate(digits) if d != bias}
 
 
 class LaurentSeries:
@@ -145,6 +206,8 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         trunc = min(self.trunc + other._effval(), other.trunc + self._effval())
+        if min(len(self.terms), len(other.terms)) >= KRONECKER_MIN_TERMS:
+            return LaurentSeries(_kronecker_mul(self.terms, other.terms, trunc), trunc)
         out: dict[int, int] = {}
         ys = sorted(other.terms.items())
         get = out.get
@@ -186,11 +249,13 @@ class LaurentSeries:
             u[e - v] = lead * c
         inv = [0] * (m + 1)
         inv[0] = 1
+        tail = [(d, c) for d, c in enumerate(u) if c and d]
         for e in range(1, m + 1):
             s = 0
-            for d in range(1, e + 1):
-                if u[d]:
-                    s += u[d] * inv[e - d]
+            for d, c in tail:
+                if d > e:
+                    break
+                s += c * inv[e - d]
             inv[e] = -s
         terms = {e - v: lead * c for e, c in enumerate(inv) if c}
         return LaurentSeries(terms, self.trunc - 2 * v)

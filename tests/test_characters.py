@@ -156,3 +156,21 @@ def test_normalization_emerges_from_chain():
         lhs = sum_side(s, 50)
         rhs = (char_product(m, 50) * norm).truncated(50)
         assert lhs.eq_to_order(rhs, 50), (pid, kind, k, i)
+
+
+def test_verify_character_identity_builds_each_alpha_side_once(monkeypatch):
+    # the case-form alpha side feeds both the limit identity and the
+    # case-vs-unified link; it is built once, not once per link
+    import qbailey.characters as characters
+    import qbailey.lattice as lattice
+
+    calls = []
+
+    def counting_alpha_side(s, order, **kw):
+        calls.append(kw.get("unified", False))
+        return alpha_side(s, order, **kw)
+
+    monkeypatch.setattr(characters, "alpha_side", counting_alpha_side)
+    monkeypatch.setattr(lattice, "alpha_side", counting_alpha_side)
+    assert characters.verify_character_identity(2, "lim2", 1, 0, 40)
+    assert sorted(calls) == [False, True]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qbailey.cli import main
+from qbailey.cli import build_parser, main
 from qbailey.records import (
     IdentityRecord,
     build_record,
@@ -141,3 +141,53 @@ def test_catalog_matches_golden_files(tmp_path, fmt, name):
 def test_main_in_process():
     assert main(["verify-identity", "--pair", "3", "--schedule", "lim1",
                  "--k", "1", "--i", "0", "--order", "30"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["character", "--s0", "1", "--s1", "1", "--order", "-3"],
+    ["catalog", "--max-level", "2", "--order", "0"],
+])
+def test_order_below_one_is_usage_error(argv, capsys, monkeypatch):
+    monkeypatch.delenv("QBAILEY_ORDER", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --order: must be at least 1" in err
+    assert "Traceback" not in err
+
+
+def test_verify_pair_negative_n_max_is_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("QBAILEY_ORDER", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-pair", "--pair", "1", "--n-max", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --n-max: must be at least 0, got -1" in captured.err
+    assert "holds" not in captured.out
+
+
+@pytest.mark.parametrize("raw,message", [
+    ("abc", "error: QBAILEY_ORDER must be an integer, got 'abc'"),
+    ("0", "error: QBAILEY_ORDER must be at least 1, got 0"),
+])
+def test_bad_env_order_is_reported(raw, message):
+    proc = run_cli(["catalog", "--max-level", "2"],
+                   env_extra={"QBAILEY_ORDER": raw})
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == message
+    assert proc.stdout == ""
+
+
+def test_jobs_bounds(capsys, monkeypatch):
+    monkeypatch.delenv("QBAILEY_ORDER", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    parse = build_parser().parse_args
+    assert parse(["catalog", "--max-level", "2", "--jobs", "2"]).jobs == 2
+    assert parse(["catalog", "--max-level", "2", "--jobs", "1000000"]).jobs == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert parse(["catalog", "--max-level", "2", "--jobs", "8"]).jobs == 1
+    with pytest.raises(SystemExit) as exc:
+        parse(["catalog", "--max-level", "2", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "argument --jobs: must be at least 1, got 0" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 """Ring arithmetic, truncation semantics, and the canonical text form."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbailey.laurent import (
+    KRONECKER_MIN_TERMS,
     InversionError,
     LaurentSeries,
     TruncationError,
@@ -203,3 +206,142 @@ def test_shift_round_trip(x, m):
 @settings(max_examples=120)
 def test_text_round_trip(x):
     assert from_text(x.to_text()) == x
+
+
+# -- product and inversion kernels against plain references -------------------
+
+def schoolbook(x, y):
+    """Reference product: every pair of terms, then the truncation rule."""
+    vx = x.val() if x.terms else x.trunc + 1
+    vy = y.val() if y.terms else y.trunc + 1
+    trunc = min(x.trunc + vy, y.trunc + vx)
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            if e1 + e2 <= trunc:
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentSeries(out, trunc)
+
+
+def dense_inverse(x):
+    """Reference inverse: the dense recurrence over every exponent."""
+    v = x.val()
+    lead = x.terms[v]
+    m = x.trunc - v
+    u = [0] * (m + 1)
+    for e, c in x.terms.items():
+        u[e - v] = lead * c
+    inv = [1] + [0] * m
+    for e in range(1, m + 1):
+        inv[e] = -sum(u[d] * inv[e - d] for d in range(1, e + 1))
+    return LaurentSeries({e - v: lead * c for e, c in enumerate(inv) if c},
+                         x.trunc - 2 * v)
+
+
+def random_series(rng, n, lo, bits, trunc_slack=0):
+    terms = {lo + j: rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)
+             for j in range(n)}
+    return LaurentSeries(terms, lo + n - 1 + trunc_slack)
+
+
+def assert_mul_matches(x, y):
+    ref = schoolbook(x, y)
+    assert x * y == ref
+    assert y * x == ref
+
+
+SIZES = [KRONECKER_MIN_TERMS - 1, KRONECKER_MIN_TERMS, KRONECKER_MIN_TERMS + 1,
+         3 * KRONECKER_MIN_TERMS, 200]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("bits", [1, 20, 64, 130])
+def test_mul_kernel_matches_schoolbook(n, bits):
+    rng = random.Random(n * 1000 + bits)
+    for lo_x, lo_y in [(0, 0), (-17, 3), (-5, -40)]:
+        x = random_series(rng, n, lo_x, bits, trunc_slack=rng.randint(0, 9))
+        y = random_series(rng, n + rng.randint(0, 30), lo_y, bits)
+        assert_mul_matches(x, y)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mul_kernel_mixed_sizes_and_sparsity(n):
+    rng = random.Random(n)
+    short = random_series(rng, KRONECKER_MIN_TERMS - 1, -3, 100)
+    long = random_series(rng, n, 2, 100)
+    assert_mul_matches(short, long)
+    # sparse operand spread far beyond its term count
+    sparse = LaurentSeries({7 * j - 11: rng.randint(-2 ** 110, 2 ** 110) or 1
+                            for j in range(n)}, 7 * n)
+    assert_mul_matches(sparse, long)
+    assert_mul_matches(sparse, sparse)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mul_kernel_extreme_coefficients_of_one_sign(n):
+    # the coefficient at the truncation order equals the bound the digit
+    # width is chosen from
+    for big in (2 ** 8 - 1, 2 ** 64, 2 ** 127 + 1):
+        for sign in (1, -1):
+            x = LaurentSeries({e: sign * big for e in range(-2, n - 2)}, n - 3)
+            assert_mul_matches(x, x)
+            assert_mul_matches(x, -x)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mul_kernel_truncation_cuts_the_product(n):
+    rng = random.Random(7 * n)
+    # x is known far beyond its terms, y only to its last term, so the
+    # product is known to about n of its 2n exponents
+    x = random_series(rng, n, -4, 100, trunc_slack=50)
+    y = random_series(rng, n, 1, 100)
+    for order in (y.trunc, y.trunc - 3, 1 + n // 2):
+        cut = y.truncated(order)
+        assert (x * cut).trunc == order + x.val()
+        assert_mul_matches(x, cut)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mul_kernel_cancellation_and_zero(n):
+    rng = random.Random(3 * n)
+    # x * x^-1 cancels to 1 at every exponent but the first
+    x = random_series(rng, n, 0, 100)
+    x = LaurentSeries({**x.terms, 0: 1}, x.trunc)
+    inv = x.invert()
+    prod = x * inv
+    assert prod == schoolbook(x, inv)
+    assert prod.eq_to_order(one(prod.trunc), prod.trunc)
+    # x * y + x * (-y) cancels to zero term by term
+    y = random_series(rng, n, -6, 130)
+    assert x * y + x * (-y) == zero(min(x.trunc + y.val(), y.trunc))
+    assert_mul_matches(zero(40), y)
+    assert_mul_matches(x, zero(x.trunc))
+
+
+@given(st.integers(KRONECKER_MIN_TERMS - 4, 3 * KRONECKER_MIN_TERMS),
+       st.integers(KRONECKER_MIN_TERMS - 4, 3 * KRONECKER_MIN_TERMS),
+       st.integers(-30, 30), st.integers(-30, 30),
+       st.integers(0, 140), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_mul_kernel_property(nx, ny, lo_x, lo_y, bits, seed):
+    rng = random.Random(seed)
+    x = random_series(rng, nx, lo_x, bits, trunc_slack=rng.randint(0, 20))
+    y = random_series(rng, ny, lo_y, bits, trunc_slack=rng.randint(0, 20))
+    assert_mul_matches(x, y)
+
+
+def test_invert_sparse_pochhammer():
+    # (q;q)_40 to order 120: 69 nonzero terms among 121 exponents
+    N = 120
+    x = one(N)
+    for t in range(1, 41):
+        x = x * LaurentSeries({0: 1, t: -1}, N)
+    assert len(x.terms) == 69
+    inv = x.invert()
+    assert inv == dense_inverse(x)
+    assert (x * inv).eq_to_order(one(inv.trunc), inv.trunc)
+    # shifted and negated: valuation and leading sign move the truncation
+    y = -x.shift(-3)
+    prod = y * y.invert()
+    assert y.invert() == dense_inverse(y)
+    assert prod.trunc == N and prod.eq_to_order(one(N), N)
