@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "characters via Bailey-lattice schedules",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    order_kw = dict(type=_int_at_least(1), default=_default_order(),
+    order_kw = dict(type=_int_at_least(1),
                     help="truncation order (default: QBAILEY_ORDER or 40)")
 
     p = sub.add_parser("verify-pair", help="check the Bailey defining relation")
@@ -226,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.order is None:
+        args.order = _default_order()
     return args.func(args)
 
 

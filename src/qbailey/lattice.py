@@ -15,8 +15,8 @@ Multisum evaluation.  Every closed sum here is a chain: the summand factors
 into per-variable monomials and Pochhammer pieces plus adjacent-difference
 pieces 1/(q)_{j_r - j_{r+1}} and q^{binom(j_r - j_{r+1}, 2)}.  The evaluator
 runs a dynamic program from the innermost variable outward, keeping one
-partial series per (level, value).  Two integer tables drive exactness and
-pruning:
+partial series (a carry) per feasible (level, value).  Two integer tables
+drive exactness and pruning:
 
   * IN[L][v]  - minimal exponent contributed by levels L..inner given
                 j_L = v (a lower bound on the valuation of the carry);
@@ -24,26 +24,36 @@ pruning:
                 (L, v), minimized over outer assignments that can still
                 reach a total exponent <= order.
 
-A value v is feasible at level L iff IN + LOW <= order; infeasible cells
-are dropped (their every completion exceeds the order), and each kept carry
-is truncated to order - LOW[L][v], which is exactly the precision that can
-still matter.  For the schedules with backward moves the raw summand family
-is only conditionally summable: individual terms have unboundedly negative
-exponents and cancel in blocks of fixed outermost index.  The evaluator
-therefore sums complete j_1-blocks and stops only after three consecutive
-blocks vanish to the requested order (a margin against non-monotonic
-low-index behavior); ``extra_dead`` extends that margin so callers can
-re-certify stability under a raised cap.
+Both are built from per-level rows of each variable's own exponent and one
+table of binom(d, 2).  A level without a link binomial needs only a running
+minimum, a prefix minimum for IN and a suffix minimum for LOW, so it costs
+one pass over the values.  A value v is feasible at level L iff
+IN + LOW <= order.  Only feasible cells are visited; every completion of an
+infeasible one exceeds the order.  Each kept carry is truncated to
+order - LOW[L][v], which is exactly the precision that can still matter,
+and each level keeps the list of its nonzero carries.  A carry's inner sum
+over the level below, sum_w g_w q^{binom(v-w, 2)} / (q)_{v-w}, is
+accumulated into one coefficient map by ``laurent.mul_accumulate``, with
+no series built per piece; every carry is first checked to reach the
+sum's truncation.  For the schedules with backward moves the raw summand
+family is only conditionally summable: individual terms have unboundedly
+negative exponents and cancel in blocks of fixed outermost index.  The
+evaluator therefore sums complete j_1-blocks and stops only after three
+consecutive blocks vanish to the requested order (a margin against
+non-monotonic low-index behavior); ``extra_dead`` extends that margin so
+callers can re-certify stability under a raised cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
+from operator import add
 
 from .bailey import Move, compose_exact, registry_entry, registry_pair
-from .laurent import LaurentSeries, monomial, one, zero
+from .laurent import LaurentSeries, monomial, mul_accumulate, one, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
@@ -318,52 +328,64 @@ def _pair(pair_id: int):
     return registry_pair(pair_id)
 
 
-def _own_exponent(spec: MultisumSpec, level: int, v: int) -> int:
-    e = spec.quad[level] * v * v + spec.lin[level] * v
-    if level in spec.self_binoms:
-        e += _binom2(v)
-    return e
-
-
 def _tables(spec: MultisumSpec, order: int, cap: int):
-    """IN, LOW and feasibility tables on the (level, value) grid."""
+    """IN, LOW and feasibility tables on the (level, value) grid.
+
+    Returns ``(LOW, feas, own)``, where ``own[L][v]`` is the exponent
+    quad[L] v^2 + lin[L] v (+ binom(v, 2) on a self-binomial level) that
+    variable L contributes at j_L = v.  A level without a link binomial is a
+    running minimum: a prefix minimum for IN, a suffix minimum for LOW.  A
+    linked level adds binomials from one table; IN scans w = v, v-1, ...
+    and stops once the prefix minimum plus the binomial cannot win, and
+    LOW minimizes over the feasible outer values only.
+    """
     V = spec.nvars
     entry = registry_entry(spec.pair_id)
     bq, bl = entry.beta.mono_quad, entry.beta.mono_lin
+    values = range(cap + 1)
+    b2 = [_binom2(d) for d in values]
+    own = []
+    for L in range(V):
+        a, b = spec.quad[L], spec.lin[L]
+        row = [a * v * v + b * v for v in values]
+        own.append(list(map(add, row, b2)) if L in spec.self_binoms else row)
 
-    IN = [[0] * (cap + 1) for _ in range(V)]
-    for v in range(cap + 1):
-        IN[V - 1][v] = _own_exponent(spec, V - 1, v) + bq * v * v + bl * v
+    IN: list[list[int]] = [[]] * V
+    IN[V - 1] = [e + bq * v * v + bl * v for v, e in enumerate(own[V - 1])]
     for L in range(V - 2, -1, -1):
-        linked = L in spec.link_binoms
-        for v in range(cap + 1):
+        inner = IN[L + 1]
+        prefix_min = list(accumulate(inner, min))
+        if L not in spec.link_binoms:
+            IN[L] = list(map(add, own[L], prefix_min))
+            continue
+        row = []
+        for v in values:
+            # b2 never decreases, so no w' <= w beats prefix_min[w] + b2[v-w]
             best = _INF
-            for w in range(v + 1):
-                x = IN[L + 1][w] + (_binom2(v - w) if linked else 0)
-                if x < best:
-                    best = x
-            IN[L][v] = _own_exponent(spec, L, v) + best
+            for w in range(v, -1, -1):
+                d = b2[v - w]
+                if prefix_min[w] + d >= best:
+                    break
+                if inner[w] + d < best:
+                    best = inner[w] + d
+            row.append(own[L][v] + best)
+        IN[L] = row
 
-    LOW = [[_INF] * (cap + 1) for _ in range(V)]
-    feas = [[False] * (cap + 1) for _ in range(V)]
-    for v in range(cap + 1):
-        LOW[0][v] = 0
-        feas[0][v] = IN[0][v] <= order
+    LOW = [[0] * (cap + 1)]
+    feas = [[e <= order for e in IN[0]]]
     for L in range(1, V):
-        linked = (L - 1) in spec.link_binoms
-        for v in range(cap + 1):
-            best = _INF
-            for u in range(v, cap + 1):
-                if not feas[L - 1][u]:
-                    continue
-                x = LOW[L - 1][u] + _own_exponent(spec, L - 1, u)
-                if linked:
-                    x += _binom2(u - v)
-                if x < best:
-                    best = x
-            LOW[L][v] = best
-            feas[L][v] = best < _INF and best + IN[L][v] <= order
-    return LOW, feas
+        # cost[u]: least outer exponent through a feasible j_{L-1} = u
+        cost = [lo + e if ok else _INF
+                for lo, e, ok in zip(LOW[L - 1], own[L - 1], feas[L - 1])]
+        if (L - 1) in spec.link_binoms:
+            live = [(u, c) for u, c in enumerate(cost) if c < _INF]
+            row = [min([c + b2[u - v] for u, c in live if u >= v], default=_INF)
+                   for v in values]
+        else:
+            row = list(accumulate(reversed(cost), min))[::-1]
+        LOW.append(row)
+        feas.append([lo < _INF and lo + e <= order for lo, e in zip(row, IN[L])])
+    return LOW, feas, own
 
 
 def _unit_getters(spec: MultisumSpec, level: int, v: int):
@@ -377,6 +399,31 @@ def _unit_getters(spec: MultisumSpec, level: int, v: int):
             gets.append(lambda o, b=b: inv_poch_finite(
                 PochFactor(-1, b, 1), v, _round_order(o)))
     return gets
+
+
+def _link_sum(carries: list[tuple[int, LaurentSeries]], v: int, top: int,
+              linked: bool) -> LaurentSeries:
+    """sum over carries (w, g) of g * q^{binom(v-w, 2) linked} / (q)_{v-w},
+    exact to ``top``.
+
+    Each 1/(q)_d is fetched deep enough that, times a carry of negative
+    valuation, it still reaches ``top``.  A carry must itself reach
+    ``top`` once shifted; one that does not would make the sum claim
+    coefficients it does not know.
+    """
+    out: dict[int, int] = {}
+    for w, g in carries:
+        s = _binom2(v - w) if linked else 0
+        if g.trunc + s < top:
+            raise AssertionError(
+                f"carry at j={w} is exact to {g.trunc + s} after its shift, "
+                f"short of {top}")
+        need = top - s - min(g.val(), 0)
+        if need < 0:
+            continue  # every exponent of the piece lies above top
+        u = inv_poch_finite(Q_FACTOR, v - w, _round_order(need))
+        mul_accumulate(out, g.terms, u.terms, s, top)
+    return LaurentSeries(out, top)
 
 
 def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None,
@@ -395,57 +442,40 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
         cap = finite_n
     else:
         cap = 2 * isqrt(max(order, 1)) + V + 14
-    LOW, feas = _tables(spec, order, cap)
+    LOW, feas, own = _tables(spec, order, cap)
 
-    carries: list[list[LaurentSeries | None]] = [
-        [None] * (cap + 1) for _ in range(V)
-    ]
-    blocks: list[LaurentSeries] = []
+    # nonzero[L]: the nonzero carries (v, series) at level L, v ascending
+    nonzero: list[list[tuple[int, LaurentSeries]]] = [[] for _ in range(V)]
+    blocks: list[tuple[int, LaurentSeries]] = []
     need_dead = 3 + extra_dead
     dead = 0
 
     for v in range(cap + 1):
         for L in range(V - 1, -1, -1):
             if not feas[L][v]:
-                carries[L][v] = zero(order - min(LOW[L][v], 0)
-                                     if LOW[L][v] < _INF else order)
                 continue
             t_cap = order - LOW[L][v]
-            own = _own_exponent(spec, L, v)
             if L == V - 1:
-                inner = compose_exact(t_cap, own,
+                inner = compose_exact(t_cap, own[L][v],
                                       lambda o: pair.beta(v, o),
                                       *_unit_getters(spec, L, v))
             else:
-                t_in = t_cap - own
-                linked = L in spec.link_binoms
-                acc = zero(t_in)
-                for w in range(v + 1):
-                    g = carries[L + 1][w]
-                    if g.is_zero():
-                        continue
-                    s_link = _binom2(v - w) if linked else 0
-                    piece = compose_exact(
-                        t_in, s_link,
-                        lambda o, g=g: g,
-                        lambda o, d=v - w: inv_poch_finite(
-                            Q_FACTOR, d, _round_order(o)),
-                    )
-                    acc = acc + piece
-                inner = compose_exact(t_cap, own, lambda o: acc,
+                acc = _link_sum(nonzero[L + 1], v, t_cap - own[L][v],
+                                L in spec.link_binoms)
+                inner = compose_exact(t_cap, own[L][v], lambda o: acc,
                                       *_unit_getters(spec, L, v))
+            if inner.is_zero():
+                continue
             if L in spec.signs and v % 2:
                 inner = -inner
-            carries[L][v] = inner.truncated(t_cap)
-        blk = carries[0][v]
-        blocks.append(blk)
-        if finite_n is None:
-            if blk.is_zero():
-                dead += 1
-                if dead >= need_dead and v >= 4:
-                    break
-            else:
-                dead = 0
+            nonzero[L].append((v, inner.truncated(t_cap)))
+        if nonzero[0] and nonzero[0][-1][0] == v:
+            blocks.append(nonzero[0][-1])
+            dead = 0
+        elif finite_n is None:
+            dead += 1
+            if dead >= need_dead and v >= 4:
+                break
     else:
         if finite_n is None:
             raise ArithmeticError(
@@ -455,15 +485,13 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
 
     total = zero(order)
     if finite_n is None:
-        for blk in blocks:
+        for _, blk in blocks:
             total = total + blk.truncated(order)
         for b in spec.prefactors:
             total = total * inv_poch_inf(PochFactor(-1, b, 1), order)
     else:
         n = finite_n
-        for v, blk in enumerate(blocks):
-            if blk.is_zero():
-                continue
+        for v, blk in blocks:
             piece = compose_exact(order, 0, lambda o, blk=blk: blk,
                                   lambda o, d=n - v: inv_poch_finite(
                                       Q_FACTOR, d, _round_order(o)))
@@ -492,9 +520,22 @@ def _tilde_monomial(pair_id: int, t: int) -> tuple[int, int] | None:
 
 def _neg_ratio(num_base: int, den_base: int, t: int, order: int) -> LaurentSeries:
     """(-q^{num_base}; q)_t / (-q^{den_base}; q)_t, exact to order."""
-    o = _round_order(max(order, 0))
+    return _neg_ratio_at(num_base, den_base, t, _round_order(max(order, 0)))
+
+
+@lru_cache(maxsize=None)
+def _neg_ratio_at(num_base: int, den_base: int, t: int, o: int) -> LaurentSeries:
     return (poch_finite(PochFactor(-1, num_base, 1), t, o)
             * inv_poch_finite(PochFactor(-1, den_base, 1), t, o))
+
+
+@lru_cache(maxsize=None)
+def _lim2_extra(c: int, t: int, o: int) -> LaurentSeries:
+    """(1 + q^{t+1}) / (1 + q^{c+t-1}) * _neg_ratio(1, c - 1, t, o), exact
+    to the already rounded order o."""
+    return (poch_finite(PochFactor(-1, t + 1, 1), 1, o)
+            * inv_poch_finite(PochFactor(-1, c + t - 1, 1), 1, o)
+            * _neg_ratio(1, c - 1, t, o))
 
 
 def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeries:
@@ -524,10 +565,7 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
         elif s.kind == "lim2" and (unified or i > 1):
             e = c * k * t + k * t * t - i * t - (t * t + t) // 2
             ratio = _neg_ratio(1, c - 1, t, order)
-            extra = (poch_finite(PochFactor(-1, t + 1, 1), 1, _round_order(order))
-                     * inv_poch_finite(PochFactor(-1, c + t - 1, 1), 1,
-                                       _round_order(order))
-                     * ratio)
+            extra = _lim2_extra(c, t, _round_order(order))
             pieces = [(e, ratio, t),
                       (e + c * (i + 1) + t - 1 + 2 * i * t, extra, t)]
         elif s.kind == "lim2" and i == 0:

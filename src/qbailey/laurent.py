@@ -17,6 +17,13 @@ exponent, and a single big-int multiply (Karatsuba inside CPython) gives
 every coefficient at once.  The digit width comes from a proved bound on
 the product's coefficients, so digits never overflow into each other.
 
+Both paths live in one primitive, ``mul_accumulate(out, xs, ys, s, top)``,
+which adds the terms of xs * ys * q^s at exponents <= top into a plain
+exponent -> coefficient dict.  ``__mul__`` calls it with an empty dict, no
+shift and the product's truncation.  A caller summing many products, such
+as the multisum's inner sum, calls it once per product on one dict and
+builds a single series at the end.
+
 Inversion solves for the inverse's coefficients one exponent at a time,
 summing only over the nonzero terms of the series being inverted.  The
 series inverted here are mostly Pochhammer products, which are sparse, so
@@ -95,6 +102,36 @@ def _kronecker_mul(xs: dict[int, int], ys: dict[int, int], trunc: int) -> dict[i
     digits = [int.from_bytes(raw[i:i + width], "little") for i in range(0, nbytes, width)]
     base = vx + vy
     return {base + k: d - bias for k, d in enumerate(digits) if d != bias}
+
+
+def mul_accumulate(out: dict[int, int], xs: dict[int, int], ys: dict[int, int],
+                   s: int, top: int) -> None:
+    """Add the terms of xs * ys * q^s at exponents <= top into ``out``.
+
+    ``xs`` and ``ys`` are exponent -> coefficient maps.  Only their stored
+    terms are used, so every added coefficient is exact whenever both
+    operands are exact to at least top - s minus the other's valuation;
+    checking that is the caller's job.  Sums that cancel leave zero entries
+    in ``out``.  Both operands having at least ``KRONECKER_MIN_TERMS`` terms
+    selects the Kronecker kernel, fewer the schoolbook loop.
+    """
+    lim = top - s
+    get = out.get
+    if min(len(xs), len(ys)) >= KRONECKER_MIN_TERMS:
+        if lim < min(xs) + min(ys):
+            return
+        for e, c in _kronecker_mul(xs, ys, lim).items():
+            e += s
+            out[e] = get(e, 0) + c
+        return
+    ys_sorted = sorted(ys.items())
+    for e1, c1 in xs.items():
+        e1 += s
+        for e2, c2 in ys_sorted:
+            e = e1 + e2
+            if e > top:
+                break
+            out[e] = get(e, 0) + c1 * c2
 
 
 class LaurentSeries:
@@ -206,17 +243,8 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         trunc = min(self.trunc + other._effval(), other.trunc + self._effval())
-        if min(len(self.terms), len(other.terms)) >= KRONECKER_MIN_TERMS:
-            return LaurentSeries(_kronecker_mul(self.terms, other.terms, trunc), trunc)
         out: dict[int, int] = {}
-        ys = sorted(other.terms.items())
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in ys:
-                e = e1 + e2
-                if e > trunc:
-                    break
-                out[e] = get(e, 0) + c1 * c2
+        mul_accumulate(out, self.terms, other.terms, 0, trunc)
         return LaurentSeries(out, trunc)
 
     __rmul__ = __mul__

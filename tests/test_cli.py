@@ -191,3 +191,13 @@ def test_jobs_bounds(capsys, monkeypatch):
         parse(["catalog", "--max-level", "2", "--jobs", "0"])
     assert exc.value.code == 2
     assert "argument --jobs: must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_order_flag_overrides_bad_env_order(raw):
+    # QBAILEY_ORDER is only a default; an explicit --order never reads it
+    proc = run_cli(["character", "--s0", "1", "--s1", "1", "--order", "5"],
+                   env_extra={"QBAILEY_ORDER": raw})
+    assert proc.returncode == 0, proc.stderr
+    assert "trunc=5;" in proc.stdout
+    assert proc.stderr == ""

@@ -1,0 +1,197 @@
+"""The multisum dynamic program against plain reference definitions.
+
+``ref_tables`` and ``ref_eval_multisum`` are the direct definitions: IN and
+LOW minimized over every pair of values, one zero series per infeasible
+cell, and every (v, w) piece of the inner sum built by ``compose_exact``
+and added as its own series.  The evaluator must agree with them exactly.
+"""
+
+from math import isqrt
+
+import pytest
+
+from qbailey.bailey import compose_exact, registry_entry
+from qbailey.lattice import (
+    SCHEDULE_TABLE,
+    MultisumSpec,
+    Schedule,
+    _INF,
+    _binom2,
+    _link_sum,
+    _pair,
+    _round_order,
+    _tables,
+    _unit_getters,
+    build_multisum_spec,
+    eval_multisum,
+)
+from qbailey.laurent import LaurentSeries, zero
+from qbailey.qproducts import Q_FACTOR, PochFactor, inv_poch_finite, inv_poch_inf
+from qbailey.records import catalog_cells
+
+
+def _own_exponent(spec, level, v):
+    e = spec.quad[level] * v * v + spec.lin[level] * v
+    if level in spec.self_binoms:
+        e += _binom2(v)
+    return e
+
+
+def ref_tables(spec, order, cap):
+    V = spec.nvars
+    entry = registry_entry(spec.pair_id)
+    bq, bl = entry.beta.mono_quad, entry.beta.mono_lin
+    IN = [[0] * (cap + 1) for _ in range(V)]
+    for v in range(cap + 1):
+        IN[V - 1][v] = _own_exponent(spec, V - 1, v) + bq * v * v + bl * v
+    for L in range(V - 2, -1, -1):
+        linked = L in spec.link_binoms
+        for v in range(cap + 1):
+            IN[L][v] = _own_exponent(spec, L, v) + min(
+                IN[L + 1][w] + (_binom2(v - w) if linked else 0)
+                for w in range(v + 1))
+    LOW = [[_INF] * (cap + 1) for _ in range(V)]
+    feas = [[False] * (cap + 1) for _ in range(V)]
+    for v in range(cap + 1):
+        LOW[0][v] = 0
+        feas[0][v] = IN[0][v] <= order
+    for L in range(1, V):
+        linked = (L - 1) in spec.link_binoms
+        for v in range(cap + 1):
+            best = _INF
+            for u in range(v, cap + 1):
+                if feas[L - 1][u]:
+                    x = LOW[L - 1][u] + _own_exponent(spec, L - 1, u)
+                    best = min(best, x + (_binom2(u - v) if linked else 0))
+            LOW[L][v] = best
+            feas[L][v] = best < _INF and best + IN[L][v] <= order
+    return LOW, feas
+
+
+def ref_eval_multisum(spec, order, finite_n=None):
+    V = spec.nvars
+    pair = _pair(spec.pair_id)
+    cap = finite_n if finite_n is not None else 2 * isqrt(max(order, 1)) + V + 14
+    LOW, feas = ref_tables(spec, order, cap)
+    carries = [[None] * (cap + 1) for _ in range(V)]
+    blocks = []
+    dead = 0
+    for v in range(cap + 1):
+        for L in range(V - 1, -1, -1):
+            if not feas[L][v]:
+                carries[L][v] = zero(order)
+                continue
+            t_cap = order - LOW[L][v]
+            own = _own_exponent(spec, L, v)
+            if L == V - 1:
+                inner = compose_exact(t_cap, own, lambda o: pair.beta(v, o),
+                                      *_unit_getters(spec, L, v))
+            else:
+                t_in = t_cap - own
+                linked = L in spec.link_binoms
+                acc = zero(t_in)
+                for w in range(v + 1):
+                    g = carries[L + 1][w]
+                    if g.is_zero():
+                        continue
+                    acc = acc + compose_exact(
+                        t_in, _binom2(v - w) if linked else 0, lambda o, g=g: g,
+                        lambda o, d=v - w: inv_poch_finite(
+                            Q_FACTOR, d, _round_order(o)))
+                inner = compose_exact(t_cap, own, lambda o: acc,
+                                      *_unit_getters(spec, L, v))
+            if L in spec.signs and v % 2:
+                inner = -inner
+            carries[L][v] = inner.truncated(t_cap)
+        blocks.append(carries[0][v])
+        if finite_n is None:
+            dead = dead + 1 if blocks[-1].is_zero() else 0
+            if dead >= 3 and v >= 4:
+                break
+    total = zero(order)
+    if finite_n is None:
+        for blk in blocks:
+            total = total + blk.truncated(order)
+        for b in spec.prefactors:
+            total = total * inv_poch_inf(PochFactor(-1, b, 1), order)
+        return total.truncated(order)
+    for v, blk in enumerate(blocks):
+        total = total + compose_exact(
+            order, 0, lambda o, blk=blk: blk,
+            lambda o, d=finite_n - v: inv_poch_finite(Q_FACTOR, d, _round_order(o)))
+    for b in spec.prefactors:
+        total = total * inv_poch_finite(PochFactor(-1, b, 1), finite_n, order)
+    return total.truncated(order)
+
+
+def catalog_specs(max_level):
+    return [build_multisum_spec(Schedule(kind, k, i, pid))
+            for pid, kind, k, i in catalog_cells(max_level)]
+
+
+def small_k_specs(max_k):
+    return [build_multisum_spec(Schedule(kind, k, i, pid))
+            for k in range(1, max_k + 1)
+            for (pid, kind), row in sorted(SCHEDULE_TABLE.items())
+            for i in range(row.imax(k) + 1)]
+
+
+@pytest.mark.parametrize("order", [10, 30, 80])
+def test_tables_match_reference(order):
+    for spec in catalog_specs(19):
+        cap = 2 * isqrt(order) + spec.nvars + 14
+        LOW, feas, own = _tables(spec, order, cap)
+        assert (LOW, feas) == ref_tables(spec, order, cap)
+        assert own == [[_own_exponent(spec, L, v) for v in range(cap + 1)]
+                       for L in range(spec.nvars)]
+
+
+def test_tables_match_reference_on_concave_links():
+    # levels of negative quadratic exponent under link binomials, which the
+    # catalog has only in a few shapes: the minimum over w can sit far below
+    # v behind larger values, so a scan may stop only on the prefix minimum
+    for quad in (-2, -1, 0, 1):
+        for lin in (-7, 0, 5, 11):
+            for links in ((0,), (1,), (0, 1)):
+                spec = MultisumSpec(1, 3, (1, quad, -1), (lin, -lin, lin), (1,),
+                                    links, (), (), (), ())
+                for order in (-20, 0, 30):
+                    LOW, feas, _ = _tables(spec, order, 25)
+                    assert (LOW, feas) == ref_tables(spec, order, 25)
+
+
+@pytest.mark.parametrize("max_level,order", [(13, 30), (7, 120)])
+def test_eval_multisum_matches_reference(max_level, order):
+    for spec in catalog_specs(max_level):
+        assert eval_multisum(spec, order) == ref_eval_multisum(spec, order)
+
+
+def test_eval_multisum_finite_matches_reference():
+    for spec in small_k_specs(2):
+        for n in range(4):
+            assert (eval_multisum(spec, 20, finite_n=n)
+                    == ref_eval_multisum(spec, 20, finite_n=n))
+
+
+def test_link_sum_matches_pieces():
+    g0 = LaurentSeries({-3: 2, 0: -1, 5: 4}, 12)
+    g1 = LaurentSeries({1: 1, 2: 3}, 15)
+    carries = [(0, g0), (1, g1)]
+    for linked in (False, True):
+        got = _link_sum(carries, 3, 10, linked)
+        want = zero(10)
+        for w, g in carries:
+            want = want + compose_exact(
+                10, _binom2(3 - w) if linked else 0, lambda o, g=g: g,
+                lambda o, d=3 - w: inv_poch_finite(Q_FACTOR, d, o))
+        assert got == want
+
+
+def test_link_sum_rejects_a_carry_short_of_top():
+    # exact only to q^4; linked at v - w = 2 it reaches q^5, short of q^6
+    short = LaurentSeries({0: 1, 2: -1}, 4)
+    assert _link_sum([(0, short)], 2, 5, True).trunc == 5
+    with pytest.raises(AssertionError, match="short of 6"):
+        _link_sum([(0, short)], 2, 6, True)
+    with pytest.raises(AssertionError):
+        _link_sum([(0, short)], 2, 5, False)
