@@ -13,6 +13,21 @@ which is how the registry states its five pairs and what the base-change
 moves consume.  The six moves (two forward, two backward, two base changes)
 and the base shift each produce a new pair whose sequences are evaluated on
 demand and memoized.
+
+Every move multiplies a parent sequence by a power of q and by finite
+q-Pochhammer symbols, which ``compose_exact`` applies.  Each symbol is a
+unit triple ``(PochFactor, length, power)`` with power +1 or -1, applied
+factor by factor in one pass over a dense coefficient list: no series
+product, inversion or Pochhammer cache sits on this path.  A move's beta
+sums its j-pieces into one coefficient map.
+
+Pairs form a shared trie.  ``registry_pair`` makes each registry pair once
+per (id, path), and ``apply_move`` memoizes each child on its parent, keyed
+by the move, so move words with a common prefix share the pairs along it
+and their sequence caches.  Because a shared cache may already hold a
+deeper evaluation, every sequence value is returned truncated to exactly
+the requested order: a caller's result never depends on what another
+caller asked for first.
 """
 
 from __future__ import annotations
@@ -20,14 +35,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-from .laurent import LaurentSeries, monomial, one, zero
+from .laurent import LaurentSeries, monomial, one, signed_sum, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
+    apply_poch_units,
     inv_poch_finite,
     poch_finite,
 )
@@ -74,8 +90,11 @@ class BaileyPair:
     Exactly one of ``alpha`` / ``alpha_tilde`` is supplied; the other is
     derived.  Each sequence function takes (n, order) and must return a
     series exact at least to ``order``.  Memoization keeps the deepest
-    (highest-order) evaluation per index; instances are immutable apart
-    from these caches, so sharing across threads is safe under the GIL.
+    (highest-order) evaluation per index, and every value handed out is
+    truncated to exactly the requested order, so what a caller sees does
+    not depend on which deeper request came first.  ``apply_move`` keeps
+    the pair's children here too.  Instances are immutable apart from
+    these caches, so sharing across threads is safe under the GIL.
     """
 
     def __init__(self, base_exp: int, *, alpha: SeqFn | None = None,
@@ -91,6 +110,7 @@ class BaileyPair:
         self._alpha_cache: dict[int, LaurentSeries] = {}
         self._tilde_cache: dict[int, LaurentSeries] = {}
         self._beta_cache: dict[int, LaurentSeries] = {}
+        self._children: dict[Move, BaileyPair] = {}
 
     def _cached(self, cache, fn, n: int, order: int) -> LaurentSeries:
         hit = cache.get(n)
@@ -99,7 +119,7 @@ class BaileyPair:
             if hit.trunc < order:
                 raise AssertionError("sequence evaluation lost truncation")
             cache[n] = hit
-        return hit
+        return hit.truncated(order)
 
     def alpha(self, n: int, order: int) -> LaurentSeries:
         if self._alpha_fn is not None:
@@ -119,126 +139,117 @@ class BaileyPair:
         c = self.base_exp
         if c < 1:
             raise ValueError("alpha from alpha~ needs base exponent >= 1")
-        return compose_exact(order, 0,
-                        lambda o: self.alpha_tilde(n, o),
-                        lambda o: poch_finite(PochFactor(1, c + 2 * n, 1), 1, o),
-                        lambda o: inv_poch_finite(PochFactor(1, c, 1), 1, o))
+        return compose_exact(order, 0, partial(self.alpha_tilde, n),
+                             (PochFactor(1, c + 2 * n, 1), 1, 1),
+                             (PochFactor(1, c, 1), 1, -1))
 
     def _tilde_from_alpha(self, n: int, order: int) -> LaurentSeries:
         c = self.base_exp
         if c < 1:
             raise ValueError("alpha~ undefined at base exponent 0 (1 - a = 0)")
-        return compose_exact(order, 0,
-                        lambda o: self.alpha(n, o),
-                        lambda o: poch_finite(PochFactor(1, c, 1), 1, o),
-                        lambda o: inv_poch_finite(PochFactor(1, c + 2 * n, 1), 1, o))
+        return compose_exact(order, 0, partial(self.alpha, n),
+                             (PochFactor(1, c, 1), 1, 1),
+                             (PochFactor(1, c + 2 * n, 1), 1, -1))
+
+
+# (f, length, power): the finite symbol (f; q^step)_length to the power +-1
+Unit = tuple[PochFactor, int, int]
 
 
 def compose_exact(order: int, shift: int, parent_get: Callable[[int], LaurentSeries],
-             *unit_gets: Callable[[int], LaurentSeries]) -> LaurentSeries:
-    """parent * (valuation-zero unit factors) * q^shift, exact to order.
+                  *units: Unit) -> LaurentSeries:
+    """parent * (finite Pochhammer units) * q^shift, exact to ``order``.
 
-    The parent is re-requested at a deeper order when its valuation turns
-    out negative, so stacked backward moves stay exact.
+    Each unit is a triple ``(f, length, power)``: the factor
+    (f; q^step)_length when power is 1, its inverse when power is -1.  The
+    parent is requested once, at ``order - shift``.  Every unit has
+    valuation zero and is applied exactly, factor by factor, on a dense
+    coefficient list spanning val(parent)..order - shift
+    (``qproducts.apply_poch_units``), so no coefficient of the parent above
+    that is ever needed, however negative its valuation.  No product,
+    inversion or Pochhammer cache is involved.  The result is truncated to
+    exactly ``order``.
     """
-    p = parent_get(order - shift)
-    v = min(0, p._effval())
-    if v < 0:
-        p = parent_get(order - shift - v)
-        v = min(0, p._effval())
-    if p.is_zero():
-        # parent vanishes to at least order - shift, so the piece vanishes
-        # to at least order
-        return zero(order)
-    need = order - shift - v
-    if need < 0:
-        # every exponent of the piece lies above order
-        return zero(order)
-    acc = p
-    for g in unit_gets:
-        acc = acc * g(need)
-    acc = acc.shift(shift)
-    if acc.trunc < order:
+    top = order - shift
+    p = parent_get(top)
+    if p.trunc < top:
         raise AssertionError("truncation underflow in move composition")
-    return acc.truncated(order)
+    if not units:
+        return p.truncated(top).shift(shift)
+    terms = p.terms
+    lo = min(terms) if terms else top + 1
+    a = [0] * max(top - lo + 1, 0)
+    for e, c in terms.items():
+        if e <= top:
+            a[e - lo] = c
+    apply_poch_units(a, units)
+    base = lo + shift
+    return LaurentSeries({base + i: c for i, c in enumerate(a) if c}, order)
 
 
 def apply_move(pair: BaileyPair, move: Move) -> BaileyPair:
-    """Apply one of the six moves (or the base shift) to a Bailey pair."""
+    """Apply one of the six moves (or the base shift) to a Bailey pair.
+
+    The child is memoized on its parent, so move words that share a prefix
+    share the pairs along it, and with them their sequence caches."""
+    child = pair._children.get(move)
+    if child is None:
+        child = pair._children[move] = _build_move(pair, move)
+    return child
+
+
+def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
     if move is Move.BASE_SHIFT:
         return base_shift(pair.alpha, pair.beta, pair.base_exp,
                           provenance=pair.provenance + (move.value,))
     c = pair.base_exp
     prov = pair.provenance + (move.value,)
 
+    def beta_sum(n, order, shift, units=lambda j: (), alternating=False):
+        # sum over j of sign * q^shift(j) * beta_j * units(j) / (q)_{n-j},
+        # with sign (-1)^{n+j} when alternating and 1 otherwise
+        return signed_sum(
+            ((-1 if alternating and (n + j) % 2 else 1,
+              compose_exact(order, shift(j), partial(pair.beta, j),
+                            *units(j), (Q_FACTOR, n - j, -1)))
+             for j in range(n + 1)), order)
+
     if move is Move.F1:
         def alpha(n, order):
-            return compose_exact(order, c * n + n * n,
-                            lambda o: pair.alpha(n, o))
+            return compose_exact(order, c * n + n * n, partial(pair.alpha, n))
 
         def beta(n, order):
-            total = zero(order)
-            for j in range(n + 1):
-                piece = compose_exact(order, c * j + j * j,
-                                 lambda o, j=j: pair.beta(j, o),
-                                 lambda o, j=j: inv_poch_finite(Q_FACTOR, n - j, o))
-                total = total + piece
-            return total
+            return beta_sum(n, order, lambda j: c * j + j * j)
         return BaileyPair(c, alpha=alpha, beta=beta, provenance=prov)
 
     if move is Move.B1:
         def alpha(n, order):
-            return compose_exact(order, -c * n - n * n,
-                            lambda o: pair.alpha(n, o))
+            return compose_exact(order, -c * n - n * n, partial(pair.alpha, n))
 
         def beta(n, order):
-            total = zero(order)
-            for j in range(n + 1):
-                sgn = -1 if (n + j) % 2 else 1
-                piece = compose_exact(order, -c * n - n * n + _binom2(n - j),
-                                 lambda o, j=j: pair.beta(j, o),
-                                 lambda o, j=j: inv_poch_finite(Q_FACTOR, n - j, o))
-                total = total + piece * sgn
-            return total
+            return beta_sum(n, order, lambda j: -c * n - n * n + _binom2(n - j),
+                            alternating=True)
         return BaileyPair(c, alpha=alpha, beta=beta, provenance=prov)
 
     if move is Move.F2:
         def alpha(n, order):
-            return compose_exact(order, _binom2(n) + c * n,
-                            lambda o: pair.alpha(n, o),
-                            lambda o: poch_finite(_neg_q(), n, o),
-                            lambda o: inv_poch_finite(_neg_q(c), n, o))
+            return compose_exact(order, _binom2(n) + c * n, partial(pair.alpha, n),
+                                 (_neg_q(), n, 1), (_neg_q(c), n, -1))
 
         def beta(n, order):
-            total = zero(order)
-            for j in range(n + 1):
-                piece = compose_exact(order, _binom2(j) + c * j,
-                                 lambda o, j=j: pair.beta(j, o),
-                                 lambda o, j=j: poch_finite(_neg_q(), j, o),
-                                 lambda o: inv_poch_finite(_neg_q(c), n, o),
-                                 lambda o, j=j: inv_poch_finite(Q_FACTOR, n - j, o))
-                total = total + piece
-            return total
+            return beta_sum(n, order, lambda j: _binom2(j) + c * j,
+                            lambda j: ((_neg_q(), j, 1), (_neg_q(c), n, -1)))
         return BaileyPair(c, alpha=alpha, beta=beta, provenance=prov)
 
     if move is Move.B2:
         def alpha(n, order):
-            return compose_exact(order, -_binom2(n) - c * n,
-                            lambda o: pair.alpha(n, o),
-                            lambda o: poch_finite(_neg_q(c), n, o),
-                            lambda o: inv_poch_finite(_neg_q(), n, o))
+            return compose_exact(order, -_binom2(n) - c * n, partial(pair.alpha, n),
+                                 (_neg_q(c), n, 1), (_neg_q(), n, -1))
 
         def beta(n, order):
-            total = zero(order)
-            for j in range(n + 1):
-                sgn = -1 if (n + j) % 2 else 1
-                piece = compose_exact(order, -c * n - _binom2(n) + _binom2(n - j),
-                                 lambda o, j=j: pair.beta(j, o),
-                                 lambda o, j=j: poch_finite(_neg_q(c), j, o),
-                                 lambda o: inv_poch_finite(_neg_q(), n, o),
-                                 lambda o, j=j: inv_poch_finite(Q_FACTOR, n - j, o))
-                total = total + piece * sgn
-            return total
+            return beta_sum(n, order, lambda j: -c * n - _binom2(n) + _binom2(n - j),
+                            lambda j: ((_neg_q(c), j, 1), (_neg_q(), n, -1)),
+                            alternating=True)
         return BaileyPair(c, alpha=alpha, beta=beta, provenance=prov)
 
     if move in (Move.BC1, Move.BC2):
@@ -254,36 +265,20 @@ def apply_move(pair: BaileyPair, move: Move) -> BaileyPair:
             def alpha(n, order):
                 if n == 0:
                     return pair.alpha(0, order)
-                return compose_exact(order, c * n + n * n - n,
-                                lambda o: bracket(n, o))
+                return compose_exact(order, c * n + n * n - n, partial(bracket, n))
 
             def beta(n, order):
-                total = zero(order)
-                for j in range(n + 1):
-                    piece = compose_exact(order, c * j + j * j - j,
-                                     lambda o, j=j: pair.beta(j, o),
-                                     lambda o, j=j: inv_poch_finite(Q_FACTOR, n - j, o))
-                    total = total + piece
-                return total
+                return beta_sum(n, order, lambda j: c * j + j * j - j)
         else:
             def alpha(n, order):
                 if n == 0:
                     return pair.alpha(0, order)
-                return compose_exact(order, c * n + _binom2(n) - n,
-                                lambda o: bracket(n, o),
-                                lambda o: poch_finite(_neg_q(), n, o),
-                                lambda o: inv_poch_finite(_neg_q(c - 1), n, o))
+                return compose_exact(order, c * n + _binom2(n) - n, partial(bracket, n),
+                                     (_neg_q(), n, 1), (_neg_q(c - 1), n, -1))
 
             def beta(n, order):
-                total = zero(order)
-                for j in range(n + 1):
-                    piece = compose_exact(order, c * j + _binom2(j) - j,
-                                     lambda o, j=j: pair.beta(j, o),
-                                     lambda o, j=j: poch_finite(_neg_q(), j, o),
-                                     lambda o: inv_poch_finite(_neg_q(c - 1), n, o),
-                                     lambda o, j=j: inv_poch_finite(Q_FACTOR, n - j, o))
-                    total = total + piece
-                return total
+                return beta_sum(n, order, lambda j: c * j + _binom2(j) - j,
+                                lambda j: ((_neg_q(), j, 1), (_neg_q(c - 1), n, -1)))
         return BaileyPair(c - 1, alpha=alpha, beta=beta, provenance=prov)
 
     raise ValueError(f"unknown move {move!r}")
@@ -340,14 +335,11 @@ def verify_pair(pair: BaileyPair, n_max: int, order: int) -> list[bool]:
     results = []
     for n in range(n_max + 1):
         lhs = pair.beta(n, order)
-        rhs = zero(order)
-        for t in range(n + 1):
-            piece = compose_exact(order, 0,
-                             lambda o, t=t: pair.alpha(t, o),
-                             lambda o, t=t: inv_poch_finite(Q_FACTOR, n - t, o),
-                             lambda o, t=t: inv_poch_finite(
-                                 PochFactor(1, c + 1, 1), n + t, o))
-            rhs = rhs + piece
+        rhs = signed_sum(
+            ((1, compose_exact(order, 0, partial(pair.alpha, t),
+                               (Q_FACTOR, n - t, -1),
+                               (PochFactor(1, c + 1, 1), n + t, -1)))
+             for t in range(n + 1)), order)
         results.append(lhs.eq_to_order(rhs, order))
     return results
 
@@ -519,8 +511,23 @@ def registry_entry(pair_id: int, path: str | None = None) -> RegistryEntry:
     return entries[pair_id]
 
 
+_REGISTRY_PAIRS: dict[tuple[int, str | None], BaileyPair] = {}
+
+
 def registry_pair(pair_id: int, path: str | None = None) -> BaileyPair:
-    """Instantiate one of the five registry pairs as a BaileyPair."""
+    """One of the five registry pairs as a BaileyPair.
+
+    The pair is made once per (pair_id, path) and then shared, so every
+    move chain that starts from it shares its caches and its children
+    (see ``apply_move``)."""
+    key = (pair_id, path)
+    pair = _REGISTRY_PAIRS.get(key)
+    if pair is None:
+        pair = _REGISTRY_PAIRS[key] = _new_registry_pair(pair_id, path)
+    return pair
+
+
+def _new_registry_pair(pair_id: int, path: str | None) -> BaileyPair:
     entry = registry_entry(pair_id, path)
 
     def tilde(n: int, order: int) -> LaurentSeries:

@@ -10,19 +10,23 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or range error,
 3 data error (bad registry file).  The environment variables QBAILEY_ORDER
 and QBAILEY_REGISTRY supply a default truncation order and an alternate
-registry path.
+registry path.  Only verify-pair evaluates the alternate registry;
+verify-identity and catalog load it, reject it when it is unreadable or
+malformed (exit 3) or differs from the bundled one (exit 2), and otherwise
+verify against the bundled registry.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import NoReturn
 
-from .bailey import RegistryError, registry_pair, verify_pair
+from .bailey import RegistryError, load_registry, registry_pair, verify_pair
 from .characters import ModuleLabel, char_product, char_qtpi
 from .lattice import KINDS
 from .records import (
@@ -81,6 +85,34 @@ def _registry_path() -> str | None:
     return os.environ.get("QBAILEY_REGISTRY")
 
 
+def _bundled_registry_only(command: str) -> int | None:
+    """The exit code when QBAILEY_REGISTRY rules out ``command``, else None.
+
+    ``command`` verifies against the bundled registry.  A QBAILEY_REGISTRY
+    file is loaded anyway, so that a bad one is reported as a data error,
+    and one that differs from the bundled registry is refused rather than
+    silently ignored."""
+    path = _registry_path()
+    if path is None:
+        return None
+    try:
+        named = load_registry(path)
+        bundled = load_registry()
+    except RegistryError as exc:
+        print(f"registry error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    if named != bundled:
+        print(f"error: {command} uses the bundled registry, and QBAILEY_REGISTRY "
+              f"names {path}, which differs from it", file=sys.stderr)
+        return EXIT_USAGE
+    return None
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_verify_pair(args) -> int:
     try:
         pair = registry_pair(args.pair, _registry_path())
@@ -103,6 +135,9 @@ def cmd_verify_pair(args) -> int:
 
 
 def cmd_verify_identity(args) -> int:
+    refused = _bundled_registry_only("verify-identity")
+    if refused is not None:
+        return refused
     try:
         rec = build_record(args.pair, args.schedule, args.k, args.i, args.order)
     except RegistryError as exc:
@@ -129,28 +164,37 @@ def cmd_catalog(args) -> int:
     if args.max_level < 2:
         print("error: --max-level must be at least 2", file=sys.stderr)
         return EXIT_USAGE
+    refused = _bundled_registry_only("catalog")
+    if refused is not None:
+        return refused
+    # open the output first, so an unwritable path fails before any work
     try:
-        cells = catalog_cells(args.max_level)
-        work = [(c, args.order) for c in cells]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_build_cell, work))
+        sink = (open(args.output, "w") if args.output
+                else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        return _cannot_write(args.output, exc)
+    with sink as fh:
+        try:
+            cells = catalog_cells(args.max_level)
+            work = [(c, args.order) for c in cells]
+            if args.jobs > 1:
+                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                    records = list(pool.map(_build_cell, work))
+            else:
+                records = [_build_cell(w) for w in work]
+        except RegistryError as exc:
+            print(f"registry error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        if args.format == "json":
+            out = emit_json(records, args.max_level, args.order)
+        elif args.format == "latex":
+            out = emit_latex(records)
         else:
-            records = [_build_cell(w) for w in work]
-    except RegistryError as exc:
-        print(f"registry error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    if args.format == "json":
-        out = emit_json(records, args.max_level, args.order)
-    elif args.format == "latex":
-        out = emit_latex(records)
-    else:
-        out = emit_text(records)
-    if args.output:
-        with open(args.output, "w") as fh:
+            out = emit_text(records)
+        try:
             fh.write(out)
-    else:
-        print(out, end="")
+        except OSError as exc:
+            return _cannot_write(args.output or "stdout", exc)
     failed = [r for r in records if r.status != "verified"]
     if failed:
         for r in failed:

@@ -46,14 +46,14 @@ callers can re-certify stability under a raised cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import isqrt
 from operator import add
 
 from .bailey import Move, compose_exact, registry_entry, registry_pair
-from .laurent import LaurentSeries, monomial, mul_accumulate, one, zero
+from .laurent import LaurentSeries, monomial, mul_accumulate, one, signed_sum, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
@@ -320,12 +320,15 @@ def _round_order(o: int) -> int:
     return o if o <= 0 else ((o + 15) // 16) * 16
 
 
+def _one(o: int) -> LaurentSeries:
+    """The constant 1 as a parent for ``compose_exact``, exact to o."""
+    return one(o) if o >= 0 else zero(o)
+
+
+_NEG_Q = PochFactor(-1, 1, 1)  # the base of (-q; q)_n
+
+
 _INF = 1 << 60
-
-
-@lru_cache(maxsize=None)
-def _pair(pair_id: int):
-    return registry_pair(pair_id)
 
 
 def _tables(spec: MultisumSpec, order: int, cap: int):
@@ -388,17 +391,10 @@ def _tables(spec: MultisumSpec, order: int, cap: int):
     return LOW, feas, own
 
 
-def _unit_getters(spec: MultisumSpec, level: int, v: int):
-    gets = []
-    for r, b in spec.numer:
-        if r == level:
-            gets.append(lambda o, b=b: poch_finite(
-                PochFactor(-1, b, 1), v, _round_order(o)))
-    for r, b in spec.denom:
-        if r == level:
-            gets.append(lambda o, b=b: inv_poch_finite(
-                PochFactor(-1, b, 1), v, _round_order(o)))
-    return gets
+def _units(spec: MultisumSpec, level: int, v: int) -> list:
+    """The unit triples (-q^b; q)_v^{+-1} that variable ``level`` carries."""
+    return ([(PochFactor(-1, b, 1), v, 1) for r, b in spec.numer if r == level]
+            + [(PochFactor(-1, b, 1), v, -1) for r, b in spec.denom if r == level])
 
 
 def _link_sum(carries: list[tuple[int, LaurentSeries]], v: int, top: int,
@@ -437,7 +433,7 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
     ``extra_dead`` more) vanish to the requested order.
     """
     V = spec.nvars
-    pair = _pair(spec.pair_id)
+    pair = registry_pair(spec.pair_id)
     if finite_n is not None:
         cap = finite_n
     else:
@@ -456,14 +452,13 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
                 continue
             t_cap = order - LOW[L][v]
             if L == V - 1:
-                inner = compose_exact(t_cap, own[L][v],
-                                      lambda o: pair.beta(v, o),
-                                      *_unit_getters(spec, L, v))
+                inner = compose_exact(t_cap, own[L][v], partial(pair.beta, v),
+                                      *_units(spec, L, v))
             else:
                 acc = _link_sum(nonzero[L + 1], v, t_cap - own[L][v],
                                 L in spec.link_binoms)
                 inner = compose_exact(t_cap, own[L][v], lambda o: acc,
-                                      *_unit_getters(spec, L, v))
+                                      *_units(spec, L, v))
             if inner.is_zero():
                 continue
             if L in spec.signs and v % 2:
@@ -483,22 +478,17 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
                 "the summand family appears not to converge"
             )
 
-    total = zero(order)
     if finite_n is None:
-        for _, blk in blocks:
-            total = total + blk.truncated(order)
+        total = signed_sum(((1, blk) for _, blk in blocks), order)
         for b in spec.prefactors:
             total = total * inv_poch_inf(PochFactor(-1, b, 1), order)
-    else:
-        n = finite_n
-        for v, blk in blocks:
-            piece = compose_exact(order, 0, lambda o, blk=blk: blk,
-                                  lambda o, d=n - v: inv_poch_finite(
-                                      Q_FACTOR, d, _round_order(o)))
-            total = total + piece
-        for b in spec.prefactors:
-            total = total * inv_poch_finite(PochFactor(-1, b, 1), n, order)
-    return total.truncated(order)
+        return total.truncated(order)
+    n = finite_n
+    total = signed_sum(
+        ((1, compose_exact(order, 0, lambda o, blk=blk: blk, (Q_FACTOR, n - v, -1)))
+         for v, blk in blocks), order)
+    return compose_exact(order, 0, lambda o: total,
+                         *[(PochFactor(-1, b, 1), n, -1) for b in spec.prefactors])
 
 
 def sum_side(s: Schedule, order: int, *, extra_dead: int = 0) -> LaurentSeries:
@@ -669,16 +659,11 @@ def lemma_b1bc1(j1: int, j3: int, order: int) -> bool:
     j1 = j3, j1 = j3 + 1, or otherwise."""
     if not j1 >= j3 >= 0:
         raise ValueError("need j1 >= j3 >= 0")
-    lhs = zero(order)
-    for j2 in range(j3, j1 + 1):
-        sgn = -1 if (j2 + j3) % 2 else 1
-        piece = compose_exact(
-            order, -j2 + _binom2(j2 - j3),
-            lambda o: one(o) if o >= 0 else zero(o),
-            lambda o, d=j1 - j2: inv_poch_finite(Q_FACTOR, d, _round_order(o)),
-            lambda o, d=j2 - j3: inv_poch_finite(Q_FACTOR, d, _round_order(o)),
-        )
-        lhs = lhs + piece * sgn
+    lhs = signed_sum(
+        ((-1 if (j2 + j3) % 2 else 1,
+          compose_exact(order, -j2 + _binom2(j2 - j3), _one,
+                        (Q_FACTOR, j1 - j2, -1), (Q_FACTOR, j2 - j3, -1)))
+         for j2 in range(j3, j1 + 1)), order)
     if j1 == j3:
         rhs = monomial(1, -j1, order)
     elif j1 == j3 + 1:
@@ -695,53 +680,35 @@ def lemma_f2b1(j1: int, j3: int, c: int, order: int) -> bool:
     / ((-q^c;q)_{j1} (q)_{j1-j3})."""
     if not j1 >= j3 >= 0:
         raise ValueError("need j1 >= j3 >= 0")
-    lhs = zero(order)
-    for j2 in range(j3, j1 + 1):
-        sgn = -1 if j2 % 2 else 1
-        piece = compose_exact(
-            order, _binom2(j1 - j2),
-            lambda o: one(o) if o >= 0 else zero(o),
-            lambda o, d=j1 - j2: inv_poch_finite(Q_FACTOR, d, _round_order(o)),
-            lambda o, d=j2 - j3: inv_poch_finite(Q_FACTOR, d, _round_order(o)),
-            lambda o, d=j2: inv_poch_finite(PochFactor(-1, c, 1), d,
-                                            _round_order(o)),
-        )
-        lhs = lhs + piece * sgn
+    lhs = signed_sum(
+        ((-1 if j2 % 2 else 1,
+          compose_exact(order, _binom2(j1 - j2), _one,
+                        (Q_FACTOR, j1 - j2, -1), (Q_FACTOR, j2 - j3, -1),
+                        (PochFactor(-1, c, 1), j2, -1)))
+         for j2 in range(j3, j1 + 1)), order)
     sgn = -1 if j3 % 2 else 1
     rhs = compose_exact(
         order,
         c * (j1 - j3) + _binom2(j1 - j3) + _binom2(j1) - _binom2(j3),
-        lambda o: one(o) if o >= 0 else zero(o),
-        lambda o: inv_poch_finite(PochFactor(-1, c, 1), j1, _round_order(o)),
-        lambda o: inv_poch_finite(Q_FACTOR, j1 - j3, _round_order(o)),
+        _one, (PochFactor(-1, c, 1), j1, -1), (Q_FACTOR, j1 - j3, -1),
     ) * sgn
     return lhs.eq_to_order(rhs, order)
 
 
 def _f2b1_lhs(nn: int, t: int, c: int, order: int) -> LaurentSeries:
-    total = zero(order)
-    for idx in range(nn + 1):
-        sgn = -1 if idx % 2 else 1
-        piece = compose_exact(
-            order, _binom2(idx),
-            lambda o: one(o) if o >= 0 else zero(o),
-            lambda o: poch_finite(Q_FACTOR, nn, _round_order(o)),
-            lambda o, d=idx: inv_poch_finite(Q_FACTOR, d, _round_order(o)),
-            lambda o, d=nn - idx: inv_poch_finite(Q_FACTOR, d, _round_order(o)),
-            lambda o, d=nn - idx + t: inv_poch_finite(
-                PochFactor(-1, c, 1), d, _round_order(o)),
-        )
-        total = total + piece * sgn
-    return total
+    return signed_sum(
+        ((-1 if idx % 2 else 1,
+          compose_exact(order, _binom2(idx), _one,
+                        (Q_FACTOR, nn, 1), (Q_FACTOR, idx, -1),
+                        (Q_FACTOR, nn - idx, -1),
+                        (PochFactor(-1, c, 1), nn - idx + t, -1)))
+         for idx in range(nn + 1)), order)
 
 
 def _f2b1_rhs(nn: int, t: int, c: int, order: int) -> LaurentSeries:
     sgn = -1 if nn % 2 else 1
-    return compose_exact(
-        order, c * nn + nn * (nn + t - 1),
-        lambda o: one(o) if o >= 0 else zero(o),
-        lambda o: inv_poch_finite(PochFactor(-1, c, 1), nn + t, _round_order(o)),
-    ) * sgn
+    return compose_exact(order, c * nn + nn * (nn + t - 1), _one,
+                         (PochFactor(-1, c, 1), nn + t, -1)) * sgn
 
 
 def f2b1_recurrence(nn: int, t: int, c: int, order: int) -> bool:
@@ -794,17 +761,14 @@ def _brute_blocks(order: int, nvars: int, term_fn, need_dead: int = 3
 def _f2b1_double(pair_id: int, order: int) -> LaurentSeries:
     """sum over j1 >= j3 of (-1)^{j1+j3} q^{binom(j1,2)+binom(j1-j3,2)}
     (-q)_{j3} / ((q)_{j1-j3} (-q)_{j1}) * beta_{j3}."""
-    pair = _pair(pair_id)
+    pair = registry_pair(pair_id)
 
     def term(js):
         j1, j3 = js
         sgn = -1 if (j1 + j3) % 2 else 1
         return compose_exact(
-            order, _binom2(j1) + _binom2(j1 - j3),
-            lambda o: pair.beta(j3, o),
-            lambda o: poch_finite(PochFactor(-1, 1, 1), j3, _round_order(o)),
-            lambda o: inv_poch_finite(PochFactor(-1, 1, 1), j1, _round_order(o)),
-            lambda o: inv_poch_finite(Q_FACTOR, j1 - j3, _round_order(o)),
+            order, _binom2(j1) + _binom2(j1 - j3), partial(pair.beta, j3),
+            (_NEG_Q, j3, 1), (_NEG_Q, j1, -1), (Q_FACTOR, j1 - j3, -1),
         ) * sgn
 
     return _brute_blocks(order, 2, term)
@@ -816,15 +780,15 @@ def _b1bc1_collapsed_single(pair_id: int, order: int) -> LaurentSeries:
     triple sums."""
     entry = registry_entry(pair_id)
     c = entry.base_exp
-    pair = _pair(pair_id)
+    pair = registry_pair(pair_id)
     total = zero(order)
     j = 0
     dead = 0
     while dead < 3:
         e1 = j * j - j if c == 1 else j * j
         e2 = e1 + 2 * j + (1 if c == 2 else 0)
-        p1 = compose_exact(order, e1, lambda o: pair.beta(j, o))
-        p2 = compose_exact(order, e2, lambda o: pair.beta(j, o))
+        p1 = compose_exact(order, e1, partial(pair.beta, j))
+        p2 = compose_exact(order, e2, partial(pair.beta, j))
         blk = p1 - p2
         total = total + blk
         dead = dead + 1 if (blk.is_zero() and j >= 3) else 0
@@ -839,7 +803,7 @@ def _quintuple_triple(pair_id: int, order: int) -> LaurentSeries:
     q^{binom(j4-j5,2)} factor that survives from the five-fold sum."""
     entry = registry_entry(pair_id)
     c = entry.base_exp
-    pair = _pair(pair_id)
+    pair = registry_pair(pair_id)
 
     def term(js):
         j1, j4, j5 = js
@@ -849,11 +813,8 @@ def _quintuple_triple(pair_id: int, order: int) -> LaurentSeries:
         else:
             e_neg, e_pos = j1 * j1 + 3 * j1 + 3, j1 * j1 + j1 - 2 * j4
         extra = _binom2(j4 - j5)
-        units = (
-            lambda o: pair.beta(j5, o),
-            lambda o: inv_poch_finite(Q_FACTOR, j1 - j4, _round_order(o)),
-            lambda o: inv_poch_finite(Q_FACTOR, j4 - j5, _round_order(o)),
-        )
+        units = (partial(pair.beta, j5),
+                 (Q_FACTOR, j1 - j4, -1), (Q_FACTOR, j4 - j5, -1))
         p_pos = compose_exact(order, e_pos + extra, *units)
         p_neg = compose_exact(order, e_neg + extra, *units)
         return (p_pos - p_neg) * sgn
@@ -865,7 +826,7 @@ def _level4_quadruple(order: int) -> LaurentSeries:
     """The once-collapsed form of the five-fold sum at level 4: over
     j1 >= j2 >= j3 >= j5 with exponent
     j1^2 - j3^2 - j2 + binom(j2-j3,2) + binom(j3-j5,2) + binom(j3,2)."""
-    pair = _pair(1)
+    pair = registry_pair(1)
 
     def term(js):
         j1, j2, j3, j5 = js
@@ -873,13 +834,9 @@ def _level4_quadruple(order: int) -> LaurentSeries:
         e = (j1 * j1 - j3 * j3 - j2 + _binom2(j2 - j3) + _binom2(j3 - j5)
              + _binom2(j3))
         return compose_exact(
-            order, e,
-            lambda o: pair.beta(j5, o),
-            lambda o: poch_finite(PochFactor(-1, 1, 1), j5, _round_order(o)),
-            lambda o: inv_poch_finite(PochFactor(-1, 1, 1), j3, _round_order(o)),
-            lambda o: inv_poch_finite(Q_FACTOR, j1 - j2, _round_order(o)),
-            lambda o: inv_poch_finite(Q_FACTOR, j2 - j3, _round_order(o)),
-            lambda o: inv_poch_finite(Q_FACTOR, j3 - j5, _round_order(o)),
+            order, e, partial(pair.beta, j5),
+            (_NEG_Q, j5, 1), (_NEG_Q, j3, -1), (Q_FACTOR, j1 - j2, -1),
+            (Q_FACTOR, j2 - j3, -1), (Q_FACTOR, j3 - j5, -1),
         ) * sgn
 
     return _brute_blocks(order, 4, term)
@@ -888,18 +845,14 @@ def _level4_quadruple(order: int) -> LaurentSeries:
 def _level4_double(order: int) -> LaurentSeries:
     """The fully collapsed level-4 five-fold sum: over j3 >= j5 with the
     numerator (-q^{j3} + q^{-j3})."""
-    pair = _pair(1)
+    pair = registry_pair(1)
 
     def term(js):
         j3, j5 = js
         sgn = -1 if (j3 + j5) % 2 else 1
         e = _binom2(j3 - j5) + _binom2(j3)
-        units = (
-            lambda o: pair.beta(j5, o),
-            lambda o: poch_finite(PochFactor(-1, 1, 1), j5, _round_order(o)),
-            lambda o: inv_poch_finite(PochFactor(-1, 1, 1), j3, _round_order(o)),
-            lambda o: inv_poch_finite(Q_FACTOR, j3 - j5, _round_order(o)),
-        )
+        units = (partial(pair.beta, j5),
+                 (_NEG_Q, j5, 1), (_NEG_Q, j3, -1), (Q_FACTOR, j3 - j5, -1))
         p_pos = compose_exact(order, e - j3, *units)
         p_neg = compose_exact(order, e + j3, *units)
         return (p_pos - p_neg) * sgn
@@ -916,9 +869,6 @@ def _tail_single(pair_id: int, order: int) -> LaurentSeries:
       pair 4: (1-q) + sum_{j>=1} q^{2j^2} / (q^2;q)_{2j-1}
       pair 2: (1-q) + sum_{j>=1} q^{j^2}  / (q^2;q)_{2j-1}
     """
-    def unit_one(o):
-        return one(o) if o >= 0 else zero(o)
-
     if pair_id in (4, 2):
         total = LaurentSeries({0: 1, 1: -1}, order)
         j_start = 1
@@ -930,26 +880,21 @@ def _tail_single(pair_id: int, order: int) -> LaurentSeries:
     while dead < 3:
         if pair_id == 3:
             e = 2 * (j * j + j)
-            units = [lambda o: inv_poch_finite(Q_FACTOR, 2 * j + 1, _round_order(o))]
+            units = [(Q_FACTOR, 2 * j + 1, -1)]
         elif pair_id == 1:
             e = j * j + j
-            units = [lambda o: inv_poch_finite(Q_FACTOR, 2 * j + 1, _round_order(o))]
+            units = [(Q_FACTOR, 2 * j + 1, -1)]
         elif pair_id == 5:
             e = j * j + j
-            units = [
-                lambda o: poch_finite(PochFactor(-1, 3, 3), j, _round_order(o)),
-                lambda o: inv_poch_finite(Q_FACTOR, 2 * j + 1, _round_order(o)),
-                lambda o: inv_poch_finite(PochFactor(-1, 1, 1), j, _round_order(o)),
-            ]
+            units = [(PochFactor(-1, 3, 3), j, 1), (Q_FACTOR, 2 * j + 1, -1),
+                     (_NEG_Q, j, -1)]
         elif pair_id == 4:
             e = 2 * j * j
-            units = [lambda o: inv_poch_finite(PochFactor(1, 2, 1), 2 * j - 1,
-                                               _round_order(o))]
+            units = [(PochFactor(1, 2, 1), 2 * j - 1, -1)]
         else:
             e = j * j
-            units = [lambda o: inv_poch_finite(PochFactor(1, 2, 1), 2 * j - 1,
-                                               _round_order(o))]
-        blk = compose_exact(order, e, unit_one, *units)
+            units = [(PochFactor(1, 2, 1), 2 * j - 1, -1)]
+        blk = compose_exact(order, e, _one, *units)
         total = total + blk
         dead = dead + 1 if (blk.is_zero() and j >= 3) else 0
         j += 1
@@ -963,15 +908,10 @@ def _level3_rewritten(order: int) -> LaurentSeries:
     j = 1
     dead = 0
     while dead < 3:
-        units = (
-            lambda o: poch_finite(PochFactor(-1, 3, 3), j - 1, _round_order(o)),
-            lambda o: inv_poch_finite(Q_FACTOR, 2 * j, _round_order(o)),
-        )
+        units = ((PochFactor(-1, 3, 3), j - 1, 1), (Q_FACTOR, 2 * j, -1))
         e = j + _binom2(j)
-        blk = (compose_exact(order, e, lambda o: one(o) if o >= 0 else zero(o),
-                             *units)
-               + compose_exact(order, e + j,
-                               lambda o: one(o) if o >= 0 else zero(o), *units))
+        blk = (compose_exact(order, e, _one, *units)
+               + compose_exact(order, e + j, _one, *units))
         total = total + blk
         dead = dead + 1 if (blk.is_zero() and j >= 3) else 0
         j += 1
@@ -981,15 +921,12 @@ def _level3_rewritten(order: int) -> LaurentSeries:
 def _lim2_level4_single(order: int) -> LaurentSeries:
     """sum_j (-q)_j q^{binom(j,2)} (1 - q^j - q^{2j+1}) / (q^2;q)_{2j},
     inside 1/(-q)_inf: the collapsed level-4 second-family triple sum."""
-    pair = _pair(2)
+    pair = registry_pair(2)
     total = zero(order)
     j = 0
     dead = 0
     while dead < 3:
-        units = (
-            lambda o: pair.beta(j, o),
-            lambda o: poch_finite(PochFactor(-1, 1, 1), j, _round_order(o)),
-        )
+        units = (partial(pair.beta, j), (_NEG_Q, j, 1))
         e = _binom2(j)
         blk = (compose_exact(order, e, *units)
                - compose_exact(order, e + j, *units)

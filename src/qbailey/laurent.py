@@ -134,6 +134,25 @@ def mul_accumulate(out: dict[int, int], xs: dict[int, int], ys: dict[int, int],
             out[e] = get(e, 0) + c1 * c2
 
 
+def signed_sum(pieces, trunc: int) -> "LaurentSeries":
+    """The sum of sign * series over ``(sign, series)`` pairs, exact to trunc.
+
+    Every series must be exact to at least ``trunc``.  The terms are added
+    into one coefficient map and a single series is built at the end,
+    instead of one intermediate series per piece.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    for sign, piece in pieces:
+        if piece.trunc < trunc:
+            raise TruncationError(
+                f"summand exact to {piece.trunc}, short of {trunc}")
+        for e, c in piece.terms.items():
+            if e <= trunc:
+                out[e] = get(e, 0) + sign * c
+    return LaurentSeries(out, trunc)
+
+
 class LaurentSeries:
     __slots__ = ("terms", "trunc")
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 
-from .laurent import LaurentSeries, one, zero
+from .laurent import InversionError, LaurentSeries, one, zero
 
 
 class DivergentProductError(ValueError):
@@ -112,6 +114,58 @@ def inv_poch_inf(f: PochFactor, order: int) -> LaurentSeries:
     if order < 0:
         return zero(order)
     return poch_inf(f, order).invert().truncated(order)
+
+
+def apply_poch_units(a: list[int], units) -> None:
+    """Multiply the dense coefficient list ``a`` in place by finite Pochhammers.
+
+    ``a[i]`` is the coefficient of q^{v+i} for some fixed v; the list is
+    the window of exponents still wanted, and whatever lies past its end is
+    never read.  Each unit is a triple ``(f, length, power)``: power 1
+    multiplies by (f; q^step)_length, power -1 divides by it.  Every factor
+    (1 - s q^e) costs one pass over the window:
+
+      * times (1 - s q^e):  a[i] -= s a[i-e], one vector step on a[e:];
+      * divided by (1 - q^e):  a prefix sum along each residue class mod e;
+      * divided by (1 + q^e):  times (1 - q^e), then divided by (1 - q^{2e}).
+
+    A factor whose exponent lies beyond the window is 1 there and is
+    skipped.  Only valuation-zero units keep the window's exponents, so a
+    factor with a negative exponent is rejected, and dividing by the
+    constant factor (1 - s q^0), which is 0 or 2, raises ``InversionError``
+    because the quotient has no integral expansion.  Multiplying by it
+    scales by 0 or 2.  The checks run before any coefficient is touched,
+    whatever the window.
+    """
+    for f, length, power in units:
+        if power not in (1, -1):
+            raise ValueError(f"unit power must be +1 or -1, got {power}")
+        if length < 0:
+            raise ValueError(f"Pochhammer length must be nonnegative, got {length}")
+        if length and f.base_exp < 0:
+            raise ValueError(
+                f"({f.sign:+d}*q^{f.base_exp}; q^{f.step})_{length} has a "
+                "negative exponent and is not a valuation-zero unit")
+        if length and f.base_exp == 0 and power == -1:
+            raise InversionError(
+                f"1/({f.sign:+d}*q^0; q^{f.step})_{length} is not unit-leading")
+    n = len(a)
+    for f, length, power in units:
+        s = f.sign
+        for t in range(length):
+            e = f.base_exp + t * f.step
+            if e >= n:
+                break  # this factor and the later, larger ones are 1 here
+            if e == 0:
+                a[:] = [0] * n if s == 1 else [2 * c for c in a]
+            elif power == 1:
+                a[e:] = map(sub if s == 1 else add, a[e:], a[:-e])
+            else:
+                if s == -1:
+                    a[e:] = map(sub, a[e:], a[:-e])
+                    e *= 2
+                for r in range(min(e, n - e)):
+                    a[r::e] = accumulate(a[r::e])
 
 
 # -- partitions and Euler's product -----------------------------------------

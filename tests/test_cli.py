@@ -201,3 +201,73 @@ def test_order_flag_overrides_bad_env_order(raw):
     assert proc.returncode == 0, proc.stderr
     assert "trunc=5;" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_catalog_unwritable_output_fails_before_verifying(tmp_path, capsys,
+                                                          monkeypatch):
+    from qbailey import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a cell was verified before the output was opened")
+
+    monkeypatch.delenv("QBAILEY_ORDER", raising=False)
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    monkeypatch.setattr(cli, "build_record", no_work)
+    target = tmp_path / "missing" / "catalog.json"
+    code = main(["catalog", "--max-level", "7", "--order", "80",
+                 "--format", "json", "--output", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot write {target}: "
+                            "No such file or directory\n")
+    assert captured.out == ""
+
+
+def test_catalog_unwritable_output_from_the_shell(tmp_path):
+    proc = run_cli(["catalog", "--max-level", "2", "--order", "10",
+                    "--output", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
+REGISTRY_COMMANDS = [
+    ["verify-identity", "--pair", "1", "--schedule", "lim1", "--k", "1",
+     "--i", "0", "--order", "20"],
+    ["catalog", "--max-level", "2", "--order", "20"],
+]
+BUNDLED_REGISTRY = (Path(__file__).parent.parent / "src" / "qbailey" / "data"
+                    / "bailey_pairs.json")
+
+
+@pytest.mark.parametrize("argv", REGISTRY_COMMANDS)
+def test_empty_registry_env_is_data_error(tmp_path, argv):
+    reg = tmp_path / "reg.json"
+    reg.write_text("{}")
+    proc = run_cli(argv, env_extra={"QBAILEY_REGISTRY": str(reg)})
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("registry error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "verified" not in proc.stdout
+
+
+@pytest.mark.parametrize("argv", REGISTRY_COMMANDS)
+def test_changed_registry_env_is_refused(tmp_path, argv):
+    data = json.loads(BUNDLED_REGISTRY.read_text())
+    data["pairs"][2]["beta"]["mono_lin"] += 1
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    proc = run_cli(argv, env_extra={"QBAILEY_REGISTRY": str(reg)})
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {argv[0]} uses the bundled registry, and "
+                           f"QBAILEY_REGISTRY names {reg}, which differs from "
+                           "it\n")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", REGISTRY_COMMANDS)
+def test_identical_registry_env_is_accepted(tmp_path, argv):
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(json.loads(BUNDLED_REGISTRY.read_text()), indent=1))
+    proc = run_cli(argv, env_extra={"QBAILEY_REGISTRY": str(reg)})
+    assert proc.returncode == 0, proc.stderr
+    assert "verified" in proc.stdout

@@ -15,6 +15,7 @@ from qbailey.laurent import (
     monomial,
     mul_accumulate,
     one,
+    signed_sum,
     zero,
 )
 
@@ -375,3 +376,20 @@ def test_mul_accumulate_leaves_out_alone_for_zero_operand():
     mul_accumulate(out, {}, {0: 1, 1: 2}, 0, 10)
     mul_accumulate(out, {0: 1}, {}, 0, 10)
     assert out == {3: 7}
+
+
+def test_signed_sum_matches_chained_additions():
+    pieces = [(1, S({-3: 2, 0: 1, 9: 5}, 12)), (-1, S({0: 1, 4: -2}, 10)),
+              (1, S({4: -2, 11: 7}, 15)), (-1, zero(10))]
+    want = zero(10)
+    for sign, piece in pieces:
+        want = want + piece * sign
+    got = signed_sum(pieces, 10)
+    assert got == want
+    assert got.to_text() == "trunc=10; -3:2 9:5"
+    assert signed_sum([], 4) == zero(4)
+
+
+def test_signed_sum_rejects_a_short_piece():
+    with pytest.raises(TruncationError, match="short of 10"):
+        signed_sum([(1, S({0: 1}, 12)), (1, S({1: 1}, 9))], 10)

@@ -2,15 +2,18 @@
 
 ``ref_tables`` and ``ref_eval_multisum`` are the direct definitions: IN and
 LOW minimized over every pair of values, one zero series per infeasible
-cell, and every (v, w) piece of the inner sum built by ``compose_exact``
-and added as its own series.  The evaluator must agree with them exactly.
+cell, and every (v, w) piece of the inner sum built by ``ref_compose``
+and added as its own series.  ``ref_compose`` is the product form of
+``compose_exact``: the parent times each unit as a cached Pochhammer
+series (or its inverse), re-requesting the parent deeper when its
+valuation is negative.  The evaluator must agree with them exactly.
 """
 
 from math import isqrt
 
 import pytest
 
-from qbailey.bailey import compose_exact, registry_entry
+from qbailey.bailey import registry_entry, registry_pair
 from qbailey.lattice import (
     SCHEDULE_TABLE,
     MultisumSpec,
@@ -18,16 +21,35 @@ from qbailey.lattice import (
     _INF,
     _binom2,
     _link_sum,
-    _pair,
-    _round_order,
     _tables,
-    _unit_getters,
+    _units,
     build_multisum_spec,
     eval_multisum,
 )
 from qbailey.laurent import LaurentSeries, zero
-from qbailey.qproducts import Q_FACTOR, PochFactor, inv_poch_finite, inv_poch_inf
+from qbailey.qproducts import (
+    Q_FACTOR,
+    PochFactor,
+    inv_poch_finite,
+    inv_poch_inf,
+    poch_finite,
+)
 from qbailey.records import catalog_cells
+
+
+def ref_compose(order, shift, parent_get, *units):
+    """parent * units * q^shift to order, by series products."""
+    p = parent_get(order - shift)
+    v = min(0, p._effval())
+    if v < 0:
+        p = parent_get(order - shift - v)
+        v = min(0, p._effval())
+    need = order - shift - v
+    if p.is_zero() or need < 0:
+        return zero(order)
+    for f, length, power in units:
+        p = p * (poch_finite if power == 1 else inv_poch_finite)(f, length, need)
+    return p.shift(shift).truncated(order)
 
 
 def _own_exponent(spec, level, v):
@@ -70,7 +92,7 @@ def ref_tables(spec, order, cap):
 
 def ref_eval_multisum(spec, order, finite_n=None):
     V = spec.nvars
-    pair = _pair(spec.pair_id)
+    pair = registry_pair(spec.pair_id)
     cap = finite_n if finite_n is not None else 2 * isqrt(max(order, 1)) + V + 14
     LOW, feas = ref_tables(spec, order, cap)
     carries = [[None] * (cap + 1) for _ in range(V)]
@@ -84,8 +106,8 @@ def ref_eval_multisum(spec, order, finite_n=None):
             t_cap = order - LOW[L][v]
             own = _own_exponent(spec, L, v)
             if L == V - 1:
-                inner = compose_exact(t_cap, own, lambda o: pair.beta(v, o),
-                                      *_unit_getters(spec, L, v))
+                inner = ref_compose(t_cap, own, lambda o: pair.beta(v, o),
+                                    *_units(spec, L, v))
             else:
                 t_in = t_cap - own
                 linked = L in spec.link_binoms
@@ -94,12 +116,10 @@ def ref_eval_multisum(spec, order, finite_n=None):
                     g = carries[L + 1][w]
                     if g.is_zero():
                         continue
-                    acc = acc + compose_exact(
+                    acc = acc + ref_compose(
                         t_in, _binom2(v - w) if linked else 0, lambda o, g=g: g,
-                        lambda o, d=v - w: inv_poch_finite(
-                            Q_FACTOR, d, _round_order(o)))
-                inner = compose_exact(t_cap, own, lambda o: acc,
-                                      *_unit_getters(spec, L, v))
+                        (Q_FACTOR, v - w, -1))
+                inner = ref_compose(t_cap, own, lambda o: acc, *_units(spec, L, v))
             if L in spec.signs and v % 2:
                 inner = -inner
             carries[L][v] = inner.truncated(t_cap)
@@ -116,9 +136,8 @@ def ref_eval_multisum(spec, order, finite_n=None):
             total = total * inv_poch_inf(PochFactor(-1, b, 1), order)
         return total.truncated(order)
     for v, blk in enumerate(blocks):
-        total = total + compose_exact(
-            order, 0, lambda o, blk=blk: blk,
-            lambda o, d=finite_n - v: inv_poch_finite(Q_FACTOR, d, _round_order(o)))
+        total = total + ref_compose(order, 0, lambda o, blk=blk: blk,
+                                    (Q_FACTOR, finite_n - v, -1))
     for b in spec.prefactors:
         total = total * inv_poch_finite(PochFactor(-1, b, 1), finite_n, order)
     return total.truncated(order)
@@ -181,9 +200,9 @@ def test_link_sum_matches_pieces():
         got = _link_sum(carries, 3, 10, linked)
         want = zero(10)
         for w, g in carries:
-            want = want + compose_exact(
+            want = want + ref_compose(
                 10, _binom2(3 - w) if linked else 0, lambda o, g=g: g,
-                lambda o, d=3 - w: inv_poch_finite(Q_FACTOR, d, o))
+                (Q_FACTOR, 3 - w, -1))
         assert got == want
 
 
