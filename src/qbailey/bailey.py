@@ -45,7 +45,6 @@ from .qproducts import (
     Q_FACTOR,
     apply_poch_units,
     inv_poch_finite,
-    poch_finite,
 )
 
 _DEFAULT_REGISTRY = Path(__file__).parent / "data" / "bailey_pairs.json"
@@ -401,39 +400,34 @@ def _length(kind: str, n: int) -> int:
     raise RegistryError(f"unknown Pochhammer length kind {kind!r}")
 
 
-def _poch_with_unit_base(f: PochFactor, length: int, order: int):
-    """(scalar, series) for a finite symbol, normalizing (-1; q^d)_L, whose
-    leading coefficient is 2, to 2 * (-q^d; q^d)_{L-1} so the series part
-    stays unit-leading (and hence invertible)."""
-    if f.sign == -1 and f.base_exp == 0:
-        if length == 0:
-            return 1, one(order)
-        return 2, poch_finite(PochFactor(-1, f.step, f.step), length - 1, order)
-    return 1, poch_finite(f, length, order)
-
-
 def beta_from_spec(spec: BetaSpec, n: int, order: int) -> LaurentSeries:
+    """beta_n of a registry pair, exact to ``order``: ``compose_exact``
+    applies its symbols as unit triples to a constant scalar.
+
+    A symbol (-1; q^d)_L with L >= 1 has the constant factor (1 + q^0) = 2.
+    It is written as 2 (-q^d; q^d)_{L-1}, so every unit is unit-leading (and
+    hence divisible), and the 2s of the two sides must leave an integral
+    scalar."""
     if order < 0:
         return zero(order)  # beta has valuation >= 0, so nothing is visible
-    shift = spec.mono_quad * n * n + spec.mono_lin * n
-    work = order - min(shift, 0)
-    num_scalar = 1
-    acc = one(work)
-    for f, kind in spec.numerator:
-        scal, series = _poch_with_unit_base(f, _length(kind, n), work)
-        num_scalar *= scal
-        acc = acc * series
-    den_scalar = 1
-    for f, kind in spec.denominator:
-        scal, series = _poch_with_unit_base(f, _length(kind, n), work)
-        den_scalar *= scal
-        acc = acc * series.invert().truncated(work)
-    if num_scalar % den_scalar:
+    scalars = {1: 1, -1: 1}
+    units = []
+    for factors, power in ((spec.numerator, 1), (spec.denominator, -1)):
+        for f, kind in factors:
+            length = _length(kind, n)
+            if f.sign == -1 and f.base_exp == 0 and length:
+                scalars[power] *= 2
+                f, length = PochFactor(-1, f.step, f.step), length - 1
+            units.append((f, length, power))
+    if scalars[1] % scalars[-1]:
         raise RegistryError(
-            f"non-integral scalar {num_scalar}/{den_scalar} in beta evaluation"
+            f"non-integral scalar {scalars[1]}/{scalars[-1]} in beta evaluation"
         )
-    acc = acc * (num_scalar // den_scalar)
-    return acc.shift(shift).truncated(order)
+    scalar = scalars[1] // scalars[-1]
+    shift = spec.mono_quad * n * n + spec.mono_lin * n
+    return compose_exact(order, shift,
+                         lambda o: monomial(scalar, 0, o) if o >= 0 else zero(o),
+                         *units)
 
 
 def _parse_factor(obj) -> PochFactor:
@@ -473,8 +467,18 @@ def _parse_entry(obj) -> RegistryEntry:
         raise RegistryError(f"pair {entry.id}: base exponent must be >= 1")
     if entry.alpha_tilde_monomial(0) != (1, 0):
         raise RegistryError(f"pair {entry.id}: alpha~_0 must equal 1")
-    for kind in ("n", "2n"):
-        _length(kind, 0)
+    for factors, side in ((spec.numerator, "numerator"),
+                          (spec.denominator, "denominator")):
+        for f, kind in factors:
+            _length(kind, 0)
+            # beta_n is evaluated with unit triples, which keep the
+            # valuation q^{mono}: no factor may have a negative exponent,
+            # and none below the line may be (1 - q^0) = 0
+            if f.base_exp < 0 or (side == "denominator" and f.base_exp == 0
+                                  and f.sign == 1):
+                raise RegistryError(
+                    f"pair {entry.id}: beta {side} factor "
+                    f"({f.sign:+d}*q^{f.base_exp}; q^{f.step}) is not allowed")
     # every exponent in the case table must be integral on its residue class
     for m in range(12):
         entry.alpha_tilde_monomial(m)

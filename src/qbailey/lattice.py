@@ -32,16 +32,19 @@ IN + LOW <= order.  Only feasible cells are visited; every completion of an
 infeasible one exceeds the order.  Each kept carry is truncated to
 order - LOW[L][v], which is exactly the precision that can still matter,
 and each level keeps the list of its nonzero carries.  A carry's inner sum
-over the level below, sum_w g_w q^{binom(v-w, 2)} / (q)_{v-w}, is
-accumulated into one coefficient map by ``laurent.mul_accumulate``, with
-no series built per piece; every carry is first checked to reach the
-sum's truncation.  For the schedules with backward moves the raw summand
-family is only conditionally summable: individual terms have unboundedly
-negative exponents and cancel in blocks of fixed outermost index.  The
-evaluator therefore sums complete j_1-blocks and stops only after three
-consecutive blocks vanish to the requested order (a margin against
-non-monotonic low-index behavior); ``extra_dead`` extends that margin so
-callers can re-certify stability under a raised cap.
+over the level below, sum_w g_w q^{binom(v-w, 2)} / (q)_{v-w}, is one
+Horner chain on a dense coefficient window: going from w - 1 to w it
+shifts by v - w (on a linked level), divides by (1 - q^{v-w+1}) and adds
+g_w, each step a single pass (``qproducts.binomial_step``), so no series
+product, inversion or Pochhammer cache is involved; every carry is first
+checked to reach the sum's truncation.  For the schedules with backward
+moves the raw summand family is only conditionally summable: individual
+terms have unboundedly negative exponents and cancel in blocks of fixed
+outermost index.  The evaluator therefore sums complete j_1-blocks and
+stops only after three consecutive blocks vanish to the requested order
+(a margin against non-monotonic low-index behavior); ``extra_dead``
+extends that margin so callers can re-certify stability under a raised
+cap.
 """
 
 from __future__ import annotations
@@ -53,10 +56,11 @@ from math import isqrt
 from operator import add
 
 from .bailey import Move, compose_exact, registry_entry, registry_pair
-from .laurent import LaurentSeries, monomial, mul_accumulate, one, signed_sum, zero
+from .laurent import LaurentSeries, monomial, one, signed_sum, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
+    binomial_step,
     inv_poch_finite,
     inv_poch_inf,
     poch_finite,
@@ -400,26 +404,47 @@ def _units(spec: MultisumSpec, level: int, v: int) -> list:
 def _link_sum(carries: list[tuple[int, LaurentSeries]], v: int, top: int,
               linked: bool) -> LaurentSeries:
     """sum over carries (w, g) of g * q^{binom(v-w, 2) linked} / (q)_{v-w},
-    exact to ``top``.
+    exact to ``top``.  The carries come in ascending w <= v.
 
-    Each 1/(q)_d is fetched deep enough that, times a carry of negative
-    valuation, it still reaches ``top``.  A carry must itself reach
-    ``top`` once shifted; one that does not would make the sum claim
-    coefficients it does not know.
+    Since q^{binom(d, 2)} / (q)_d = prod_{m=1..d} q^{m-1} / (1 - q^m), the
+    sum is the Horner chain
+
+        g_v + q^0/(1 - q) (g_{v-1} + q^1/(1 - q^2) (g_{v-2} + ...)),
+
+    run on one dense window from the carries' lowest valuation up to
+    ``top``: going from w - 1 to w shifts by v - w (on a linked level
+    only), divides by (1 - q^{v-w+1}) and adds g_w, and after the last
+    carry the steps go on up to v.  Every step is one pass over the window
+    (``qproducts.binomial_step``).  A carry must itself reach ``top`` once
+    shifted by its binom(v-w, 2); one that does not would make the sum
+    claim coefficients it does not know.
     """
-    out: dict[int, int] = {}
+    lo = top + 1
     for w, g in carries:
         s = _binom2(v - w) if linked else 0
         if g.trunc + s < top:
             raise AssertionError(
                 f"carry at j={w} is exact to {g.trunc + s} after its shift, "
                 f"short of {top}")
-        need = top - s - min(g.val(), 0)
-        if need < 0:
-            continue  # every exponent of the piece lies above top
-        u = inv_poch_finite(Q_FACTOR, v - w, _round_order(need))
-        mul_accumulate(out, g.terms, u.terms, s, top)
-    return LaurentSeries(out, top)
+        if g.terms:
+            lo = min(lo, min(g.terms))
+    if lo > top:
+        return zero(top)
+    n = top - lo + 1
+    a = [0] * n
+    u = carries[0][0]
+    for w, g in carries + [(v, None)]:
+        for u in range(u + 1, w + 1):
+            d = v - u
+            if linked and d:
+                a = ([0] * d + a)[:n]
+            binomial_step(a, d + 1, 1, -1)
+        if g is not None:
+            for e, c in g.terms.items():
+                if e <= top:
+                    a[e - lo] += c
+        u = w
+    return LaurentSeries({lo + i: c for i, c in enumerate(a) if c}, top)
 
 
 def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None,

@@ -17,12 +17,13 @@ exponent, and a single big-int multiply (Karatsuba inside CPython) gives
 every coefficient at once.  The digit width comes from a proved bound on
 the product's coefficients, so digits never overflow into each other.
 
-Both paths live in one primitive, ``mul_accumulate(out, xs, ys, s, top)``,
-which adds the terms of xs * ys * q^s at exponents <= top into a plain
-exponent -> coefficient dict.  ``__mul__`` calls it with an empty dict, no
-shift and the product's truncation.  A caller summing many products, such
-as the multisum's inner sum, calls it once per product on one dict and
-builds a single series at the end.
+Both paths live in one primitive, ``mul_accumulate(out, xs, ys, top)``,
+which adds the terms of xs * ys at exponents <= top into a plain
+exponent -> coefficient dict; ``__mul__`` calls it with an empty dict and
+the product's truncation.  The Pochhammer symbols of the Bailey moves, the
+registry betas and the multisum's inner sum do not come here: their
+factors (1 - s q^e) are applied one at a time on a dense coefficient list
+(``qproducts.binomial_step``).
 
 Inversion solves for the inverse's coefficients one exponent at a time,
 summing only over the nonzero terms of the series being inverted.  The
@@ -105,28 +106,25 @@ def _kronecker_mul(xs: dict[int, int], ys: dict[int, int], trunc: int) -> dict[i
 
 
 def mul_accumulate(out: dict[int, int], xs: dict[int, int], ys: dict[int, int],
-                   s: int, top: int) -> None:
-    """Add the terms of xs * ys * q^s at exponents <= top into ``out``.
+                   top: int) -> None:
+    """Add the terms of xs * ys at exponents <= top into ``out``.
 
     ``xs`` and ``ys`` are exponent -> coefficient maps.  Only their stored
     terms are used, so every added coefficient is exact whenever both
-    operands are exact to at least top - s minus the other's valuation;
+    operands are exact to at least top minus the other's valuation;
     checking that is the caller's job.  Sums that cancel leave zero entries
     in ``out``.  Both operands having at least ``KRONECKER_MIN_TERMS`` terms
     selects the Kronecker kernel, fewer the schoolbook loop.
     """
-    lim = top - s
     get = out.get
     if min(len(xs), len(ys)) >= KRONECKER_MIN_TERMS:
-        if lim < min(xs) + min(ys):
+        if top < min(xs) + min(ys):
             return
-        for e, c in _kronecker_mul(xs, ys, lim).items():
-            e += s
+        for e, c in _kronecker_mul(xs, ys, top).items():
             out[e] = get(e, 0) + c
         return
     ys_sorted = sorted(ys.items())
     for e1, c1 in xs.items():
-        e1 += s
         for e2, c2 in ys_sorted:
             e = e1 + e2
             if e > top:
@@ -263,7 +261,7 @@ class LaurentSeries:
             return NotImplemented
         trunc = min(self.trunc + other._effval(), other.trunc + self._effval())
         out: dict[int, int] = {}
-        mul_accumulate(out, self.terms, other.terms, 0, trunc)
+        mul_accumulate(out, self.terms, other.terms, trunc)
         return LaurentSeries(out, trunc)
 
     __rmul__ = __mul__

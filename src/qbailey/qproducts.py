@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 
-from .laurent import InversionError, LaurentSeries, one, zero
+from .laurent import InversionError, LaurentSeries, zero
 
 
 class DivergentProductError(ValueError):
@@ -48,27 +48,63 @@ class PochFactor:
 Q_FACTOR = PochFactor(1, 1, 1)
 
 
+def binomial_step(a: list[int], e: int, sign: int, power: int) -> None:
+    """Multiply (power 1) or divide (power -1) the dense coefficient list
+    ``a`` in place by the factor (1 - sign*q^e), for e >= 1.
+
+    ``a[i]`` is the coefficient of q^{v+i} for some fixed v, and whatever
+    lies past the end of the list is never read.  Every step is one pass:
+
+      * times (1 - sign q^e):  a[i] -= sign a[i-e], one vector step on a[e:];
+      * divided by (1 - q^e):  a[i] += a[i-e] for rising i, a prefix sum
+        along each residue class mod e;
+      * divided by (1 + q^e):  times (1 - q^e), then divided by (1 - q^{2e}).
+
+    A factor whose exponent lies past the list is 1 there and changes
+    nothing.
+    """
+    n = len(a)
+    if e >= n:
+        return
+    if power == 1:
+        a[e:] = map(sub if sign == 1 else add, a[e:], a[:-e])
+        return
+    if sign == -1:
+        a[e:] = map(sub, a[e:], a[:-e])
+        e *= 2
+    for r in range(min(e, n - e)):
+        a[r::e] = accumulate(a[r::e])
+
+
 def _product_of_binomials(exps_signs: list[tuple[int, int]], order: int) -> LaurentSeries:
     """Exact product of factors (1 - sign*q^e), allowing negative e.
 
-    Works at a padded truncation so the negative-exponent factors cannot
-    erode exactness below ``order``; asserts that and truncates back down.
+    A factor with e < 0 is rewritten as -sign q^e (1 - sign q^{-e}), and a
+    constant factor (1 - sign q^0) is 0 or 2, so the product is a scalar
+    times a power q^low times factors of positive exponent.  Those are
+    applied by one ``binomial_step`` each to the dense list of exponents
+    0..order - low, which the shift by q^low carries to exactly ``order``.
     """
-    pad = -sum(e for e, _ in exps_signs if e < 0)
-    work = order + pad
-    acc = one(work)
-    for e, sign in sorted(exps_signs):
+    scale, low = 1, 0
+    positive = []
+    for e, sign in exps_signs:
         if e == 0:
-            # (1 - sign*q^0) is the constant 1 - sign: 0 or 2
             if sign == 1:
                 return zero(order)
-            acc = acc * 2
-        elif e <= work:
-            # factors above the padded order cannot touch exponents <= order
-            acc = acc * LaurentSeries({0: 1, e: -sign}, work)
-    if acc.trunc < order:
-        raise AssertionError("truncation bookkeeping failed in product")
-    return acc.truncated(order)
+            scale *= 2
+            continue
+        if e < 0:
+            scale *= -sign
+            low += e
+            e = -e
+        positive.append((e, sign))
+    work = order - low
+    if work < 0:
+        return zero(order)  # the product starts at q^low, above the order
+    a = [scale] + [0] * work
+    for e, sign in positive:
+        binomial_step(a, e, sign, 1)
+    return LaurentSeries({low + i: c for i, c in enumerate(a) if c}, order)
 
 
 @lru_cache(maxsize=None)
@@ -123,19 +159,15 @@ def apply_poch_units(a: list[int], units) -> None:
     the window of exponents still wanted, and whatever lies past its end is
     never read.  Each unit is a triple ``(f, length, power)``: power 1
     multiplies by (f; q^step)_length, power -1 divides by it.  Every factor
-    (1 - s q^e) costs one pass over the window:
+    (1 - s q^e) costs one ``binomial_step``, a single pass over the window,
+    and the factors past the window, which are 1 there, are skipped.
 
-      * times (1 - s q^e):  a[i] -= s a[i-e], one vector step on a[e:];
-      * divided by (1 - q^e):  a prefix sum along each residue class mod e;
-      * divided by (1 + q^e):  times (1 - q^e), then divided by (1 - q^{2e}).
-
-    A factor whose exponent lies beyond the window is 1 there and is
-    skipped.  Only valuation-zero units keep the window's exponents, so a
-    factor with a negative exponent is rejected, and dividing by the
-    constant factor (1 - s q^0), which is 0 or 2, raises ``InversionError``
-    because the quotient has no integral expansion.  Multiplying by it
-    scales by 0 or 2.  The checks run before any coefficient is touched,
-    whatever the window.
+    Only valuation-zero units keep the window's exponents, so a factor with
+    a negative exponent is rejected, and dividing by the constant factor
+    (1 - s q^0), which is 0 or 2, raises ``InversionError`` because the
+    quotient has no integral expansion.  Multiplying by it scales by 0 or
+    2.  The checks run before any coefficient is touched, whatever the
+    window.
     """
     for f, length, power in units:
         if power not in (1, -1):
@@ -158,14 +190,8 @@ def apply_poch_units(a: list[int], units) -> None:
                 break  # this factor and the later, larger ones are 1 here
             if e == 0:
                 a[:] = [0] * n if s == 1 else [2 * c for c in a]
-            elif power == 1:
-                a[e:] = map(sub if s == 1 else add, a[e:], a[:-e])
             else:
-                if s == -1:
-                    a[e:] = map(sub, a[e:], a[:-e])
-                    e *= 2
-                for r in range(min(e, n - e)):
-                    a[r::e] = accumulate(a[r::e])
+                binomial_step(a, e, s, power)
 
 
 # -- partitions and Euler's product -----------------------------------------

@@ -1,10 +1,14 @@
 """Registry pairs, the defining relation, the base shift, and the six moves."""
 
+import copy
 import itertools
+import json
 
 import pytest
 
 from qbailey.bailey import (
+    _DEFAULT_REGISTRY,
+    BetaSpec,
     Move,
     RegistryError,
     BaileyPair,
@@ -20,7 +24,8 @@ from qbailey.bailey import (
     verify_pair,
 )
 from qbailey.laurent import LaurentSeries, monomial, one, zero
-from qbailey.qproducts import Q_FACTOR, inv_poch_finite
+from qbailey.qproducts import Q_FACTOR, PochFactor, inv_poch_finite
+from reference_products import ref_beta_from_spec
 
 
 def test_registry_alpha_tilde_at_zero_is_one():
@@ -76,6 +81,50 @@ def test_beta_evaluation_pair5():
                 * inv_poch_finite(Q_FACTOR, 4, 20)
                 * LaurentSeries({0: 1, 1: 1}, 20).invert())
     assert b2.eq_to_order(expected, 20)
+
+
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5])
+def test_beta_matches_product_and_invert_form(pid):
+    spec = registry_entry(pid).beta
+    for n in range(7):
+        for order in range(-3, 41):
+            got = beta_from_spec(spec, n, order)
+            assert got.trunc == order
+            assert got.to_text() == ref_beta_from_spec(spec, n, order).to_text()
+
+
+def test_beta_with_a_non_integral_scalar_is_a_registry_error():
+    # 1 / (-1; q)_n leaves the scalar 1/2 once n >= 1
+    spec = BetaSpec(0, 0, (), ((PochFactor(-1, 0, 1), "n"),))
+    assert beta_from_spec(spec, 0, 10) == one(10)
+    with pytest.raises(RegistryError, match="non-integral scalar 1/2"):
+        beta_from_spec(spec, 1, 10)
+    # a numerator (-1; q^2)_n pays for it: 2 (-q^2; q^2)_{n-1} / (2 (-q; q)_{n-1})
+    spec = BetaSpec(0, 0, ((PochFactor(-1, 0, 2), "n"),),
+                    ((PochFactor(-1, 0, 1), "n"),))
+    for n in range(4):
+        assert beta_from_spec(spec, n, 25) == ref_beta_from_spec(spec, n, 25)
+
+
+@pytest.mark.parametrize("side,factor,message", [
+    ("numerator", {"sign": 1, "base_exp": -1, "step": 1, "length": "n"},
+     "pair 1: beta numerator factor"),
+    ("denominator", {"sign": -1, "base_exp": -2, "step": 1, "length": "n"},
+     "pair 1: beta denominator factor"),
+    ("denominator", {"sign": 1, "base_exp": 0, "step": 1, "length": "2n"},
+     "pair 1: beta denominator factor"),
+    ("numerator", {"sign": 1, "base_exp": 1, "step": 1, "length": "3n"},
+     "unknown Pochhammer length kind '3n'"),
+])
+def test_registry_rejects_a_beta_factor_it_cannot_evaluate(tmp_path, side, factor,
+                                                           message):
+    raw = json.loads(_DEFAULT_REGISTRY.read_text())
+    bad = copy.deepcopy(raw)
+    bad["pairs"][0]["beta"][side].append(factor)
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(RegistryError, match=message):
+        load_registry(str(path))
 
 
 def test_alpha_from_tilde():

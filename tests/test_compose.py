@@ -2,7 +2,8 @@
 
 ``compose_exact`` applies its unit triples factor by factor on a dense
 coefficient list; every result here is compared with the plain product of
-the parent and the cached Pochhammer series (or its inverse).  The move
+the parent and a schoolbook Pochhammer series or its inverse
+(``reference_products``), which never goes through that kernel.  The move
 trie shares pairs between move words with a common prefix; every value it
 hands out must be the one a fresh, unshared chain computes.
 """
@@ -30,8 +31,12 @@ from qbailey.qproducts import (
     Q_FACTOR,
     PochFactor,
     apply_poch_units,
-    inv_poch_finite,
-    poch_finite,
+    binomial_step,
+)
+from reference_products import (
+    ref_inv_poch_finite,
+    ref_poch_finite,
+    schoolbook_binomials,
 )
 
 
@@ -42,7 +47,8 @@ def product_reference(order, shift, parent, units):
     # units deep enough for val(parent) < 0, and never below the constant term
     deep = max(top - min(acc.val() or 0, 0), 0)
     for f, length, power in units:
-        unit = (poch_finite if power == 1 else inv_poch_finite)(f, length, deep)
+        build = ref_poch_finite if power == 1 else ref_inv_poch_finite
+        unit = build(f, length, deep)
         acc = acc * unit
     return acc.shift(shift).truncated(order)
 
@@ -127,6 +133,26 @@ def test_dense_kernel_on_a_plain_list():
     assert a == [1, 1, 2, 3, 4, 5, 7, 8]
     apply_poch_units(a, [(Q_FACTOR, 3, 1)])
     assert a == [1] + [0] * 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 16, 17, 40])
+def test_binomial_step_matches_schoolbook(n):
+    # every exponent up to past the end of the list, so residue classes of
+    # one, two and many coefficients
+    rng = random.Random(n)
+    a0 = [rng.randint(-30, 30) for _ in range(n)]
+    x = LaurentSeries(dict(enumerate(a0)), n - 1)
+    for e in range(1, n + 3):
+        for sign in (1, -1):
+            factor = schoolbook_binomials([(e, sign)], n - 1)
+            for power in (1, -1):
+                a = list(a0)
+                binomial_step(a, e, sign, power)
+                unit = factor if power == 1 else factor.invert()
+                want = (x * unit).truncated(n - 1)
+                assert a == want.coefficients(0, n - 1), (e, sign, power)
+                binomial_step(a, e, sign, -power)
+                assert a == a0
 
 
 def test_constant_factor_multiplies_by_zero_or_two():

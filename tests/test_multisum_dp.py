@@ -3,17 +3,21 @@
 ``ref_tables`` and ``ref_eval_multisum`` are the direct definitions: IN and
 LOW minimized over every pair of values, one zero series per infeasible
 cell, and every (v, w) piece of the inner sum built by ``ref_compose``
-and added as its own series.  ``ref_compose`` is the product form of
-``compose_exact``: the parent times each unit as a cached Pochhammer
-series (or its inverse), re-requesting the parent deeper when its
-valuation is negative.  The evaluator must agree with them exactly.
+and added as its own series.  ``ref_compose`` (in ``reference_products``)
+is the product form of ``compose_exact``: the parent times each unit as a
+schoolbook Pochhammer series (or its inverse), re-requesting the parent
+deeper when its valuation is negative.  No reference here goes through the
+library's one-pass dense kernel.  The evaluator must agree with them
+exactly.
 """
 
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbailey.bailey import registry_entry, registry_pair
+from qbailey.bailey import registry_entry
 from qbailey.lattice import (
     SCHEDULE_TABLE,
     MultisumSpec,
@@ -27,29 +31,14 @@ from qbailey.lattice import (
     eval_multisum,
 )
 from qbailey.laurent import LaurentSeries, zero
-from qbailey.qproducts import (
-    Q_FACTOR,
-    PochFactor,
-    inv_poch_finite,
-    inv_poch_inf,
-    poch_finite,
-)
+from qbailey.qproducts import Q_FACTOR, PochFactor
 from qbailey.records import catalog_cells
-
-
-def ref_compose(order, shift, parent_get, *units):
-    """parent * units * q^shift to order, by series products."""
-    p = parent_get(order - shift)
-    v = min(0, p._effval())
-    if v < 0:
-        p = parent_get(order - shift - v)
-        v = min(0, p._effval())
-    need = order - shift - v
-    if p.is_zero() or need < 0:
-        return zero(order)
-    for f, length, power in units:
-        p = p * (poch_finite if power == 1 else inv_poch_finite)(f, length, need)
-    return p.shift(shift).truncated(order)
+from reference_products import (
+    ref_beta_from_spec,
+    ref_compose,
+    ref_inv_poch_finite,
+    ref_inv_poch_inf,
+)
 
 
 def _own_exponent(spec, level, v):
@@ -92,7 +81,7 @@ def ref_tables(spec, order, cap):
 
 def ref_eval_multisum(spec, order, finite_n=None):
     V = spec.nvars
-    pair = registry_pair(spec.pair_id)
+    beta = registry_entry(spec.pair_id).beta
     cap = finite_n if finite_n is not None else 2 * isqrt(max(order, 1)) + V + 14
     LOW, feas = ref_tables(spec, order, cap)
     carries = [[None] * (cap + 1) for _ in range(V)]
@@ -106,7 +95,8 @@ def ref_eval_multisum(spec, order, finite_n=None):
             t_cap = order - LOW[L][v]
             own = _own_exponent(spec, L, v)
             if L == V - 1:
-                inner = ref_compose(t_cap, own, lambda o: pair.beta(v, o),
+                inner = ref_compose(t_cap, own,
+                                    lambda o: ref_beta_from_spec(beta, v, o),
                                     *_units(spec, L, v))
             else:
                 t_in = t_cap - own
@@ -133,13 +123,13 @@ def ref_eval_multisum(spec, order, finite_n=None):
         for blk in blocks:
             total = total + blk.truncated(order)
         for b in spec.prefactors:
-            total = total * inv_poch_inf(PochFactor(-1, b, 1), order)
+            total = total * ref_inv_poch_inf(PochFactor(-1, b, 1), order)
         return total.truncated(order)
     for v, blk in enumerate(blocks):
         total = total + ref_compose(order, 0, lambda o, blk=blk: blk,
                                     (Q_FACTOR, finite_n - v, -1))
     for b in spec.prefactors:
-        total = total * inv_poch_finite(PochFactor(-1, b, 1), finite_n, order)
+        total = total * ref_inv_poch_finite(PochFactor(-1, b, 1), finite_n, order)
     return total.truncated(order)
 
 
@@ -192,18 +182,90 @@ def test_eval_multisum_finite_matches_reference():
                     == ref_eval_multisum(spec, 20, finite_n=n))
 
 
+def link_sum_pieces(carries, v, top, linked):
+    """The inner sum with every (v, w) piece built as its own series."""
+    want = zero(top)
+    for w, g in carries:
+        want = want + ref_compose(
+            top, _binom2(v - w) if linked else 0, lambda o, g=g: g,
+            (Q_FACTOR, v - w, -1))
+    return want
+
+
+G0 = LaurentSeries({-3: 2, 0: -1, 5: 4}, 12)
+G1 = LaurentSeries({1: 1, 2: 3}, 15)
+LINK_SUM_CASES = [
+    # (carries, v, top)
+    ([(0, G0), (1, G1)], 3, 10),
+    # gaps in w and a carry of valuation -8
+    ([(0, LaurentSeries({-8: 1, -2: -3, 7: 2}, 40)),
+      (3, LaurentSeries({0: 5, 4: -1}, 40)),
+      (4, LaurentSeries({2: 1, 6: 7}, 40)),
+      (7, LaurentSeries({-1: -2, 3: 1}, 40))], 9, 30),
+    # v well above the last carry: the steps go on up to v
+    ([(0, LaurentSeries({-3: 2, 0: -1, 5: 4}, 40)),
+      (2, LaurentSeries({-5: 1, 1: -1}, 60))], 14, 40),
+    ([(1, LaurentSeries({0: 1}, 80))], 25, 60),
+    ([(0, LaurentSeries({-9: 1, -4: 2}, 50)),
+      (2, LaurentSeries({-6: -1, 0: 3}, 50))], 8, 30),
+    # a carry at w = v, added after all the steps
+    ([(0, G0), (5, LaurentSeries({-4: 3, 9: 1}, 20))], 5, 11),
+    # a zero carry among the others, and top below every valuation
+    ([(0, zero(50)), (2, LaurentSeries({3: 1, 8: -2}, 50))], 6, 20),
+    ([(0, LaurentSeries({6: 1}, 50)), (1, LaurentSeries({9: 2}, 50))], 4, 5),
+    ([(0, G0)], 3, -4),
+]
+
+
 def test_link_sum_matches_pieces():
-    g0 = LaurentSeries({-3: 2, 0: -1, 5: 4}, 12)
-    g1 = LaurentSeries({1: 1, 2: 3}, 15)
-    carries = [(0, g0), (1, g1)]
-    for linked in (False, True):
-        got = _link_sum(carries, 3, 10, linked)
-        want = zero(10)
-        for w, g in carries:
-            want = want + ref_compose(
-                10, _binom2(3 - w) if linked else 0, lambda o, g=g: g,
-                (Q_FACTOR, 3 - w, -1))
-        assert got == want
+    for carries, v, top in LINK_SUM_CASES:
+        for linked in (False, True):
+            got = _link_sum(carries, v, top, linked)
+            assert got.trunc == top
+            want = link_sum_pieces(carries, v, top, linked)
+            assert got.to_text() == want.to_text(), (v, top, linked)
+
+
+def test_linked_sum_reads_a_carry_only_up_to_top_minus_its_shift():
+    # at v - w = 9 the shift is 36: a carry exact only to q^-6 still
+    # reaches top = 30, and one to q^13 at v - w = 3 (shift 3) reaches 16
+    carries = [(0, LaurentSeries({-8: 1, -7: 2, -6: -1}, -6)),
+               (6, LaurentSeries({-2: 4, 13: 1}, 13)),
+               (8, LaurentSeries({0: 1, 5: 2}, 30))]
+    got = _link_sum(carries, 9, 16, True)
+    assert got.to_text() == link_sum_pieces(carries, 9, 16, True).to_text()
+    assert _link_sum(carries[:1], 9, 30, True).to_text() == link_sum_pieces(
+        carries[:1], 9, 30, True).to_text()
+
+
+def test_link_sum_of_no_carries_is_zero():
+    assert _link_sum([], 4, 12, True) == zero(12)
+    assert _link_sum([], 0, -3, False) == zero(-3)
+
+
+@st.composite
+def link_sum_inputs(draw):
+    v = draw(st.integers(0, 16))
+    top = draw(st.integers(-6, 40))
+    linked = draw(st.booleans())
+    ws = sorted(draw(st.sets(st.integers(0, v), max_size=5)))
+    carries = []
+    for w in ws:
+        s = _binom2(v - w) if linked else 0
+        # exact to at least top - s, which is all the sum may read
+        trunc = max(top - s, -12) + draw(st.integers(0, 6))
+        terms = draw(st.dictionaries(st.integers(-12, trunc), st.integers(-9, 9),
+                                     max_size=6)) if trunc >= -12 else {}
+        carries.append((w, LaurentSeries(terms, trunc)))
+    return carries, v, top, linked
+
+
+@settings(max_examples=150, deadline=None)
+@given(link_sum_inputs())
+def test_link_sum_matches_pieces_property(inputs):
+    carries, v, top, linked = inputs
+    got = _link_sum(carries, v, top, linked)
+    assert got.to_text() == link_sum_pieces(carries, v, top, linked).to_text()
 
 
 def test_link_sum_rejects_a_carry_short_of_top():

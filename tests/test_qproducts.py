@@ -7,6 +7,7 @@ from qbailey.qproducts import (
     DivergentProductError,
     PochFactor,
     Q_FACTOR,
+    _product_of_binomials,
     euler_inf,
     inv_euler,
     inv_poch_inf,
@@ -15,6 +16,14 @@ from qbailey.qproducts import (
     poch_inf,
     qtpi_product,
     qtpi_sum,
+)
+from qbailey.characters import schedule_module
+from qbailey.records import catalog_cells
+from reference_products import (
+    ref_poch_finite,
+    ref_poch_inf,
+    ref_qtpi_product,
+    schoolbook_binomials,
 )
 
 
@@ -157,3 +166,63 @@ def test_qtpi_product_brute_force_low_terms():
             acc = acc * LaurentSeries({0: 1, fam(n): -1}, N + 2)
             n += 1
     assert qtpi_product(u, v, N).eq_to_order(acc, N)
+
+
+# -- the one-pass products against the schoolbook product -------------------
+
+BINOMIAL_LISTS = [
+    [],
+    [(1, 1), (2, 1), (3, 1)],
+    [(-3, 1), (2, -1), (-1, -1), (5, 1)],       # negative exponents
+    [(-7, -1), (-7, 1), (4, 1), (4, 1)],        # repeated factors
+    [(0, -1), (3, 1), (-2, 1)],                 # (1 + q^0) doubles
+    [(0, -1), (0, -1), (1, -1)],
+    [(2, 1), (0, 1), (-4, -1)],                 # (1 - q^0) is zero
+    [(1, -1), (45, 1), (60, -1), (-5, 1)],      # factors past the padded order
+    [(-30, 1), (1, 1)],                         # starts above small orders
+]
+
+
+@pytest.mark.parametrize("exps", BINOMIAL_LISTS)
+def test_product_of_binomials_matches_schoolbook(exps):
+    for order in (-40, -31, -30, -29, -5, 0, 3, 17, 40):
+        got = _product_of_binomials(exps, order)
+        assert got.trunc == order
+        assert got.to_text() == schoolbook_binomials(exps, order).to_text()
+
+
+FACTORS = [PochFactor(1, 1, 1), PochFactor(-1, 1, 1), PochFactor(1, 0, 1),
+           PochFactor(-1, 0, 3), PochFactor(1, 2, 3), PochFactor(-1, 5, 2),
+           PochFactor(1, 31, 1)]
+
+
+@pytest.mark.parametrize("f", FACTORS)
+def test_poch_finite_and_inf_match_schoolbook(f):
+    for order in (-2, 0, 1, 10, 33, 70):
+        for n in (0, 1, 2, 5, 12, 40):
+            assert poch_finite(f, n, order).to_text() == \
+                ref_poch_finite(f, n, order).to_text()
+        if f.infinite_ok():
+            assert poch_inf(f, order).to_text() == ref_poch_inf(f, order).to_text()
+
+
+def test_qtpi_product_matches_schoolbook():
+    for u in range(1, 9):
+        for v in range(-12, 13):
+            for order in (0, 9, 40):
+                assert qtpi_product(u, v, order).to_text() == \
+                    ref_qtpi_product(u, v, order).to_text(), (u, v, order)
+
+
+def test_catalog_products_match_schoolbook():
+    # Q(q^{level+3}, q^{-s1-1}) for every catalog cell to level 31
+    seen = set()
+    for cell in catalog_cells(31):
+        m = schedule_module(*cell)
+        key = (m.level + 3, -m.s1 - 1)
+        if key in seen:
+            continue
+        seen.add(key)
+        assert qtpi_product(*key, 30).to_text() == \
+            ref_qtpi_product(*key, 30).to_text(), key
+    assert len(seen) > 100
