@@ -65,14 +65,6 @@ class Move(Enum):
     BC2 = "BC2"
     BASE_SHIFT = "BaseShift"
 
-    @property
-    def base_delta(self) -> int:
-        if self in (Move.BC1, Move.BC2):
-            return -1
-        if self is Move.BASE_SHIFT:
-            return 1
-        return 0
-
 
 def _binom2(x: int) -> int:
     return x * (x - 1) // 2
@@ -430,9 +422,18 @@ def beta_from_spec(spec: BetaSpec, n: int, order: int) -> LaurentSeries:
                          *units)
 
 
+def _ints(obj, *keys: str) -> list[int]:
+    """The values of ``keys`` in ``obj``, each of which must be an integer."""
+    values = [obj[key] for key in keys]
+    for key, value in zip(keys, values):
+        if type(value) is not int:
+            raise RegistryError(f"{key} must be an integer, got {value!r}")
+    return values
+
+
 def _parse_factor(obj) -> PochFactor:
     try:
-        return PochFactor(obj["sign"], obj["base_exp"], obj["step"])
+        return PochFactor(*_ints(obj, "sign", "base_exp", "step"))
     except (KeyError, TypeError, ValueError) as exc:
         raise RegistryError(f"bad Pochhammer factor {obj!r}: {exc}") from exc
 
@@ -445,22 +446,23 @@ def _parse_entry(obj) -> RegistryEntry:
             if case is None:
                 cases.append(None)
             else:
-                tc = TildeCase(case["sign"], case["quad"], case["lin"], case["den"])
+                tc = TildeCase(*_ints(case, "sign", "quad", "lin", "den"))
                 if tc.sign not in (1, -1) or tc.den < 1:
                     raise RegistryError(f"bad alpha~ case {case!r}")
                 cases.append(tc)
         beta = obj["beta"]
         spec = BetaSpec(
-            beta["mono_quad"], beta["mono_lin"],
+            *_ints(beta, "mono_quad", "mono_lin"),
             tuple((_parse_factor(f), f["length"]) for f in beta["numerator"]),
             tuple((_parse_factor(f), f["length"]) for f in beta["denominator"]),
         )
+        pair_id, base_exp = _ints(obj, "id", "base_exp")
         entry = RegistryEntry(
-            id=obj["id"], base_exp=obj["base_exp"], source=obj["source"],
+            id=pair_id, base_exp=base_exp, source=obj["source"],
             moduli=tuple(obj["moduli"]), alpha_cases=tuple(cases), beta=spec,
         )
-    except RegistryError:
-        raise
+    except RegistryError as exc:
+        raise RegistryError(f"pair {obj.get('id')!r}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise RegistryError(f"malformed registry entry: {exc}") from exc
     if entry.base_exp < 1:
@@ -479,6 +481,14 @@ def _parse_entry(obj) -> RegistryEntry:
                 raise RegistryError(
                     f"pair {entry.id}: beta {side} factor "
                     f"({f.sign:+d}*q^{f.base_exp}; q^{f.step}) is not allowed")
+    # beta_n writes each (-1; q^d)_L as 2 (-q^d; q^d)_{L-1}: the 2s below
+    # the line must not outnumber those above, or beta_n is not integral
+    halves = [sum(f.sign == -1 and f.base_exp == 0 for f, _ in factors)
+              for factors in (spec.numerator, spec.denominator)]
+    if halves[1] > halves[0]:
+        raise RegistryError(
+            f"pair {entry.id}: beta has {halves[1]} factors (-1; q^d) below "
+            f"the line and {halves[0]} above, so beta_n is not integral")
     # every exponent in the case table must be integral on its residue class
     for m in range(12):
         entry.alpha_tilde_monomial(m)
@@ -498,7 +508,10 @@ def load_registry(path: str | None = None) -> dict[int, RegistryEntry]:
     if not isinstance(raw, dict) or raw.get("schema_version") != 1:
         raise RegistryError(f"registry {p}: unsupported or missing schema_version")
     entries = {}
-    for obj in raw.get("pairs", ()):
+    pairs = raw.get("pairs", [])
+    if not isinstance(pairs, list):
+        raise RegistryError(f"registry {p}: pairs must be a list")
+    for obj in pairs:
         entry = _parse_entry(obj)
         if entry.id in entries:
             raise RegistryError(f"duplicate pair id {entry.id}")

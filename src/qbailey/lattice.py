@@ -45,6 +45,10 @@ stops only after three consecutive blocks vanish to the requested order
 (a margin against non-monotonic low-index behavior); ``extra_dead``
 extends that margin so callers can re-certify stability under a raised
 cap.
+
+Most printed simplified forms (``simplified_forms``) are signed sums of
+such chain specs, each shifted by a power of q, evaluated by the same DP.
+Two reindexed single sums with affine Pochhammer lengths keep own loops.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ from functools import lru_cache, partial
 from itertools import accumulate
 from math import isqrt
 from operator import add
+from typing import Callable
 
-from .bailey import Move, compose_exact, registry_entry, registry_pair
+from .bailey import Move, _binom2, compose_exact, registry_entry, registry_pair
 from .laurent import LaurentSeries, monomial, one, signed_sum, zero
 from .qproducts import (
     PochFactor,
@@ -312,10 +317,6 @@ def build_multisum_spec(s: Schedule) -> MultisumSpec:
     denom = ((V - 2, c),)
     return MultisumSpec(s.pair_id, V, tuple(quad), tuple(lin),
                         (V - 1,), links, signs, numer, denom, ())
-
-
-def _binom2(x: int) -> int:
-    return x * (x - 1) // 2
 
 
 def _round_order(o: int) -> int:
@@ -753,136 +754,94 @@ def f2b1_recurrence(nn: int, t: int, c: int, order: int) -> bool:
 
 
 # -- simplified printed forms -------------------------------------------------
+#
+# Most printed forms are chain multisums too: a list of terms (sign, q-shift,
+# spec) stands for the sum of sign * q^shift * (the spec's n -> oo sum).  Each
+# spec transcribes its display literally, variables outermost first.
 
-def _chains(first: int, length: int):
-    """All nonincreasing tuples of the given length starting at first."""
-    if length == 0:
-        yield ()
-        return
-    for v in range(first, -1, -1):
-        for rest in _chains(v, length - 1):
-            yield (v,) + rest
+Term = tuple[int, int, MultisumSpec]
 
 
-def _brute_blocks(order: int, nvars: int, term_fn, need_dead: int = 3
-                  ) -> LaurentSeries:
-    """Sum term_fn over nonincreasing tuples, in blocks of the outermost
-    index, until three consecutive blocks vanish to the order."""
-    total = zero(order)
-    dead = 0
-    j1 = 0
-    while dead < need_dead:
-        block = zero(order)
-        for rest in _chains(j1, nvars - 1):
-            piece = term_fn((j1,) + rest)
-            if piece is not None:
-                block = block + piece.truncated(order)
-        total = total + block
-        dead = dead + 1 if (block.is_zero() and j1 >= 3) else 0
-        j1 += 1
-    return total
+def _spec(pair_id: int, quad: tuple[int, ...], lin: tuple[int, ...],
+          **factors) -> MultisumSpec:
+    """A spec with nvars = len(quad) and every factor not given empty."""
+    fields = dict(self_binoms=(), link_binoms=(), signs=(), numer=(), denom=(),
+                  prefactors=())
+    return MultisumSpec(pair_id, len(quad), quad, lin, **{**fields, **factors})
 
 
-def _f2b1_double(pair_id: int, order: int) -> LaurentSeries:
+def _spec_form(terms_of: Callable[[int], list[Term]], pair_id: int,
+               order: int) -> LaurentSeries:
+    """The printed form ``terms_of(pair_id)``, exact to ``order``."""
+    return signed_sum(((sign, eval_multisum(spec, order - shift).shift(shift))
+                       for sign, shift, spec in terms_of(pair_id)), order)
+
+
+def _f2b1_double(pair_id: int) -> list[Term]:
     """sum over j1 >= j3 of (-1)^{j1+j3} q^{binom(j1,2)+binom(j1-j3,2)}
     (-q)_{j3} / ((q)_{j1-j3} (-q)_{j1}) * beta_{j3}."""
-    pair = registry_pair(pair_id)
-
-    def term(js):
-        j1, j3 = js
-        sgn = -1 if (j1 + j3) % 2 else 1
-        return compose_exact(
-            order, _binom2(j1) + _binom2(j1 - j3), partial(pair.beta, j3),
-            (_NEG_Q, j3, 1), (_NEG_Q, j1, -1), (Q_FACTOR, j1 - j3, -1),
-        ) * sgn
-
-    return _brute_blocks(order, 2, term)
+    return [(1, 0, _spec(pair_id, (0, 0), (0, 0), self_binoms=(0,),
+                         link_binoms=(0,), signs=(0, 1), numer=((1, 1),),
+                         denom=((0, 1),)))]
 
 
-def _b1bc1_collapsed_single(pair_id: int, order: int) -> LaurentSeries:
+def _b1bc1_collapsed_single(pair_id: int) -> list[Term]:
     """sum over j of q^{j^2-j}(1 - q^{2j}) beta_j (base q) or
     q^{j^2}(1 - q^{2j+1}) beta_j (base q^2): the two-term collapse of the
     triple sums."""
-    entry = registry_entry(pair_id)
-    c = entry.base_exp
-    pair = registry_pair(pair_id)
-    total = zero(order)
-    j = 0
-    dead = 0
-    while dead < 3:
-        e1 = j * j - j if c == 1 else j * j
-        e2 = e1 + 2 * j + (1 if c == 2 else 0)
-        p1 = compose_exact(order, e1, partial(pair.beta, j))
-        p2 = compose_exact(order, e2, partial(pair.beta, j))
-        blk = p1 - p2
-        total = total + blk
-        dead = dead + 1 if (blk.is_zero() and j >= 3) else 0
-        j += 1
-    return total
+    if registry_entry(pair_id).base_exp == 1:
+        return [(1, 0, _spec(pair_id, (1,), (-1,))),
+                (-1, 0, _spec(pair_id, (1,), (1,)))]
+    return [(1, 0, _spec(pair_id, (1,), (0,))),
+            (-1, 1, _spec(pair_id, (1,), (2,)))]
 
 
-def _quintuple_triple(pair_id: int, order: int) -> LaurentSeries:
-    """The collapsed quintuple sums: over j1 >= j4 >= j5 with the two-term
-    numerator -q^{j1^2+2j1+1} + q^{j1^2-2j4} (base q) or
-    -q^{j1^2+3j1+3} + q^{j1^2+j1-2j4} (base q^2), both carrying the
-    q^{binom(j4-j5,2)} factor that survives from the five-fold sum."""
-    entry = registry_entry(pair_id)
-    c = entry.base_exp
-    pair = registry_pair(pair_id)
+def _quintuple_triple(pair_id: int) -> list[Term]:
+    """The collapsed quintuple sums: over j1 >= j4 >= j5 of
+    (-1)^{j4+j5} q^{binom(j4-j5,2)} beta_{j5} / ((q)_{j1-j4} (q)_{j4-j5})
+    times the two-term numerator -q^{j1^2+2j1+1} + q^{j1^2-2j4} (base q) or
+    -q^{j1^2+3j1+3} + q^{j1^2+j1-2j4} (base q^2); the q^{binom(j4-j5,2)}
+    factor survives from the five-fold sum."""
+    def term(sign, shift, lin):
+        return sign, shift, _spec(pair_id, (1, 0, 0), lin, link_binoms=(1,),
+                                  signs=(1, 2))
 
-    def term(js):
-        j1, j4, j5 = js
-        sgn = -1 if (j4 + j5) % 2 else 1
-        if c == 1:
-            e_neg, e_pos = j1 * j1 + 2 * j1 + 1, j1 * j1 - 2 * j4
-        else:
-            e_neg, e_pos = j1 * j1 + 3 * j1 + 3, j1 * j1 + j1 - 2 * j4
-        extra = _binom2(j4 - j5)
-        units = (partial(pair.beta, j5),
-                 (Q_FACTOR, j1 - j4, -1), (Q_FACTOR, j4 - j5, -1))
-        p_pos = compose_exact(order, e_pos + extra, *units)
-        p_neg = compose_exact(order, e_neg + extra, *units)
-        return (p_pos - p_neg) * sgn
-
-    return _brute_blocks(order, 3, term)
+    if registry_entry(pair_id).base_exp == 1:
+        return [term(1, 0, (0, -2, 0)), term(-1, 1, (2, 0, 0))]
+    return [term(1, 0, (1, -2, 0)), term(-1, 3, (3, 0, 0))]
 
 
-def _level4_quadruple(order: int) -> LaurentSeries:
-    """The once-collapsed form of the five-fold sum at level 4: over
-    j1 >= j2 >= j3 >= j5 with exponent
-    j1^2 - j3^2 - j2 + binom(j2-j3,2) + binom(j3-j5,2) + binom(j3,2)."""
-    pair = registry_pair(1)
-
-    def term(js):
-        j1, j2, j3, j5 = js
-        sgn = -1 if (j2 + j5) % 2 else 1
-        e = (j1 * j1 - j3 * j3 - j2 + _binom2(j2 - j3) + _binom2(j3 - j5)
-             + _binom2(j3))
-        return compose_exact(
-            order, e, partial(pair.beta, j5),
-            (_NEG_Q, j5, 1), (_NEG_Q, j3, -1), (Q_FACTOR, j1 - j2, -1),
-            (Q_FACTOR, j2 - j3, -1), (Q_FACTOR, j3 - j5, -1),
-        ) * sgn
-
-    return _brute_blocks(order, 4, term)
+def _level4_quadruple(pair_id: int) -> list[Term]:
+    """The once-collapsed form of the five-fold sum at level 4 (pair 1):
+    over j1 >= j2 >= j3 >= j5 of (-1)^{j2+j5} q^E (-q)_{j5} beta_{j5}
+    / ((q)_{j1-j2} (q)_{j2-j3} (q)_{j3-j5} (-q)_{j3}), with exponent
+    E = j1^2 - j3^2 - j2 + binom(j2-j3,2) + binom(j3-j5,2) + binom(j3,2)."""
+    return [(1, 0, _spec(pair_id, (1, 0, -1, 0), (0, -1, 0, 0),
+                         self_binoms=(2,), link_binoms=(1, 2), signs=(1, 3),
+                         numer=((3, 1),), denom=((2, 1),)))]
 
 
-def _level4_double(order: int) -> LaurentSeries:
-    """The fully collapsed level-4 five-fold sum: over j3 >= j5 with the
-    numerator (-q^{j3} + q^{-j3})."""
-    pair = registry_pair(1)
+def _level4_double(pair_id: int) -> list[Term]:
+    """The fully collapsed level-4 five-fold sum (pair 1): over j3 >= j5 of
+    (-1)^{j3+j5} q^{binom(j3-j5,2)+binom(j3,2)} (-q^{j3} + q^{-j3})
+    (-q)_{j5} beta_{j5} / ((q)_{j3-j5} (-q)_{j3})."""
+    def term(sign, lin):
+        return sign, 0, _spec(pair_id, (0, 0), (lin, 0), self_binoms=(0,),
+                              link_binoms=(0,), signs=(0, 1), numer=((1, 1),),
+                              denom=((0, 1),))
 
-    def term(js):
-        j3, j5 = js
-        sgn = -1 if (j3 + j5) % 2 else 1
-        e = _binom2(j3 - j5) + _binom2(j3)
-        units = (partial(pair.beta, j5),
-                 (_NEG_Q, j5, 1), (_NEG_Q, j3, -1), (Q_FACTOR, j3 - j5, -1))
-        p_pos = compose_exact(order, e - j3, *units)
-        p_neg = compose_exact(order, e + j3, *units)
-        return (p_pos - p_neg) * sgn
+    return [term(-1, 1), term(1, -1)]
 
-    return _brute_blocks(order, 2, term)
+
+def _lim2_level4_single(pair_id: int) -> list[Term]:
+    """sum_j (-q)_j q^{binom(j,2)} (1 - q^j - q^{2j+1}) / (q^2;q)_{2j},
+    inside 1/(-q)_inf: the collapsed level-4 second-family triple sum.
+    1/(q^2;q)_{2j} is beta_j of pair 2."""
+    def term(sign, shift, lin):
+        return sign, shift, _spec(pair_id, (0,), (lin,), self_binoms=(0,),
+                                  numer=((0, 1),), prefactors=(1,))
+
+    return [term(1, 0, 0), term(-1, 0, 1), term(-1, 1, 2)]
 
 
 def _tail_single(pair_id: int, order: int) -> LaurentSeries:
@@ -943,70 +902,28 @@ def _level3_rewritten(order: int) -> LaurentSeries:
     return (total * inv_poch_inf(PochFactor(-1, 1, 1), order)).truncated(order)
 
 
-def _lim2_level4_single(order: int) -> LaurentSeries:
-    """sum_j (-q)_j q^{binom(j,2)} (1 - q^j - q^{2j+1}) / (q^2;q)_{2j},
-    inside 1/(-q)_inf: the collapsed level-4 second-family triple sum."""
-    pair = registry_pair(2)
-    total = zero(order)
-    j = 0
-    dead = 0
-    while dead < 3:
-        units = (partial(pair.beta, j), (_NEG_Q, j, 1))
-        e = _binom2(j)
-        blk = (compose_exact(order, e, *units)
-               - compose_exact(order, e + j, *units)
-               - compose_exact(order, e + 2 * j + 1, *units))
-        total = total + blk
-        dead = dead + 1 if (blk.is_zero() and j >= 3) else 0
-        j += 1
-    return (total * inv_poch_inf(PochFactor(-1, 1, 1), order)).truncated(order)
-
-
-_SIMPLIFIED: dict[tuple[int, str, int, int], tuple] = {
-    (3, "lim3", 1, 1): (_f2b1_double,),
-    (5, "lim3", 1, 1): (_f2b1_double,),
-    (1, "lim3", 1, 1): (_f2b1_double,),
-    (5, "lim3", 1, 0): ("level3",),
-    (1, "lim3", 1, 2): ("l4quad", "l4double"),
-    (2, "lim2", 1, 2): ("l4single",),
-    (3, "lim1", 1, 2): ("collapsed", "tail"),
-    (4, "lim1", 1, 2): ("collapsed", "tail"),
-    (5, "lim1", 1, 2): ("collapsed", "tail"),
-    (1, "lim1", 1, 2): ("collapsed", "tail"),
-    (2, "lim1", 1, 2): ("collapsed", "tail"),
-    (5, "lim1", 1, 3): ("quintuple",),
-    (1, "lim1", 1, 3): ("quintuple",),
-    (2, "lim1", 1, 3): ("quintuple",),
+# Every printed form of a cell, least to most reduced, as callables of the
+# order.  The spec forms read the registry only when called.
+Form = Callable[[int], LaurentSeries]
+_SIMPLIFIED: dict[tuple[int, str, int, int], tuple[Form, ...]] = {
+    **{(p, "lim3", 1, 1): (partial(_spec_form, _f2b1_double, p),)
+       for p in (3, 5, 1)},
+    (5, "lim3", 1, 0): (_level3_rewritten,),
+    (1, "lim3", 1, 2): (partial(_spec_form, _level4_quadruple, 1),
+                        partial(_spec_form, _level4_double, 1)),
+    (2, "lim2", 1, 2): (partial(_spec_form, _lim2_level4_single, 2),),
+    **{(p, "lim1", 1, 2): (partial(_spec_form, _b1bc1_collapsed_single, p),
+                           partial(_tail_single, p))
+       for p in (3, 4, 5, 1, 2)},
+    **{(p, "lim1", 1, 3): (partial(_spec_form, _quintuple_triple, p),)
+       for p in (5, 1, 2)},
 }
 
 
 def simplified_forms(s: Schedule, order: int) -> list[LaurentSeries]:
     """Every printed simplified version of the schedule's sum-side,
     least to most reduced.  Raises KeyError if none is cataloged."""
-    key = (s.pair_id, s.kind, s.k, s.i)
-    tags = _SIMPLIFIED[key]
-    out = []
-    for tag in tags:
-        if tag is _f2b1_double:
-            res = _f2b1_double(s.pair_id, order)
-        elif tag == "level3":
-            res = _level3_rewritten(order)
-        elif tag == "l4quad":
-            res = _level4_quadruple(order)
-        elif tag == "l4double":
-            res = _level4_double(order)
-        elif tag == "l4single":
-            res = _lim2_level4_single(order)
-        elif tag == "collapsed":
-            res = _b1bc1_collapsed_single(s.pair_id, order)
-        elif tag == "tail":
-            res = _tail_single(s.pair_id, order)
-        elif tag == "quintuple":
-            res = _quintuple_triple(s.pair_id, order)
-        else:
-            raise AssertionError(tag)
-        out.append(res)
-    return out
+    return [form(order) for form in _SIMPLIFIED[(s.pair_id, s.kind, s.k, s.i)]]
 
 
 def simplified_sum_side(s: Schedule, order: int) -> LaurentSeries:

@@ -271,3 +271,53 @@ def test_identical_registry_env_is_accepted(tmp_path, argv):
     proc = run_cli(argv, env_extra={"QBAILEY_REGISTRY": str(reg)})
     assert proc.returncode == 0, proc.stderr
     assert "verified" in proc.stdout
+
+
+def _set(path, value):
+    """A change to the bundled registry data: ``value`` at ``path``."""
+    def change(data):
+        *outer, last = path
+        for key in outer:
+            data = data[key]
+        data[last] = value
+    return change
+
+
+def _extra_half(data):
+    data["pairs"][0]["beta"]["denominator"].append(
+        {"sign": -1, "base_exp": 0, "step": 1, "length": "n"})
+
+
+MALFORMED_REGISTRIES = {
+    "string_base_exp": (_set(["pairs", 0, "base_exp"], "1"),
+                        "pair 1: base_exp must be an integer, got '1'"),
+    "string_tilde_quad": (_set(["pairs", 0, "alpha_tilde", "0", "quad"], "2"),
+                          "pair 1: quad must be an integer, got '2'"),
+    "string_tilde_lin": (_set(["pairs", 0, "alpha_tilde", "0", "lin"], "-1"),
+                         "pair 1: lin must be an integer, got '-1'"),
+    "string_beta_mono_quad": (_set(["pairs", 0, "beta", "mono_quad"], "0"),
+                              "pair 1: mono_quad must be an integer, got '0'"),
+    "string_beta_mono_lin": (_set(["pairs", 0, "beta", "mono_lin"], "0"),
+                             "pair 1: mono_lin must be an integer, got '0'"),
+    "pairs_not_a_list": (_set(["pairs"], 5), "pairs must be a list"),
+    "pairs_null": (_set(["pairs"], None), "pairs must be a list"),
+    "beta_halves_below_the_line": (
+        _extra_half, "pair 1: beta has 1 factors (-1; q^d) below the line "
+                     "and 0 above, so beta_n is not integral"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REGISTRIES))
+def test_malformed_registry_is_data_error(tmp_path, name):
+    change, message = MALFORMED_REGISTRIES[name]
+    data = json.loads(BUNDLED_REGISTRY.read_text())
+    change(data)
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    proc = run_cli(["verify-pair", "--pair", "1", "--n-max", "2", "--order", "20"],
+                   env_extra={"QBAILEY_REGISTRY": str(reg)})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("registry error: ")
+    assert message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""

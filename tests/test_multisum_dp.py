@@ -3,7 +3,9 @@
 ``ref_tables`` and ``ref_eval_multisum`` are the direct definitions: IN and
 LOW minimized over every pair of values, one zero series per infeasible
 cell, and every (v, w) piece of the inner sum built by ``ref_compose``
-and added as its own series.  ``ref_compose`` (in ``reference_products``)
+and added as its own series.  ``brute_chain_sum`` shares nothing with the
+DP: it builds the summand of every chain on its own, with no IN/LOW tables
+and no carries, and is the oracle for the printed simplified forms.  ``ref_compose`` (in ``reference_products``)
 is the product form of ``compose_exact``: the parent times each unit as a
 schoolbook Pochhammer series (or its inverse), re-requesting the parent
 deeper when its valuation is negative.  No reference here goes through the
@@ -23,14 +25,16 @@ from qbailey.lattice import (
     MultisumSpec,
     Schedule,
     _INF,
+    _SIMPLIFIED,
     _binom2,
     _link_sum,
+    _spec_form,
     _tables,
     _units,
     build_multisum_spec,
     eval_multisum,
 )
-from qbailey.laurent import LaurentSeries, zero
+from qbailey.laurent import LaurentSeries, signed_sum, zero
 from qbailey.qproducts import Q_FACTOR, PochFactor
 from qbailey.records import catalog_cells
 from reference_products import (
@@ -133,6 +137,69 @@ def ref_eval_multisum(spec, order, finite_n=None):
     return total.truncated(order)
 
 
+def _chains(first, length):
+    """Every nonincreasing tuple of the given length with entries <= first."""
+    if length == 0:
+        yield ()
+        return
+    for v in range(first, -1, -1):
+        for rest in _chains(v, length - 1):
+            yield (v,) + rest
+
+
+def brute_chain_sum(spec, order):
+    """The n -> oo sum of a spec, chain by chain.
+
+    Every chain j_1 >= ... >= j_V with j_1 = J is one summand: its sign,
+    q^E, its own Pochhammer units and the links' 1/(q)_{j_r - j_{r+1}}
+    applied to beta_{j_V} by ``ref_compose``.  Every unit and 1/(q)_d has
+    valuation zero, so a chain whose E plus beta's monomial exponent is
+    above the order adds nothing; the sum stops once three successive J
+    (from J = 4 on) have no chain at or below the order."""
+    V = spec.nvars
+    beta = registry_entry(spec.pair_id).beta
+    pieces = []
+    quiet = 0
+    J = 0
+    while quiet < 3 or J <= 4:
+        quiet += 1
+        for js in _chains(J, V - 1):
+            js = (J,) + js
+            e = sum(_own_exponent(spec, r, j) for r, j in enumerate(js))
+            e += sum(_binom2(js[r] - js[r + 1]) for r in spec.link_binoms)
+            last = js[-1]
+            if e + beta.mono_quad * last * last + beta.mono_lin * last > order:
+                continue
+            quiet = 0
+            units = [(PochFactor(-1, b, 1), js[r], p)
+                     for factors, p in ((spec.numer, 1), (spec.denom, -1))
+                     for r, b in factors]
+            units += [(Q_FACTOR, js[r] - js[r + 1], -1) for r in range(V - 1)]
+            sign = (-1) ** sum(js[r] for r in spec.signs)
+            pieces.append((sign, ref_compose(
+                order, e, lambda o: ref_beta_from_spec(beta, last, o), *units)))
+        J += 1
+    total = signed_sum(pieces, order)
+    for b in spec.prefactors:
+        total = total * ref_inv_poch_inf(PochFactor(-1, b, 1), order)
+    return total.truncated(order)
+
+
+def form_terms():
+    """(key, form, terms) for every printed form that is a signed spec sum."""
+    out = []
+    for key, forms in sorted(_SIMPLIFIED.items()):
+        for form in forms:
+            if getattr(form, "func", None) is _spec_form:
+                terms_of, pair_id = form.args
+                out.append((key, form, terms_of(pair_id)))
+    return out
+
+
+def form_specs():
+    return [spec for _, _, terms in form_terms() for _, _, spec in terms]
+
+
 def catalog_specs(max_level):
     return [build_multisum_spec(Schedule(kind, k, i, pid))
             for pid, kind, k, i in catalog_cells(max_level)]
@@ -147,7 +214,7 @@ def small_k_specs(max_k):
 
 @pytest.mark.parametrize("order", [10, 30, 80])
 def test_tables_match_reference(order):
-    for spec in catalog_specs(19):
+    for spec in catalog_specs(19) + form_specs():
         cap = 2 * isqrt(order) + spec.nvars + 14
         LOW, feas, own = _tables(spec, order, cap)
         assert (LOW, feas) == ref_tables(spec, order, cap)
@@ -171,8 +238,33 @@ def test_tables_match_reference_on_concave_links():
 
 @pytest.mark.parametrize("max_level,order", [(13, 30), (7, 120)])
 def test_eval_multisum_matches_reference(max_level, order):
-    for spec in catalog_specs(max_level):
+    for spec in catalog_specs(max_level) + form_specs():
         assert eval_multisum(spec, order) == ref_eval_multisum(spec, order)
+
+
+def test_form_terms_cover_the_spec_forms():
+    # 14 spec forms with 25 terms; they bring shapes the catalog lacks: an
+    # own exponent -2 j4 or -j3^2, and a self-binomial on an inner variable
+    terms = form_terms()
+    assert len(terms) == 14
+    specs = form_specs()
+    assert len(specs) == 25
+    assert any(min(spec.lin[1:], default=0) == -2 for spec in specs)
+    assert any(-1 in spec.quad for spec in specs)
+    assert any(r > 0 for spec in specs for r in spec.self_binoms
+               if r < spec.nvars - 1)
+
+
+@pytest.mark.parametrize("order", [10, 30, 60])
+def test_form_terms_match_brute_chain_sum(order):
+    for key, form, terms in form_terms():
+        want = []
+        for sign, shift, spec in terms:
+            got = eval_multisum(spec, order - shift)
+            ref = brute_chain_sum(spec, order - shift)
+            assert got.to_text() == ref.to_text(), (key, spec)
+            want.append((sign, ref.shift(shift)))
+        assert form(order).to_text() == signed_sum(want, order).to_text(), key
 
 
 def test_eval_multisum_finite_matches_reference():
