@@ -14,12 +14,27 @@ moves consume.  The six moves (two forward, two backward, two base changes)
 and the base shift each produce a new pair whose sequences are evaluated on
 demand and memoized.
 
-Every move multiplies a parent sequence by a power of q and by finite
-q-Pochhammer symbols, which ``compose_exact`` applies.  Each symbol is a
-unit triple ``(PochFactor, length, power)`` with power +1 or -1, applied
-factor by factor in one pass over a dense coefficient list: no series
-product, inversion or Pochhammer cache sits on this path.  A move's beta
-sums its j-pieces into one coefficient map.
+The six moves are rows of one table, ``_MOVE_TABLE``.  With f(n) the
+row's exponent and (a, b) its bases at base q^c, a forward move gives
+
+    alpha'_n = q^{f(n)} (-q^a)_n / (-q^b)_n * alpha_n,
+    beta'_n  = sum_j q^{f(j)} (-q^a)_j / (-q^b)_n * beta_j / (q)_{n-j},
+
+without the ratio when the row has no bases.  A backward move is its
+inverse:
+
+    alpha'_n = q^{-f(n)} (-q^b)_n / (-q^a)_n * alpha_n,
+    beta'_n  = sum_j (-1)^{n+j} q^{-f(n) + binom(n-j, 2)}
+               (-q^b)_j / (-q^a)_n * beta_j / (q)_{n-j}.
+
+The base changes BC1 and BC2 read alpha~_n - a q^{2n-2} alpha~_{n-1} in
+place of alpha_n for n >= 1 and lower the base by one.  Every move thus
+multiplies a parent sequence by a power of q and by finite q-Pochhammer
+symbols, which ``compose_exact`` applies.  Each symbol is a unit triple
+``(PochFactor, length, power)`` with power +1 or -1, applied factor by
+factor in one pass over a dense coefficient list: no series product,
+inversion or Pochhammer cache sits on this path.  A move's beta sums its
+j-pieces into one coefficient map.
 
 Pairs form a shared trie.  ``registry_pair`` makes each registry pair once
 per (id, path), and ``apply_move`` memoizes each child on its parent, keyed
@@ -37,7 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .laurent import LaurentSeries, monomial, one, signed_sum, zero
 from .qproducts import (
@@ -68,11 +83,6 @@ class Move(Enum):
 
 def _binom2(x: int) -> int:
     return x * (x - 1) // 2
-
-
-def _neg_q(c: int = 1) -> PochFactor:
-    """(-q^c; q) base."""
-    return PochFactor(-1, c, 1)
 
 
 class BaileyPair:
@@ -189,90 +199,69 @@ def apply_move(pair: BaileyPair, move: Move) -> BaileyPair:
     return child
 
 
-def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
-    if move is Move.BASE_SHIFT:
-        return base_shift(pair.alpha, pair.beta, pair.base_exp,
-                          provenance=pair.provenance + (move.value,))
-    c = pair.base_exp
-    prov = pair.provenance + (move.value,)
+class _MoveRule(NamedTuple):
+    """One row of the move table; see the module docstring."""
 
-    def beta_sum(n, order, shift, units=lambda j: (), alternating=False):
-        # sum over j of sign * q^shift(j) * beta_j * units(j) / (q)_{n-j},
-        # with sign (-1)^{n+j} when alternating and 1 otherwise
+    exponent: Callable[[int, int], int]  # f(n, c)
+    bases: Callable[[int], tuple[int, int]] | None
+    backward: bool = False
+    bracket: bool = False
+    base_change: int = 0
+
+
+def _f1(n: int, c: int) -> int:
+    return c * n + n * n
+
+
+def _f2(n: int, c: int) -> int:
+    return c * n + _binom2(n)
+
+
+_MOVE_TABLE: dict[Move, _MoveRule] = {
+    Move.F1: _MoveRule(_f1, None),
+    Move.B1: _MoveRule(_f1, None, backward=True),
+    Move.F2: _MoveRule(_f2, lambda c: (1, c)),
+    Move.B2: _MoveRule(_f2, lambda c: (1, c), backward=True),
+    Move.BC1: _MoveRule(lambda n, c: _f1(n, c) - n, None, bracket=True,
+                        base_change=-1),
+    Move.BC2: _MoveRule(lambda n, c: _f2(n, c) - n, lambda c: (1, c - 1),
+                        bracket=True, base_change=-1),
+}
+
+
+def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
+    prov = pair.provenance + (move.value,)
+    if move is Move.BASE_SHIFT:
+        return base_shift(pair.alpha, pair.beta, pair.base_exp, provenance=prov)
+    f, bases, backward, bracket, base_change = _MOVE_TABLE[move]
+    c = pair.base_exp
+    up, down = bases(c) if bases else (None, None)
+    if backward:
+        up, down = down, up
+    sign = -1 if backward else 1
+
+    def ratio(j: int, n: int) -> tuple[Unit, ...]:
+        # (-q^up)_j / (-q^down)_n
+        if bases is None:
+            return ()
+        return ((PochFactor(-1, up, 1), j, 1), (PochFactor(-1, down, 1), n, -1))
+
+    def bracketed(n: int, o: int) -> LaurentSeries:
+        s = c + 2 * n - 2
+        return pair.alpha_tilde(n, o) - pair.alpha_tilde(n - 1, o - s).shift(s)
+
+    def alpha(n, order):
+        parent = partial(bracketed if bracket and n else pair.alpha, n)
+        return compose_exact(order, sign * f(n, c), parent, *ratio(n, n))
+
+    def beta(n, order):
         return signed_sum(
-            ((-1 if alternating and (n + j) % 2 else 1,
-              compose_exact(order, shift(j), partial(pair.beta, j),
-                            *units(j), (Q_FACTOR, n - j, -1)))
+            ((-1 if backward and (n + j) % 2 else 1,
+              compose_exact(order, _binom2(n - j) - f(n, c) if backward else f(j, c),
+                            partial(pair.beta, j), *ratio(j, n), (Q_FACTOR, n - j, -1)))
              for j in range(n + 1)), order)
 
-    if move is Move.F1:
-        def alpha(n, order):
-            return compose_exact(order, c * n + n * n, partial(pair.alpha, n))
-
-        def beta(n, order):
-            return beta_sum(n, order, lambda j: c * j + j * j)
-        return BaileyPair(c, alpha=alpha, beta=beta, provenance=prov)
-
-    if move is Move.B1:
-        def alpha(n, order):
-            return compose_exact(order, -c * n - n * n, partial(pair.alpha, n))
-
-        def beta(n, order):
-            return beta_sum(n, order, lambda j: -c * n - n * n + _binom2(n - j),
-                            alternating=True)
-        return BaileyPair(c, alpha=alpha, beta=beta, provenance=prov)
-
-    if move is Move.F2:
-        def alpha(n, order):
-            return compose_exact(order, _binom2(n) + c * n, partial(pair.alpha, n),
-                                 (_neg_q(), n, 1), (_neg_q(c), n, -1))
-
-        def beta(n, order):
-            return beta_sum(n, order, lambda j: _binom2(j) + c * j,
-                            lambda j: ((_neg_q(), j, 1), (_neg_q(c), n, -1)))
-        return BaileyPair(c, alpha=alpha, beta=beta, provenance=prov)
-
-    if move is Move.B2:
-        def alpha(n, order):
-            return compose_exact(order, -_binom2(n) - c * n, partial(pair.alpha, n),
-                                 (_neg_q(c), n, 1), (_neg_q(), n, -1))
-
-        def beta(n, order):
-            return beta_sum(n, order, lambda j: -c * n - _binom2(n) + _binom2(n - j),
-                            lambda j: ((_neg_q(c), j, 1), (_neg_q(), n, -1)),
-                            alternating=True)
-        return BaileyPair(c, alpha=alpha, beta=beta, provenance=prov)
-
-    if move in (Move.BC1, Move.BC2):
-        # alpha'_0 = alpha_0; for n >= 1 both moves combine
-        # alpha~_n - a q^{2n-2} alpha~_{n-1} of the *original* base.
-        def bracket(n, o):
-            s = c + 2 * n - 2
-            t1 = pair.alpha_tilde(n, o)
-            t2 = pair.alpha_tilde(n - 1, o - s)
-            return t1 - t2.shift(s)
-
-        if move is Move.BC1:
-            def alpha(n, order):
-                if n == 0:
-                    return pair.alpha(0, order)
-                return compose_exact(order, c * n + n * n - n, partial(bracket, n))
-
-            def beta(n, order):
-                return beta_sum(n, order, lambda j: c * j + j * j - j)
-        else:
-            def alpha(n, order):
-                if n == 0:
-                    return pair.alpha(0, order)
-                return compose_exact(order, c * n + _binom2(n) - n, partial(bracket, n),
-                                     (_neg_q(), n, 1), (_neg_q(c - 1), n, -1))
-
-            def beta(n, order):
-                return beta_sum(n, order, lambda j: c * j + _binom2(j) - j,
-                                lambda j: ((_neg_q(), j, 1), (_neg_q(c - 1), n, -1)))
-        return BaileyPair(c - 1, alpha=alpha, beta=beta, provenance=prov)
-
-    raise ValueError(f"unknown move {move!r}")
+    return BaileyPair(c + base_change, alpha=alpha, beta=beta, provenance=prov)
 
 
 def apply_moves(pair: BaileyPair, moves) -> BaileyPair:

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bailey import compose_exact
 from .lattice import Schedule, SCHEDULE_TABLE, alpha_side, sum_side, verify_limit_identity
 from .laurent import LaurentSeries
-from .qproducts import PochFactor, inv_euler, poch_inf, qtpi_product
+from .qproducts import PochFactor, Q_FACTOR, inv_euler, poch_finite, poch_inf, qtpi_product
+
+# (1 + q) = (-q; q)_1 as a unit triple for ``compose_exact``
+_ONE_PLUS_Q = (PochFactor(-1, 1, 1), 1, 1)
 
 
 @dataclass(frozen=True)
@@ -90,11 +94,9 @@ def normalization_poly(s: Schedule, order: int) -> LaurentSeries:
     namely (q; q)_{c-1} for registry base q^c, times an extra (1 + q) for
     the second family at i = 0 (whose displayed alpha-form is (1 + q)
     times the unified one)."""
-    from .qproducts import poch_finite, Q_FACTOR
-
     poly = poch_finite(Q_FACTOR, s.base_exp - 1, order)
     if s.kind == "lim2" and s.i == 0:
-        poly = (poly * LaurentSeries({0: 1, 1: 1}, order)).truncated(order)
+        poly = compose_exact(order, 0, lambda o: poly, _ONE_PLUS_Q)
     return poly
 
 
@@ -121,7 +123,7 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
         return False
 
     if kind == "lim2" and i == 0:
-        expected = (unified * LaurentSeries({0: 1, 1: 1}, order)).truncated(order)
+        expected = compose_exact(order, 0, lambda o: unified, _ONE_PLUS_Q)
     else:
         expected = unified
     return case.eq_to_order(expected, order)

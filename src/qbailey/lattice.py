@@ -48,19 +48,26 @@ cap.
 
 Most printed simplified forms (``simplified_forms``) are signed sums of
 such chain specs, each shifted by a power of q, evaluated by the same DP.
-Two reindexed single sums with affine Pochhammer lengths keep own loops.
+
+Hand-summed series.  The alpha sides and the two reindexed single sums
+with affine Pochhammer lengths are not chains.  Each is written as a block
+function of t that returns its terms (sign, q-shift, unit triples), the
+unit triples being the finite Pochhammer symbols that ``compose_exact``
+applies in one pass per factor.  One loop, ``_vanishing_sum``, sums every
+such series and holds their one stopping rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate
 from math import isqrt
 from operator import add
 from typing import Callable
 
-from .bailey import Move, _binom2, compose_exact, registry_entry, registry_pair
+from .bailey import (Move, Unit, _binom2, compose_exact, registry_entry,
+                     registry_pair)
 from .laurent import LaurentSeries, monomial, one, signed_sum, zero
 from .qproducts import (
     PochFactor,
@@ -68,7 +75,7 @@ from .qproducts import (
     binomial_step,
     inv_poch_finite,
     inv_poch_inf,
-    poch_finite,
+    poch_finite,  # noqa: F401  unused here; the benchmark tracer wraps this binding
     poch_inf,
 )
 
@@ -319,18 +326,37 @@ def build_multisum_spec(s: Schedule) -> MultisumSpec:
                         (V - 1,), links, signs, numer, denom, ())
 
 
-def _round_order(o: int) -> int:
-    # round requested cache orders up to a coarse grid: exactness-safe,
-    # keeps the poch caches small
-    return o if o <= 0 else ((o + 15) // 16) * 16
-
-
 def _one(o: int) -> LaurentSeries:
     """The constant 1 as a parent for ``compose_exact``, exact to o."""
     return one(o) if o >= 0 else zero(o)
 
 
 _NEG_Q = PochFactor(-1, 1, 1)  # the base of (-q; q)_n
+
+# One term of a hand-summed series: sign * q^shift * the product of the units.
+SumTerm = tuple[int, int, tuple[Unit, ...]]
+
+
+def _vanishing_sum(block: Callable[[int], list[SumTerm]],
+                   order: int) -> LaurentSeries:
+    """sum over t = 0, 1, ... of the terms ``block(t)``, exact to ``order``.
+
+    Every unit has valuation zero, so a term's lowest exponent is its shift.
+    The sum stops after three consecutive blocks that have terms but none
+    at or below the order; a block with no terms (alpha~_t = 0 on one
+    residue class) does not count toward the three.
+    """
+    pieces = []
+    t = dead = 0
+    while dead < 3:
+        terms = block(t)
+        if terms:
+            live = [(sign, compose_exact(order, shift, _one, *units))
+                    for sign, shift, units in terms if shift <= order]
+            pieces += live
+            dead = 0 if live else dead + 1
+        t += 1
+    return signed_sum(pieces, order)
 
 
 _INF = 1 << 60
@@ -506,8 +532,9 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
 
     if finite_n is None:
         total = signed_sum(((1, blk) for _, blk in blocks), order)
+        # 1/(-q^b)_inf = 1 + O(q) is exact to 0 even below a negative order
         for b in spec.prefactors:
-            total = total * inv_poch_inf(PochFactor(-1, b, 1), order)
+            total = total * inv_poch_inf(PochFactor(-1, b, 1), max(order, 0))
         return total.truncated(order)
     n = finite_n
     total = signed_sum(
@@ -530,28 +557,9 @@ def sum_side_finite(s: Schedule, n: int, order: int) -> LaurentSeries:
 
 # -- alpha side ---------------------------------------------------------------
 
-def _tilde_monomial(pair_id: int, t: int) -> tuple[int, int] | None:
-    return registry_entry(pair_id).alpha_tilde_monomial(t)
-
-
-def _neg_ratio(num_base: int, den_base: int, t: int, order: int) -> LaurentSeries:
-    """(-q^{num_base}; q)_t / (-q^{den_base}; q)_t, exact to order."""
-    return _neg_ratio_at(num_base, den_base, t, _round_order(max(order, 0)))
-
-
-@lru_cache(maxsize=None)
-def _neg_ratio_at(num_base: int, den_base: int, t: int, o: int) -> LaurentSeries:
-    return (poch_finite(PochFactor(-1, num_base, 1), t, o)
-            * inv_poch_finite(PochFactor(-1, den_base, 1), t, o))
-
-
-@lru_cache(maxsize=None)
-def _lim2_extra(c: int, t: int, o: int) -> LaurentSeries:
-    """(1 + q^{t+1}) / (1 + q^{c+t-1}) * _neg_ratio(1, c - 1, t, o), exact
-    to the already rounded order o."""
-    return (poch_finite(PochFactor(-1, t + 1, 1), 1, o)
-            * inv_poch_finite(PochFactor(-1, c + t - 1, 1), 1, o)
-            * _neg_ratio(1, c - 1, t, o))
+def _ratio(num_base: int, den_base: int, t: int) -> tuple[Unit, ...]:
+    """(-q^{num_base}; q)_t / (-q^{den_base}; q)_t as unit triples."""
+    return ((PochFactor(-1, num_base, 1), t, 1), (PochFactor(-1, den_base, 1), t, -1))
 
 
 def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeries:
@@ -565,83 +573,62 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
     """
     c = s.base_exp
     k, i = s.k, s.i
-    total = zero(order)
-    t = 0
-    dead = 0
-    while dead < 3:
-        pieces: list[tuple[int, LaurentSeries | None, int]] = []
-        # pieces: (exponent shift, unit factor or None, tilde index)
+    tilde = registry_entry(s.pair_id).alpha_tilde_monomial
+
+    def block(t: int) -> list[SumTerm]:
+        # pieces: (exponent shift, units, tilde index); the second is negated
         if s.kind == "lim1":
             e = c * k * t + k * t * t - i * t
-            pieces = [(e, None, t), (e + c * (i + 1) + 2 * i * t + 2 * t, None, t)]
-        elif s.kind == "lim3":
-            e = c * k * t + k * t * t - i * t - (t * t + t) // 2
-            ratio = _neg_ratio(1, c, t, order)
-            pieces = [(e, ratio, t), (e + c * (i + 1) + 2 * t * (i + 1), ratio, t)]
+            pieces = [(e, (), t), (e + c * (i + 1) + 2 * i * t + 2 * t, (), t)]
         elif s.kind == "lim2" and (unified or i > 1):
             e = c * k * t + k * t * t - i * t - (t * t + t) // 2
-            ratio = _neg_ratio(1, c - 1, t, order)
-            extra = _lim2_extra(c, t, _round_order(order))
+            ratio = _ratio(1, c - 1, t)
+            # times (1 + q^{t+1}) / (1 + q^{c+t-1})
+            extra = ratio + _ratio(t + 1, c + t - 1, 1)
             pieces = [(e, ratio, t),
                       (e + c * (i + 1) + t - 1 + 2 * i * t, extra, t)]
-        elif s.kind == "lim2" and i == 0:
-            e = c * k * t + (k - 1) * t * t + (t * t - t) // 2
-            ratio = _neg_ratio(1, c, t, order)
-            pieces = [(e, ratio, t), (e + c + 2 * t, ratio, t)]
+        elif s.kind == "lim3" or i == 0:
+            # the lim2 display at i = 0 is the lim3 form at i = 0
+            e = c * k * t + k * t * t - i * t - (t * t + t) // 2
+            ratio = _ratio(1, c, t)
+            pieces = [(e, ratio, t), (e + c * (i + 1) + 2 * t * (i + 1), ratio, t)]
         else:  # lim2, i == 1, the separate two-term display
             if t == 0:
-                pieces = [(0, None, 0)]
+                pieces = [(0, (), 0)]
             else:
                 head = c * t + (t * t - t) // 2 - t
-                ratio = _neg_ratio(1, c - 1, t, order)
+                ratio = _ratio(1, c - 1, t)
                 pieces = [
                     (head + c * (k - 1) * t + (k - 1) * t * t, ratio, t),
                     (head + c * (k - 1) * (t - 1) + (k - 1) * (t - 1) * (t - 1)
                      + c + 2 * t - 2, ratio, t - 1),
                 ]
-        alive = False
-        contributed = False
-        for idx, (e, unit, ti) in enumerate(pieces):
-            mono = _tilde_monomial(s.pair_id, ti)
-            if mono is None:
-                continue
-            contributed = True
-            sign, te = mono
-            if e + te > order:
-                continue
-            alive = True
-            sgn = sign if idx % 2 == 0 else -sign
-            term = monomial(sgn, e + te, order)
-            if unit is not None:
-                term = (term * unit).truncated(order)
-            total = total + term
-        if contributed:
-            dead = 0 if alive else dead + 1
-        t += 1
-    return total
+        terms = []
+        for idx, (e, units, ti) in enumerate(pieces):
+            mono = tilde(ti)
+            if mono is not None:
+                sign, te = mono
+                terms.append((sign if idx % 2 == 0 else -sign, e + te, units))
+        return terms
+
+    return _vanishing_sum(block, order)
 
 
 def alpha_side_lim1_i0_form(s: Schedule, order: int) -> LaurentSeries:
     """The separately displayed i = 0 limit sum for the first family:
     sum_t a^{kt} q^{kt^2} (1 - a q^{2t}) alpha~_t."""
     c, k = s.base_exp, s.k
-    total = zero(order)
-    t = 0
-    dead = 0
-    while dead < 3:
-        mono = _tilde_monomial(s.pair_id, t)
-        if mono is not None:
-            sign, te = mono
-            e = c * k * t + k * t * t + te
-            if e > order:
-                dead += 1
-            else:
-                dead = 0
-                total = total + monomial(sign, e, order)
-                if e + c + 2 * t <= order:
-                    total = total + monomial(-sign, e + c + 2 * t, order)
-        t += 1
-    return total
+    tilde = registry_entry(s.pair_id).alpha_tilde_monomial
+
+    def block(t: int) -> list[SumTerm]:
+        mono = tilde(t)
+        if mono is None:
+            return []
+        sign, te = mono
+        e = c * k * t + k * t * t + te
+        return [(sign, e, ()), (-sign, e + c + 2 * t, ())]
+
+    return _vanishing_sum(block, order)
 
 
 def verify_limit_identity(s: Schedule, order: int,
@@ -660,14 +647,14 @@ def verify_remark_relations(k: int, order: int) -> bool:
     (1+q) * unified|_{i=0} equals the i = 0 display; and for every pair the
     first-family unified form at i = 0 equals its separate i = 0 display."""
     ok = True
-    one_plus_q = LaurentSeries({0: 1, 1: 1}, order)
     for pid in (2, 4):
         s1 = Schedule("lim2", k, 1, pid)
         ok &= alpha_side(s1, order).eq_to_order(
             alpha_side(s1, order, unified=True), order)
         s0 = Schedule("lim2", k, 0, pid)
         case = alpha_side(s0, order)
-        unified = (alpha_side(s0, order, unified=True) * one_plus_q).truncated(order)
+        unified = compose_exact(order, 0, partial(alpha_side, s0, unified=True),
+                                (_NEG_Q, 1, 1))
         ok &= case.eq_to_order(unified, order)
     for pid in (1, 2, 3, 4, 5):
         kind = "lim1"
@@ -853,53 +840,34 @@ def _tail_single(pair_id: int, order: int) -> LaurentSeries:
       pair 4: (1-q) + sum_{j>=1} q^{2j^2} / (q^2;q)_{2j-1}
       pair 2: (1-q) + sum_{j>=1} q^{j^2}  / (q^2;q)_{2j-1}
     """
-    if pair_id in (4, 2):
-        total = LaurentSeries({0: 1, 1: -1}, order)
-        j_start = 1
-    else:
-        total = zero(order)
-        j_start = 0
-    j = j_start
-    dead = 0
-    while dead < 3:
+    def block(j: int) -> list[SumTerm]:
+        if pair_id in (4, 2):
+            if j == 0:
+                return [(1, 0, ((Q_FACTOR, 1, 1),))]
+            e = 2 * j * j if pair_id == 4 else j * j
+            return [(1, e, ((PochFactor(1, 2, 1), 2 * j - 1, -1),))]
+        units = ((Q_FACTOR, 2 * j + 1, -1),)
         if pair_id == 3:
-            e = 2 * (j * j + j)
-            units = [(Q_FACTOR, 2 * j + 1, -1)]
-        elif pair_id == 1:
-            e = j * j + j
-            units = [(Q_FACTOR, 2 * j + 1, -1)]
-        elif pair_id == 5:
-            e = j * j + j
-            units = [(PochFactor(-1, 3, 3), j, 1), (Q_FACTOR, 2 * j + 1, -1),
-                     (_NEG_Q, j, -1)]
-        elif pair_id == 4:
-            e = 2 * j * j
-            units = [(PochFactor(1, 2, 1), 2 * j - 1, -1)]
-        else:
-            e = j * j
-            units = [(PochFactor(1, 2, 1), 2 * j - 1, -1)]
-        blk = compose_exact(order, e, _one, *units)
-        total = total + blk
-        dead = dead + 1 if (blk.is_zero() and j >= 3) else 0
-        j += 1
-    return total
+            return [(1, 2 * (j * j + j), units)]
+        if pair_id == 5:
+            units += ((PochFactor(-1, 3, 3), j, 1), (_NEG_Q, j, -1))
+        return [(1, j * j + j, units)]
+
+    return _vanishing_sum(block, order)
 
 
 def _level3_rewritten(order: int) -> LaurentSeries:
     """1 + sum_{j>=1} q^{j + binom(j,2)} (1 + q^j) (-q^3; q^3)_{j-1} / (q)_{2j},
     all inside the 1/(-q)_inf prefactor: the rewritten level-3 single sum."""
-    total = one(order)
-    j = 1
-    dead = 0
-    while dead < 3:
+    def block(j: int) -> list[SumTerm]:
+        if j == 0:
+            return [(1, 0, ())]
         units = ((PochFactor(-1, 3, 3), j - 1, 1), (Q_FACTOR, 2 * j, -1))
         e = j + _binom2(j)
-        blk = (compose_exact(order, e, _one, *units)
-               + compose_exact(order, e + j, _one, *units))
-        total = total + blk
-        dead = dead + 1 if (blk.is_zero() and j >= 3) else 0
-        j += 1
-    return (total * inv_poch_inf(PochFactor(-1, 1, 1), order)).truncated(order)
+        return [(1, e, units), (1, e + j, units)]
+
+    total = _vanishing_sum(block, order)
+    return (total * inv_poch_inf(_NEG_Q, max(order, 0))).truncated(order)
 
 
 # Every printed form of a cell, least to most reduced, as callables of the

@@ -17,13 +17,11 @@ exponent, and a single big-int multiply (Karatsuba inside CPython) gives
 every coefficient at once.  The digit width comes from a proved bound on
 the product's coefficients, so digits never overflow into each other.
 
-Both paths live in one primitive, ``mul_accumulate(out, xs, ys, top)``,
-which adds the terms of xs * ys at exponents <= top into a plain
-exponent -> coefficient dict; ``__mul__`` calls it with an empty dict and
-the product's truncation.  The Pochhammer symbols of the Bailey moves, the
-registry betas and the multisum's inner sum do not come here: their
-factors (1 - s q^e) are applied one at a time on a dense coefficient list
-(``qproducts.binomial_step``).
+Both paths live in ``__mul__``, which is the only product of two series.
+The Pochhammer symbols of the Bailey moves, the registry betas, the
+multisum's inner sum and the hand-summed series of ``lattice`` do not come
+here: their factors (1 - s q^e) are applied one at a time on a dense
+coefficient list (``qproducts.binomial_step``).
 
 Inversion solves for the inverse's coefficients one exponent at a time,
 summing only over the nonzero terms of the series being inverted.  The
@@ -103,33 +101,6 @@ def _kronecker_mul(xs: dict[int, int], ys: dict[int, int], trunc: int) -> dict[i
     digits = [int.from_bytes(raw[i:i + width], "little") for i in range(0, nbytes, width)]
     base = vx + vy
     return {base + k: d - bias for k, d in enumerate(digits) if d != bias}
-
-
-def mul_accumulate(out: dict[int, int], xs: dict[int, int], ys: dict[int, int],
-                   top: int) -> None:
-    """Add the terms of xs * ys at exponents <= top into ``out``.
-
-    ``xs`` and ``ys`` are exponent -> coefficient maps.  Only their stored
-    terms are used, so every added coefficient is exact whenever both
-    operands are exact to at least top minus the other's valuation;
-    checking that is the caller's job.  Sums that cancel leave zero entries
-    in ``out``.  Both operands having at least ``KRONECKER_MIN_TERMS`` terms
-    selects the Kronecker kernel, fewer the schoolbook loop.
-    """
-    get = out.get
-    if min(len(xs), len(ys)) >= KRONECKER_MIN_TERMS:
-        if top < min(xs) + min(ys):
-            return
-        for e, c in _kronecker_mul(xs, ys, top).items():
-            out[e] = get(e, 0) + c
-        return
-    ys_sorted = sorted(ys.items())
-    for e1, c1 in xs.items():
-        for e2, c2 in ys_sorted:
-            e = e1 + e2
-            if e > top:
-                break
-            out[e] = get(e, 0) + c1 * c2
 
 
 def signed_sum(pieces, trunc: int) -> "LaurentSeries":
@@ -260,8 +231,18 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         trunc = min(self.trunc + other._effval(), other.trunc + self._effval())
+        xs, ys = self.terms, other.terms
+        if min(len(xs), len(ys)) >= KRONECKER_MIN_TERMS:
+            return LaurentSeries(_kronecker_mul(xs, ys, trunc), trunc)
         out: dict[int, int] = {}
-        mul_accumulate(out, self.terms, other.terms, trunc)
+        get = out.get
+        ys_sorted = sorted(ys.items())
+        for e1, c1 in xs.items():
+            for e2, c2 in ys_sorted:
+                e = e1 + e2
+                if e > trunc:
+                    break
+                out[e] = get(e, 0) + c1 * c2
         return LaurentSeries(out, trunc)
 
     __rmul__ = __mul__

@@ -20,6 +20,7 @@ from qbailey.qproducts import (
     poch_inf,
     qtpi_product,
 )
+from qbailey.records import build_record
 
 
 def test_module_label_derived_fields():
@@ -156,6 +157,15 @@ def test_normalization_emerges_from_chain():
         lhs = sum_side(s, 50)
         rhs = (char_product(m, 50) * norm).truncated(50)
         assert lhs.eq_to_order(rhs, 50), (pid, kind, k, i)
+
+
+def test_second_family_i0_at_order_zero():
+    # the extra (1 + q) of these cells is applied as a unit, so order 0 works
+    for pid in (2, 4):
+        s = Schedule("lim2", 1, 0, pid)
+        assert normalization_poly(s, 0) == LaurentSeries({0: 1}, 0)
+        assert verify_character_identity(pid, "lim2", 1, 0, 0)
+        assert build_record(pid, "lim2", 1, 0, 0).status == "verified"
 
 
 def test_verify_character_identity_builds_each_alpha_side_once(monkeypatch):

@@ -185,6 +185,7 @@ def test_f2b1_recurrence(c):
 @pytest.mark.parametrize("k", [1, 2])
 def test_remark_relations(k):
     assert verify_remark_relations(k, 50)
+    assert verify_remark_relations(k, 0)  # the (1 + q) factor is a unit
 
 
 def test_simplified_forms_match_sum_side():
@@ -195,6 +196,18 @@ def test_simplified_forms_match_sum_side():
         ref = sum_side(s, 60)
         for form in simplified_forms(s, 60):
             assert ref.eq_to_order(form, 60), (pid, kind, k, i)
+
+
+@pytest.mark.parametrize("order", [-1, 0])
+def test_simplified_forms_below_order_one(order):
+    # the leading (1 - q) and 1 of the single sums and the 1/(-q^b)_inf
+    # prefactors must not claim exponents above the order
+    for (pid, kind), row in SCHEDULE_TABLE.items():
+        for i in range(row.imax(1) + 1):
+            s = Schedule(kind, 1, i, pid)
+            if has_simplified_form(s):
+                ref = sum_side(s, order)
+                assert all(f == ref for f in simplified_forms(s, order)), s
 
 
 def test_simplified_examples_from_reduced_displays():

@@ -13,7 +13,6 @@ from qbailey.laurent import (
     TruncationError,
     from_text,
     monomial,
-    mul_accumulate,
     one,
     signed_sum,
     zero,
@@ -347,37 +346,6 @@ def test_invert_sparse_pochhammer():
     prod = y * y.invert()
     assert y.invert() == dense_inverse(y)
     assert prod.trunc == N and prod.eq_to_order(one(N), N)
-
-
-@pytest.mark.parametrize("n", [KRONECKER_MIN_TERMS - 1, KRONECKER_MIN_TERMS,
-                               KRONECKER_MIN_TERMS + 1])
-def test_mul_accumulate_matches_shifted_truncated_product(n):
-    # the shift q^s rides on the first operand
-    rng = random.Random(11 * n)
-    for lo_x, lo_y, s in [(-9, 0, 0), (-4, -7, 5), (3, -20, -6), (0, 2, 13)]:
-        x = random_series(rng, n, lo_x, 90, trunc_slack=rng.randint(0, 9))
-        y = random_series(rng, n + rng.randint(0, 3), lo_y, 90)
-        prod = (x * y).shift(s)
-        xs = x.shift(s).terms
-        for top in (prod.trunc, prod.trunc - 5, x.val() + y.val() + s + n // 2,
-                    x.val() + y.val() + s, x.val() + y.val() + s - 1):
-            ref = prod.truncated(top)
-            out = {}
-            mul_accumulate(out, xs, y.terms, top)
-            assert LaurentSeries(out, top) == ref
-            # accumulating onto earlier terms adds, and cancels to zero
-            mul_accumulate(out, xs, (-y).terms, top)
-            assert LaurentSeries(out, top) == zero(top)
-            mul_accumulate(out, y.terms, xs, top)
-            mul_accumulate(out, xs, y.terms, top)
-            assert LaurentSeries(out, top) == ref * 2
-
-
-def test_mul_accumulate_leaves_out_alone_for_zero_operand():
-    out = {3: 7}
-    mul_accumulate(out, {}, {0: 1, 1: 2}, 10)
-    mul_accumulate(out, {0: 1}, {}, 10)
-    assert out == {3: 7}
 
 
 def test_signed_sum_matches_chained_additions():
