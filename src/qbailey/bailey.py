@@ -14,8 +14,14 @@ moves consume.  The six moves (two forward, two backward, two base changes)
 and the base shift each produce a new pair whose sequences are evaluated on
 demand and memoized.
 
-The six moves are rows of one table, ``_MOVE_TABLE``.  With f(n) the
-row's exponent and (a, b) its bases at base q^c, a forward move gives
+The six moves are rows of one table, ``_MOVE_TABLE``.  A row holds three
+integers (quad, binom, lin) for the exponent
+
+    f(n, c) = quad n^2 + binom binom(n, 2) + (c + lin) n
+
+at base q^c, optional bases (a, b - c), a backward flag, a bracket flag and
+the change of base.  With (a, b) the bases at base q^c, a forward move
+gives
 
     alpha'_n = q^{f(n)} (-q^a)_n / (-q^b)_n * alpha_n,
     beta'_n  = sum_j q^{f(j)} (-q^a)_j / (-q^b)_n * beta_j / (q)_{n-j},
@@ -34,7 +40,8 @@ symbols, which ``compose_exact`` applies.  Each symbol is a unit triple
 ``(PochFactor, length, power)`` with power +1 or -1, applied factor by
 factor in one pass over a dense coefficient list: no series product,
 inversion or Pochhammer cache sits on this path.  A move's beta sums its
-j-pieces into one coefficient map.
+j-pieces into one coefficient map.  ``lattice.build_multisum_spec`` reads
+the same table to write a move word as one closed multisum.
 
 Pairs form a shared trie.  ``registry_pair`` makes each registry pair once
 per (id, path), and ``apply_move`` memoizes each child on its parent, keyed
@@ -58,8 +65,10 @@ from .laurent import LaurentSeries, monomial, one, signed_sum, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
+    Unit,
     apply_poch_units,
     inv_poch_finite,
+    neg_ratio,
 )
 
 _DEFAULT_REGISTRY = Path(__file__).parent / "data" / "bailey_pairs.json"
@@ -153,10 +162,6 @@ class BaileyPair:
                              (PochFactor(1, c + 2 * n, 1), 1, -1))
 
 
-# (f, length, power): the finite symbol (f; q^step)_length to the power +-1
-Unit = tuple[PochFactor, int, int]
-
-
 def compose_exact(order: int, shift: int, parent_get: Callable[[int], LaurentSeries],
                   *units: Unit) -> LaurentSeries:
     """parent * (finite Pochhammer units) * q^shift, exact to ``order``.
@@ -202,66 +207,66 @@ def apply_move(pair: BaileyPair, move: Move) -> BaileyPair:
 class _MoveRule(NamedTuple):
     """One row of the move table; see the module docstring."""
 
-    exponent: Callable[[int, int], int]  # f(n, c)
-    bases: Callable[[int], tuple[int, int]] | None
+    quad: int
+    binom: int
+    lin: int  # f(n, c) = quad n^2 + binom binom(n, 2) + (c + lin) n
+    bases: tuple[int, int] | None = None  # (a, b - c)
     backward: bool = False
     bracket: bool = False
     base_change: int = 0
 
+    def f(self, n: int, c: int) -> int:
+        return self.quad * n * n + self.binom * _binom2(n) + (c + self.lin) * n
 
-def _f1(n: int, c: int) -> int:
-    return c * n + n * n
-
-
-def _f2(n: int, c: int) -> int:
-    return c * n + _binom2(n)
+    def ratio_bases(self, c: int) -> tuple[int, int] | None:
+        """(up, down) of the ratio (-q^up)_j / (-q^down)_n at base q^c."""
+        if self.bases is None:
+            return None
+        a, b = self.bases[0], c + self.bases[1]
+        return (b, a) if self.backward else (a, b)
 
 
 _MOVE_TABLE: dict[Move, _MoveRule] = {
-    Move.F1: _MoveRule(_f1, None),
-    Move.B1: _MoveRule(_f1, None, backward=True),
-    Move.F2: _MoveRule(_f2, lambda c: (1, c)),
-    Move.B2: _MoveRule(_f2, lambda c: (1, c), backward=True),
-    Move.BC1: _MoveRule(lambda n, c: _f1(n, c) - n, None, bracket=True,
-                        base_change=-1),
-    Move.BC2: _MoveRule(lambda n, c: _f2(n, c) - n, lambda c: (1, c - 1),
-                        bracket=True, base_change=-1),
+    Move.F1: _MoveRule(1, 0, 0),
+    Move.B1: _MoveRule(1, 0, 0, backward=True),
+    Move.F2: _MoveRule(0, 1, 0, (1, 0)),
+    Move.B2: _MoveRule(0, 1, 0, (1, 0), backward=True),
+    Move.BC1: _MoveRule(1, 0, -1, bracket=True, base_change=-1),
+    Move.BC2: _MoveRule(0, 1, -1, (1, -1), bracket=True, base_change=-1),
 }
 
 
 def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
-    prov = pair.provenance + (move.value,)
     if move is Move.BASE_SHIFT:
-        return base_shift(pair.alpha, pair.beta, pair.base_exp, provenance=prov)
-    f, bases, backward, bracket, base_change = _MOVE_TABLE[move]
+        return base_shift(pair.alpha, pair.beta, pair.base_exp,
+                          provenance=pair.provenance)
+    rule = _MOVE_TABLE[move]
     c = pair.base_exp
-    up, down = bases(c) if bases else (None, None)
-    if backward:
-        up, down = down, up
+    bases = rule.ratio_bases(c)
+    backward = rule.backward
     sign = -1 if backward else 1
 
     def ratio(j: int, n: int) -> tuple[Unit, ...]:
-        # (-q^up)_j / (-q^down)_n
-        if bases is None:
-            return ()
-        return ((PochFactor(-1, up, 1), j, 1), (PochFactor(-1, down, 1), n, -1))
+        return neg_ratio(*bases, j, n) if bases else ()
 
     def bracketed(n: int, o: int) -> LaurentSeries:
         s = c + 2 * n - 2
         return pair.alpha_tilde(n, o) - pair.alpha_tilde(n - 1, o - s).shift(s)
 
     def alpha(n, order):
-        parent = partial(bracketed if bracket and n else pair.alpha, n)
-        return compose_exact(order, sign * f(n, c), parent, *ratio(n, n))
+        parent = partial(bracketed if rule.bracket and n else pair.alpha, n)
+        return compose_exact(order, sign * rule.f(n, c), parent, *ratio(n, n))
 
     def beta(n, order):
         return signed_sum(
             ((-1 if backward and (n + j) % 2 else 1,
-              compose_exact(order, _binom2(n - j) - f(n, c) if backward else f(j, c),
+              compose_exact(order,
+                            _binom2(n - j) - rule.f(n, c) if backward else rule.f(j, c),
                             partial(pair.beta, j), *ratio(j, n), (Q_FACTOR, n - j, -1)))
              for j in range(n + 1)), order)
 
-    return BaileyPair(c + base_change, alpha=alpha, beta=beta, provenance=prov)
+    return BaileyPair(c + rule.base_change, alpha=alpha, beta=beta,
+                      provenance=pair.provenance + (move.value,))
 
 
 def apply_moves(pair: BaileyPair, moves) -> BaileyPair:
@@ -275,26 +280,20 @@ def base_shift(alpha_prime: SeqFn, beta: SeqFn, base_exp: int, *,
     """Shift a pair at base q^c to base q^{c+1}, keeping beta.
 
     The new pair's alpha~ is built by the recurrence
-    alpha~_0 = alpha'_0, alpha~_{n+1} = q^{c+2n+1} alpha~_n + alpha'_{n+1}.
+    alpha~_0 = alpha'_0, alpha~_{n+1} = q^{c+2n+1} alpha~_n + alpha'_{n+1},
+    which reads alpha~_n from the new pair's own memo.
     """
     c = base_exp
-    cache: dict[int, LaurentSeries] = {}
 
     def tilde(n: int, order: int) -> LaurentSeries:
-        hit = cache.get(n)
-        if hit is not None and hit.trunc >= order:
-            return hit
         if n == 0:
-            out = alpha_prime(0, order)
-        else:
-            s = c + 2 * n - 1
-            out = tilde(n - 1, order - s).shift(s) + alpha_prime(n, order)
-        out = out.truncated(order)
-        cache[n] = out
-        return out
+            return alpha_prime(0, order)
+        s = c + 2 * n - 1
+        return shifted.alpha_tilde(n - 1, order - s).shift(s) + alpha_prime(n, order)
 
-    return BaileyPair(c + 1, alpha_tilde=tilde, beta=beta,
-                      provenance=provenance + (Move.BASE_SHIFT.value,))
+    shifted = BaileyPair(c + 1, alpha_tilde=tilde, beta=beta,
+                         provenance=provenance + (Move.BASE_SHIFT.value,))
+    return shifted
 
 
 def base_shift_closed_tilde(alpha_prime: SeqFn, base_exp: int, n: int,

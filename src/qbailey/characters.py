@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bailey import compose_exact
-from .lattice import Schedule, SCHEDULE_TABLE, alpha_side, sum_side, verify_limit_identity
+from .lattice import Schedule, SCHEDULE_TABLE, alpha_side, verify_limit_identity
 from .laurent import LaurentSeries
 from .qproducts import PochFactor, Q_FACTOR, inv_euler, poch_finite, poch_inf, qtpi_product
 
@@ -109,7 +109,9 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
       3. the case form is the unified form times its (1+q) factor when
          the second family is used at i = 0 (and equals it otherwise);
 
-    together: sum_side = normalization * character."""
+    together: sum_side = normalization * character.  The case form is a
+    separate sum only for the second family at i <= 1; everywhere else it
+    is the unified form, built once, and link 3 holds by construction."""
     m = schedule_module(pair_id, kind, k, i)
     s = Schedule(kind, k, i, pair_id)
 
@@ -118,11 +120,13 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
     if not unified.eq_to_order(target, order):
         return False
 
-    case = alpha_side(s, order)
+    split = kind == "lim2" and i <= 1
+    case = alpha_side(s, order) if split else unified
     if not verify_limit_identity(s, order, case):
         return False
-
-    if kind == "lim2" and i == 0:
+    if not split:
+        return True
+    if i == 0:
         expected = compose_exact(order, 0, lambda o: unified, _ONE_PLUS_Q)
     else:
         expected = unified

@@ -2,9 +2,10 @@
 
 A ``Schedule`` names one cell of the identity table: a registry pair, one of
 the three move families, and the parameters (k, i).  ``expand_schedule``
-produces the concrete move word; ``build_multisum_spec`` produces the closed
-multisum for the limiting beta sequence; ``sum_side`` evaluates it;
-``alpha_side`` evaluates the limiting alpha-series; and
+produces the concrete move word; ``build_multisum_spec`` folds that word
+over the move table (``bailey._MOVE_TABLE``), one variable per move, into
+the closed multisum for the limiting beta sequence; ``sum_side`` evaluates
+it; ``alpha_side`` evaluates the limiting alpha-series; and
 ``verify_limit_identity`` checks the resulting equality
 
     sum_side * (q^c; q)_inf  =  alpha_side        (a = q^c the registry base)
@@ -52,9 +53,9 @@ such chain specs, each shifted by a power of q, evaluated by the same DP.
 Hand-summed series.  The alpha sides and the two reindexed single sums
 with affine Pochhammer lengths are not chains.  Each is written as a block
 function of t that returns its terms (sign, q-shift, unit triples), the
-unit triples being the finite Pochhammer symbols that ``compose_exact``
-applies in one pass per factor.  One loop, ``_vanishing_sum``, sums every
-such series and holds their one stopping rule.
+unit triples being finite Pochhammer symbols applied in one pass per
+factor.  One loop, ``qproducts.vanishing_sum``, sums every such series
+and holds their one stopping rule.
 """
 
 from __future__ import annotations
@@ -66,17 +67,20 @@ from math import isqrt
 from operator import add
 from typing import Callable
 
-from .bailey import (Move, Unit, _binom2, compose_exact, registry_entry,
-                     registry_pair)
+from .bailey import (_MOVE_TABLE, Move, _binom2, compose_exact,
+                     registry_entry, registry_pair)
 from .laurent import LaurentSeries, monomial, one, signed_sum, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
+    SumTerm,
     binomial_step,
     inv_poch_finite,
     inv_poch_inf,
+    neg_ratio,
     poch_finite,  # noqa: F401  unused here; the benchmark tracer wraps this binding
     poch_inf,
+    vanishing_sum,
 )
 
 KINDS = ("lim1", "lim2", "lim3")
@@ -235,95 +239,51 @@ class MultisumSpec:
 
 
 def build_multisum_spec(s: Schedule) -> MultisumSpec:
-    """The closed sum-side multisum for a schedule, variable for variable
-    the composition of its move word (outermost variable = last move)."""
+    """The closed sum-side multisum for a schedule: its move word folded
+    over the move table, one variable per move.  The move applied first is
+    the innermost variable, r = V - 1, and the base starts at the
+    registry's c and changes by each row's ``base_change``.
+
+    A forward move puts its exponent f(j_r, c) and its (-q^a)_{j_r} on r,
+    and its 1/(-q^b)_n on r - 1 (a prefactor when r = 0).  A backward move
+    puts -f(j_{r-1}, c), the link binomial binom(j_{r-1} - j_r, 2) and the
+    sign (-1)^{j_{r-1} + j_r} on the pair (r - 1, r), and its ratio the
+    other way round.
+    """
+    word = expand_schedule(s)
+    V = len(word)
+    quad, lin, self_binom, sign = [0] * V, [0] * V, [0] * V, [0] * V
+    links, numer, denom, prefactors = [], [], [], []
     c = s.base_exp
-    k, i = s.k, s.i
-
-    if s.kind == "lim1":
-        if i <= k:
-            V = k
-            quad = [1] * V
-            lin = [c - (1 if r < i else 0) for r in range(V)]
-            return MultisumSpec(s.pair_id, V, tuple(quad), tuple(lin),
-                                (), (), (), (), (), ())
-        V = 2 * i - k
-        quad = [0] * V
-        lin = [0] * V
-        for r in range(V):
-            if r <= i - 2:
-                quad[r] = 1
-                lin[r] = c
-            elif i <= r <= 2 * i - k - 2:
-                quad[r] = -1
-                lin[r] = -c
-        for r in range(i):
-            lin[r] -= 1
-        links = tuple(range(i - 1, 2 * i - k - 1))
-        signs = (i - 1, 2 * i - k - 1)
-        return MultisumSpec(s.pair_id, V, tuple(quad), tuple(lin),
-                            (), links, signs, (), (), ())
-
-    if s.kind == "lim2":
-        if i <= k:
-            V = k
-            quad = [0] + [1] * (V - 1)
-            lin = [c] * V
-            for r in range(i):
-                lin[r] -= 1
-            pref = c if i == 0 else c - 1
-            return MultisumSpec(s.pair_id, V, tuple(quad), tuple(lin),
-                                (0,), (), (), ((0, 1),), (), (pref,))
-        V = 2 * i - k
-        quad = [0] * V
-        lin = [0] * V
-        for r in range(1, V):
-            if r <= i - 2:
-                quad[r] = 1
-                lin[r] = c
-            elif i <= r <= 2 * i - k - 2:
-                quad[r] = -1
-                lin[r] = -c
-        lin[0] = c
-        for r in range(i):
-            lin[r] -= 1
-        links = tuple(range(i - 1, 2 * i - k - 1))
-        signs = (i - 1, 2 * i - k - 1)
-        return MultisumSpec(s.pair_id, V, tuple(quad), tuple(lin),
-                            (0,), links, signs, ((0, 1),), (), (c - 1,))
-
-    # lim3
-    if i <= k - 1:
-        V = k
-        quad = [1 if r <= k - 2 else 0 for r in range(V)]
-        lin = [c] * V
-        for r in range(i):
-            lin[r] -= 1
-        numer = ((k - 1, 1),)
-        if k == 1:
-            return MultisumSpec(s.pair_id, V, tuple(quad), tuple(lin),
-                                (k - 1,), (), (), numer, (), (c,))
-        return MultisumSpec(s.pair_id, V, tuple(quad), tuple(lin),
-                            (k - 1,), (), (), numer, ((k - 2, c),), ())
-    V = 2 * i - k + 2
-    quad = [0] * V
-    lin = [0] * V
-    for r in range(V):
-        if r <= i - 2:
-            quad[r] = 1
-            lin[r] = c
-        elif i <= r <= 2 * i - k - 1:
-            quad[r] = -1
-            lin[r] = -c
-    lin[V - 1] += c
-    for r in range(i):
-        lin[r] -= 1
-    links = tuple(range(i - 1, 2 * i - k))
-    signs = (i - 1, 2 * i - k)
-    numer = ((V - 1, 1),)
-    denom = ((V - 2, c),)
-    return MultisumSpec(s.pair_id, V, tuple(quad), tuple(lin),
-                        (V - 1,), links, signs, numer, denom, ())
+    for r, move in zip(range(V - 1, -1, -1), word):
+        rule = _MOVE_TABLE[move]
+        at, sgn = (r - 1, -1) if rule.backward else (r, 1)
+        if at < 0:
+            raise ValueError(f"{s}: a backward move cannot be outermost")
+        quad[at] += sgn * rule.quad
+        self_binom[at] += sgn * rule.binom
+        lin[at] += sgn * (c + rule.lin)
+        if rule.backward:
+            links.append(r - 1)
+            sign[r - 1] ^= 1
+            sign[r] ^= 1
+        bases = rule.ratio_bases(c)
+        if bases is not None:
+            up, down = bases
+            numer.append((r, up))
+            if r:
+                denom.append((r - 1, down))
+            else:
+                prefactors.append(down)
+        c += rule.base_change
+    if any(b not in (0, 1) for b in self_binom):
+        raise ValueError(f"{s}: self-binomial coefficients {self_binom} "
+                         "are not all 0 or 1")
+    return MultisumSpec(
+        s.pair_id, V, tuple(quad), tuple(lin),
+        tuple(r for r in range(V) if self_binom[r]), tuple(sorted(links)),
+        tuple(r for r in range(V) if sign[r]), tuple(numer), tuple(denom),
+        tuple(prefactors))
 
 
 def _one(o: int) -> LaurentSeries:
@@ -332,32 +292,6 @@ def _one(o: int) -> LaurentSeries:
 
 
 _NEG_Q = PochFactor(-1, 1, 1)  # the base of (-q; q)_n
-
-# One term of a hand-summed series: sign * q^shift * the product of the units.
-SumTerm = tuple[int, int, tuple[Unit, ...]]
-
-
-def _vanishing_sum(block: Callable[[int], list[SumTerm]],
-                   order: int) -> LaurentSeries:
-    """sum over t = 0, 1, ... of the terms ``block(t)``, exact to ``order``.
-
-    Every unit has valuation zero, so a term's lowest exponent is its shift.
-    The sum stops after three consecutive blocks that have terms but none
-    at or below the order; a block with no terms (alpha~_t = 0 on one
-    residue class) does not count toward the three.
-    """
-    pieces = []
-    t = dead = 0
-    while dead < 3:
-        terms = block(t)
-        if terms:
-            live = [(sign, compose_exact(order, shift, _one, *units))
-                    for sign, shift, units in terms if shift <= order]
-            pieces += live
-            dead = 0 if live else dead + 1
-        t += 1
-    return signed_sum(pieces, order)
-
 
 _INF = 1 << 60
 
@@ -557,11 +491,6 @@ def sum_side_finite(s: Schedule, n: int, order: int) -> LaurentSeries:
 
 # -- alpha side ---------------------------------------------------------------
 
-def _ratio(num_base: int, den_base: int, t: int) -> tuple[Unit, ...]:
-    """(-q^{num_base}; q)_t / (-q^{den_base}; q)_t as unit triples."""
-    return ((PochFactor(-1, num_base, 1), t, 1), (PochFactor(-1, den_base, 1), t, -1))
-
-
 def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeries:
     """The limiting alpha-series sum, without its 1/(q^c; q)_inf prefactor.
 
@@ -582,22 +511,22 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
             pieces = [(e, (), t), (e + c * (i + 1) + 2 * i * t + 2 * t, (), t)]
         elif s.kind == "lim2" and (unified or i > 1):
             e = c * k * t + k * t * t - i * t - (t * t + t) // 2
-            ratio = _ratio(1, c - 1, t)
+            ratio = neg_ratio(1, c - 1, t, t)
             # times (1 + q^{t+1}) / (1 + q^{c+t-1})
-            extra = ratio + _ratio(t + 1, c + t - 1, 1)
+            extra = ratio + neg_ratio(t + 1, c + t - 1, 1, 1)
             pieces = [(e, ratio, t),
                       (e + c * (i + 1) + t - 1 + 2 * i * t, extra, t)]
         elif s.kind == "lim3" or i == 0:
             # the lim2 display at i = 0 is the lim3 form at i = 0
             e = c * k * t + k * t * t - i * t - (t * t + t) // 2
-            ratio = _ratio(1, c, t)
+            ratio = neg_ratio(1, c, t, t)
             pieces = [(e, ratio, t), (e + c * (i + 1) + 2 * t * (i + 1), ratio, t)]
         else:  # lim2, i == 1, the separate two-term display
             if t == 0:
                 pieces = [(0, (), 0)]
             else:
                 head = c * t + (t * t - t) // 2 - t
-                ratio = _ratio(1, c - 1, t)
+                ratio = neg_ratio(1, c - 1, t, t)
                 pieces = [
                     (head + c * (k - 1) * t + (k - 1) * t * t, ratio, t),
                     (head + c * (k - 1) * (t - 1) + (k - 1) * (t - 1) * (t - 1)
@@ -611,7 +540,7 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
                 terms.append((sign if idx % 2 == 0 else -sign, e + te, units))
         return terms
 
-    return _vanishing_sum(block, order)
+    return vanishing_sum(block, order)
 
 
 def alpha_side_lim1_i0_form(s: Schedule, order: int) -> LaurentSeries:
@@ -628,15 +557,16 @@ def alpha_side_lim1_i0_form(s: Schedule, order: int) -> LaurentSeries:
         e = c * k * t + k * t * t + te
         return [(sign, e, ()), (-sign, e + c + 2 * t, ())]
 
-    return _vanishing_sum(block, order)
+    return vanishing_sum(block, order)
 
 
 def verify_limit_identity(s: Schedule, order: int,
                           alpha: LaurentSeries | None = None) -> bool:
     """sum_side * (q^c; q)_inf == alpha_side (case forms), to order.
 
-    ``alpha`` is the case-form alpha side, when the caller has it already."""
-    lhs = sum_side(s, order) * poch_inf(PochFactor(1, s.base_exp, 1), order)
+    ``alpha`` is the case-form alpha side, when the caller has it already.
+    (q^c; q)_inf = 1 + O(q) is exact to 0 even below a negative order."""
+    lhs = sum_side(s, order) * poch_inf(PochFactor(1, s.base_exp, 1), max(order, 0))
     rhs = alpha_side(s, order) if alpha is None else alpha
     return lhs.eq_to_order(rhs, order)
 
@@ -853,7 +783,7 @@ def _tail_single(pair_id: int, order: int) -> LaurentSeries:
             units += ((PochFactor(-1, 3, 3), j, 1), (_NEG_Q, j, -1))
         return [(1, j * j + j, units)]
 
-    return _vanishing_sum(block, order)
+    return vanishing_sum(block, order)
 
 
 def _level3_rewritten(order: int) -> LaurentSeries:
@@ -866,7 +796,7 @@ def _level3_rewritten(order: int) -> LaurentSeries:
         e = j + _binom2(j)
         return [(1, e, units), (1, e + j, units)]
 
-    total = _vanishing_sum(block, order)
+    total = vanishing_sum(block, order)
     return (total * inv_poch_inf(_NEG_Q, max(order, 0))).truncated(order)
 
 

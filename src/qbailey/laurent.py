@@ -148,20 +148,6 @@ class LaurentSeries:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc: int) -> "LaurentSeries":
-        return cls({}, trunc)
-
-    @classmethod
-    def one(cls, trunc: int) -> "LaurentSeries":
-        return cls({0: 1}, trunc)
-
-    @classmethod
-    def monomial(cls, coeff: int, exp: int, trunc: int) -> "LaurentSeries":
-        return cls({exp: coeff}, trunc)
-
     # -- inspection --------------------------------------------------------
 
     def val(self) -> int | None:
@@ -334,12 +320,12 @@ def from_text(text: str) -> LaurentSeries:
 
 
 def zero(trunc: int) -> LaurentSeries:
-    return LaurentSeries.zero(trunc)
+    return LaurentSeries({}, trunc)
 
 
 def one(trunc: int) -> LaurentSeries:
-    return LaurentSeries.one(trunc)
+    return LaurentSeries({0: 1}, trunc)
 
 
 def monomial(coeff: int, exp: int, trunc: int) -> LaurentSeries:
-    return LaurentSeries.monomial(coeff, exp, trunc)
+    return LaurentSeries({exp: coeff}, trunc)

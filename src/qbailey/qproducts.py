@@ -5,6 +5,12 @@ a length.  Infinite products are truncated exactly: every factor that can
 touch a coefficient at or below the requested order is included, with the
 bookkeeping done through valuations so Laurent factors (negative exponents)
 are handled exactly.
+
+Every series that is summed term by term "until it vanishes" goes through
+one loop, ``vanishing_sum``: the alpha sides and reindexed single sums of
+``lattice`` and the three series forms of the quintuple product.  A term is
+(sign, q-shift, unit triples), the units being finite Pochhammer symbols
+that ``apply_poch_units`` applies in one pass per factor.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
+from typing import Callable
 
 from .laurent import InversionError, LaurentSeries, zero
 
@@ -128,11 +135,8 @@ def poch_inf(f: PochFactor, order: int) -> LaurentSeries:
         )
     if order < 0:
         return zero(order)
-    exps = []
-    t = 0
-    while f.factor_exponent(t) <= order:
-        exps.append((f.factor_exponent(t), f.sign))
-        t += 1
+    exps = [(f.factor_exponent(t), f.sign)
+            for t in range((order - f.base_exp) // f.step + 1)]
     return _product_of_binomials(exps, order)
 
 
@@ -150,6 +154,19 @@ def inv_poch_inf(f: PochFactor, order: int) -> LaurentSeries:
     if order < 0:
         return zero(order)
     return poch_inf(f, order).invert().truncated(order)
+
+
+# (f, length, power): the finite symbol (f; q^step)_length to the power +-1
+Unit = tuple[PochFactor, int, int]
+
+# One term of a series summed by ``vanishing_sum``: sign * q^shift * the
+# product of the units.
+SumTerm = tuple[int, int, tuple[Unit, ...]]
+
+
+def neg_ratio(up: int, down: int, j: int, n: int) -> tuple[Unit, Unit]:
+    """(-q^up; q)_j / (-q^down; q)_n as unit triples."""
+    return ((PochFactor(-1, up, 1), j, 1), (PochFactor(-1, down, 1), n, -1))
 
 
 def apply_poch_units(a: list[int], units) -> None:
@@ -241,36 +258,27 @@ def _qtpi_factor_exponents(u: int, v: int, order: int) -> list[tuple[int, int]] 
     """Exponents (with signs) of all quintuple-product factors that can
     affect coefficients <= order, for s = q^u, t = q^v.  Returns None when
     some factor is exactly (1 - q^0) = 0, i.e. the product vanishes.
+
+    Each family of factors (1 - q^{a n + b}), n >= 1, has a > 0, so its
+    factors with a n + b <= 0 are n = 1..m, m = floor(-b / a), and they
+    lower the valuation by the sum of their exponents.
     """
     families = (
-        lambda n: u * n,                  # (1 - s^n)
-        lambda n: u * n + v,              # (1 - s^n t)
-        lambda n: u * (n - 1) - v,        # (1 - s^(n-1) / t)
-        lambda n: u * (2 * n - 1) + 2 * v,  # (1 - s^(2n-1) t^2)
-        lambda n: u * (2 * n - 1) - 2 * v,  # (1 - s^(2n-1) / t^2)
+        (u, 0),              # (1 - s^n)
+        (u, v),              # (1 - s^n t)
+        (u, -u - v),         # (1 - s^(n-1) / t)
+        (2 * u, 2 * v - u),  # (1 - s^(2n-1) t^2)
+        (2 * u, -2 * v - u),  # (1 - s^(2n-1) / t^2)
     )
     neg = 0
-    for fam in families:
-        n = 1
-        while True:
-            e = fam(n)
-            if e > 0:
-                break
-            if e == 0:
-                return None
-            neg += e
-            n += 1
+    for a, b in families:
+        m = max(-b // a, 0)
+        if m and a * m + b == 0:
+            return None
+        neg += a * m * (m + 1) // 2 + b * m
     bound = order - neg
-    exps = []
-    for fam in families:
-        n = 1
-        while True:
-            e = fam(n)
-            if e > bound:
-                break
-            exps.append((e, 1))
-            n += 1
-    return exps
+    return [(a * n + b, 1) for a, b in families
+            for n in range(1, (bound - b) // a + 1)]
 
 
 def qtpi_product(u: int, v: int, order: int) -> LaurentSeries:
@@ -283,70 +291,65 @@ def qtpi_product(u: int, v: int, order: int) -> LaurentSeries:
     return _product_of_binomials(exps, order)
 
 
-def _sum_family(terms: dict[int, int], exponent, sign: int, order: int,
-                start: int = 0) -> None:
-    """Accumulate sign * q^{exponent(n)} for n >= start until the exponent
-    stays above the order for three consecutive n (the quadratic growth of
-    every family makes this a sound stopping rule)."""
-    n = start
-    dead = 0
+def vanishing_sum(block: Callable[[int], list[SumTerm]],
+                  order: int) -> LaurentSeries:
+    """sum over t = 0, 1, ... of the terms ``block(t)``, exact to ``order``.
+
+    Every unit has valuation zero, so a term's lowest exponent is its
+    shift.  A term with units is applied on the dense window shift..order
+    by ``apply_poch_units``; one without adds its monomial; every term adds
+    into one coefficient map.  The sum stops after three consecutive blocks
+    that have terms but none at or below the order; a block with no terms
+    (alpha~_t = 0 on one residue class) does not count toward the three.
+    """
+    total: dict[int, int] = {}
+    get = total.get
+    t = dead = 0
     while dead < 3:
-        e = exponent(n)
-        if e > order:
+        terms = block(t)
+        if terms:
             dead += 1
-        else:
-            dead = 0
-            terms[e] = terms.get(e, 0) + sign
-        n += 1
+            for sign, shift, units in terms:
+                if shift > order:
+                    continue
+                dead = 0
+                if not units:
+                    total[shift] = get(shift, 0) + sign
+                    continue
+                a = [sign] + [0] * (order - shift)
+                apply_poch_units(a, units)
+                for i, c in enumerate(a, shift):
+                    if c:
+                        total[i] = get(i, 0) + c
+        t += 1
+    return LaurentSeries(total, order)
+
+
+# The three series forms of Q(q^u, q^v), each as four families
+# sign * q^{u (a n^2 + b n + c)/2 + (d n + e) v} over n >= 0: rows
+# (sign, a, b, c, d, e).  Form I is the bilateral sum
+# sum_n s^{(3n^2+n)/2} (t^{3n} - t^{-3n-1}) with n < 0 read as -1 - n.
+# Form II writes the negative indices as -n over n >= 1, reindexed here to
+# n + 1, which gives form I's families again.
+_QTPI_FORMS: dict[str, tuple[tuple[int, ...], ...]] = {
+    "I": ((1, 3, 1, 0, 3, 0), (-1, 3, 1, 0, -3, -1),
+          (1, 3, 5, 2, -3, -3), (-1, 3, 5, 2, 3, 2)),
+    "II": ((1, 3, 1, 0, 3, 0), (1, 3, 5, 2, -3, -3),
+           (-1, 3, 1, 0, -3, -1), (-1, 3, 5, 2, 3, 2)),
+    "III": ((1, 3, -1, 0, -3, 0), (1, 3, 7, 4, 3, 3),
+            (-1, 3, 1, 0, -3, -1), (-1, 3, 5, 2, 3, 2)),
+}
 
 
 def qtpi_sum(u: int, v: int, form: str, order: int) -> LaurentSeries:
     """Q(q^u, q^v) via one of the three series rearrangements I, II, III."""
     if u < 1:
         raise ValueError(f"the first argument must satisfy u >= 1, got {u}")
-    terms: dict[int, int] = {}
-    if form == "I":
-        # bilateral: sum over all integers n of s^{(3n^2+n)/2} (t^{3n} - t^{-3n-1})
-        def run(ns):
-            dead = 0
-            for n in ns:
-                e1 = u * (3 * n * n + n) // 2 + 3 * n * v
-                e2 = u * (3 * n * n + n) // 2 - (3 * n + 1) * v
-                if e1 > order and e2 > order:
-                    dead += 1
-                    if dead >= 3:
-                        return
-                else:
-                    dead = 0
-                if e1 <= order:
-                    terms[e1] = terms.get(e1, 0) + 1
-                if e2 <= order:
-                    terms[e2] = terms.get(e2, 0) - 1
-
-        def forward():
-            n = 0
-            while True:
-                yield n
-                n += 1
-
-        def backward():
-            n = -1
-            while True:
-                yield n
-                n -= 1
-
-        run(forward())
-        run(backward())
-    elif form == "II":
-        _sum_family(terms, lambda n: u * (3 * n * n + n) // 2 + 3 * n * v, 1, order)
-        _sum_family(terms, lambda n: u * (3 * n * n - n) // 2 - 3 * n * v, 1, order, start=1)
-        _sum_family(terms, lambda n: u * (3 * n * n + n) // 2 - (3 * n + 1) * v, -1, order)
-        _sum_family(terms, lambda n: u * (3 * n * n - n) // 2 + (3 * n - 1) * v, -1, order, start=1)
-    elif form == "III":
-        _sum_family(terms, lambda n: u * (3 * n * n - n) // 2 - 3 * n * v, 1, order)
-        _sum_family(terms, lambda n: u * (3 * n * n + 7 * n + 4) // 2 + (3 * n + 3) * v, 1, order)
-        _sum_family(terms, lambda n: u * (3 * n * n + n) // 2 - (3 * n + 1) * v, -1, order)
-        _sum_family(terms, lambda n: u * (3 * n * n + 5 * n + 2) // 2 + (3 * n + 2) * v, -1, order)
-    else:
+    if form not in _QTPI_FORMS:
         raise ValueError(f"form must be 'I', 'II' or 'III', got {form!r}")
-    return LaurentSeries({e: c for e, c in terms.items() if c != 0}, order)
+
+    def block(n: int) -> list[SumTerm]:
+        return [(sign, u * (a * n * n + b * n + c) // 2 + (d * n + e) * v, ())
+                for sign, a, b, c, d, e in _QTPI_FORMS[form]]
+
+    return vanishing_sum(block, order)

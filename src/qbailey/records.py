@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .bailey import BetaSpec, registry_entry
 from .characters import (
-    ModuleLabel,
     char_product_factors,
     normalization_poly,
     schedule_module,

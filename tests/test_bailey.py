@@ -259,6 +259,13 @@ def test_base_change_lowers_base():
     assert apply_move(pair, Move.BASE_SHIFT).base_exp == 3
 
 
+def test_provenance_records_each_move_once():
+    pair = registry_pair(1)
+    assert apply_move(pair, Move.BASE_SHIFT).provenance == ("pair1", "BaseShift")
+    assert apply_moves(pair, (Move.F1, Move.BASE_SHIFT, Move.BC1)).provenance == (
+        "pair1", "F1", "BaseShift", "BC1")
+
+
 def test_registry_errors(tmp_path):
     bad = tmp_path / "reg.json"
     bad.write_text("{not json")

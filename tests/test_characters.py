@@ -170,7 +170,8 @@ def test_second_family_i0_at_order_zero():
 
 def test_verify_character_identity_builds_each_alpha_side_once(monkeypatch):
     # the case-form alpha side feeds both the limit identity and the
-    # case-vs-unified link; it is built once, not once per link
+    # case-vs-unified link; it is built once, not once per link, and only
+    # where it is a separate sum (the second family at i <= 1)
     import qbailey.characters as characters
     import qbailey.lattice as lattice
 
@@ -182,5 +183,11 @@ def test_verify_character_identity_builds_each_alpha_side_once(monkeypatch):
 
     monkeypatch.setattr(characters, "alpha_side", counting_alpha_side)
     monkeypatch.setattr(lattice, "alpha_side", counting_alpha_side)
-    assert characters.verify_character_identity(2, "lim2", 1, 0, 40)
-    assert sorted(calls) == [False, True]
+    for cell, expected in (((2, "lim2", 1, 0), [False, True]),
+                           ((4, "lim2", 1, 1), [False, True]),
+                           ((1, "lim1", 1, 2), [True]),
+                           ((3, "lim3", 1, 1), [True]),
+                           ((2, "lim2", 1, 2), [True])):
+        calls.clear()
+        assert characters.verify_character_identity(*cell, 40), cell
+        assert sorted(calls) == expected, cell

@@ -101,12 +101,57 @@ def test_alpha_side_t0_term():
             assert a.coefficient(c * (i + 1)) == -1
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_limit_identity_all_rows(k):
     for (pid, kind), row in sorted(SCHEDULE_TABLE.items()):
         for i in range(row.imax(k) + 1):
             s = Schedule(kind, k, i, pid)
             assert verify_limit_identity(s, 40), (pid, kind, k, i)
+
+
+@pytest.mark.parametrize("order", [-3, -2, -1, 0, 1])
+def test_limit_identity_below_order_two(order):
+    for s in (Schedule("lim1", 1, 0, 1), Schedule("lim1", 1, 3, 1),
+              Schedule("lim2", 1, 0, 2), Schedule("lim2", 2, 3, 4),
+              Schedule("lim3", 2, 1, 3)):
+        assert verify_limit_identity(s, order), s
+
+
+# Move words no schedule produces: B2, and F2 or BC2 away from the outside.
+_OFF_TABLE_WORDS = [
+    (Move.B2, Move.F2), (Move.F2, Move.F2), (Move.F2, Move.B2, Move.F2),
+    (Move.B1, Move.BC2), (Move.F2, Move.B1, Move.BC2),
+    (Move.F1, Move.B2, Move.F2, Move.F1), (Move.B1, Move.B1, Move.F1),
+]
+
+
+@pytest.mark.parametrize("word", _OFF_TABLE_WORDS,
+                         ids=lambda w: "-".join(m.value for m in w))
+def test_multisum_fold_matches_move_engine_off_table(monkeypatch, word):
+    # the fold reads every row of the move table, not only the rows the
+    # schedules use; base q^2, since BC2 at base q divides by (-1; q)_n
+    import qbailey.lattice as lattice
+
+    monkeypatch.setattr(lattice, "expand_schedule", lambda s: list(word))
+    for pid in (2, 4):
+        s = Schedule("lim1", 1, 0, pid)
+        moved = apply_moves(registry_pair(pid), word)
+        for n in range(5):
+            assert sum_side_finite(s, n, 30).eq_to_order(
+                moved.beta(n, 30), 30), (pid, n)
+
+
+@pytest.mark.parametrize("word,message", [
+    ((Move.F1, Move.B2), "backward move cannot be outermost"),
+    ((Move.B2, Move.F1), "self-binomial"),
+], ids=["backward-outermost", "self-binomial-minus-one"])
+def test_multisum_fold_rejects_words_a_spec_cannot_hold(monkeypatch, word,
+                                                         message):
+    import qbailey.lattice as lattice
+
+    monkeypatch.setattr(lattice, "expand_schedule", lambda s: list(word))
+    with pytest.raises(ValueError, match=message):
+        build_multisum_spec(Schedule("lim1", 1, 0, 2))
 
 
 def test_limit_identity_matches_printed_normalization():

@@ -143,10 +143,12 @@ def test_qtpi_form_iii_leading_terms():
 
 def test_qtpi_forms_agree_spot():
     for (u, v) in [(4, -1), (5, -1), (1, 1), (2, 5), (7, -3), (12, 6), (3, -6)]:
-        prod = qtpi_product(u, v, 120)
-        for form in ("I", "II", "III"):
-            s = qtpi_sum(u, v, form, 120)
-            assert prod.eq_to_order(s, 120), f"QTPI form {form} != product at {(u, v)}"
+        for order in (-2, 0, 1, 120):
+            prod = qtpi_product(u, v, order)
+            for form in ("I", "II", "III"):
+                s = qtpi_sum(u, v, form, order)
+                assert prod.eq_to_order(s, order), \
+                    f"QTPI form {form} != product at {(u, v)}, order {order}"
 
 
 def test_qtpi_product_brute_force_low_terms():
