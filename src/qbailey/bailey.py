@@ -44,8 +44,8 @@ j-pieces into one coefficient map.  ``lattice.build_multisum_spec`` reads
 the same table to write a move word as one closed multisum.
 
 Pairs form a shared trie.  ``registry_pair`` makes each registry pair once
-per (id, path), and ``apply_move`` memoizes each child on its parent, keyed
-by the move, so move words with a common prefix share the pairs along it
+per registry entry, and ``apply_move`` memoizes each child on its parent,
+keyed by the move, so move words with a common prefix share the pairs along it
 and their sequence caches.  Because a shared cache may already hold a
 deeper evaluation, every sequence value is returned truncated to exactly
 the requested order: a caller's result never depends on what another
@@ -55,6 +55,7 @@ caller asked for first.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -218,13 +219,6 @@ class _MoveRule(NamedTuple):
     def f(self, n: int, c: int) -> int:
         return self.quad * n * n + self.binom * _binom2(n) + (c + self.lin) * n
 
-    def ratio_bases(self, c: int) -> tuple[int, int] | None:
-        """(up, down) of the ratio (-q^up)_j / (-q^down)_n at base q^c."""
-        if self.bases is None:
-            return None
-        a, b = self.bases[0], c + self.bases[1]
-        return (b, a) if self.backward else (a, b)
-
 
 _MOVE_TABLE: dict[Move, _MoveRule] = {
     Move.F1: _MoveRule(1, 0, 0),
@@ -236,13 +230,26 @@ _MOVE_TABLE: dict[Move, _MoveRule] = {
 }
 
 
+def ratio_bases(move: Move, c: int) -> tuple[int, int] | None:
+    """(up, down) of the ratio (-q^up)_j / (-q^down)_n of ``move`` at base
+    q^c.  Both must be q^1 or higher: (-1; q)_n is not unit-leading."""
+    rule = _MOVE_TABLE[move]
+    if rule.bases is None:
+        return None
+    a, b = rule.bases[0], c + rule.bases[1]
+    if b < 1:
+        raise ValueError(f"move {move.value} at base q^{c} needs the ratio "
+                         f"base q^{b}, below q^1")
+    return (b, a) if rule.backward else (a, b)
+
+
 def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
     if move is Move.BASE_SHIFT:
         return base_shift(pair.alpha, pair.beta, pair.base_exp,
                           provenance=pair.provenance)
     rule = _MOVE_TABLE[move]
     c = pair.base_exp
-    bases = rule.ratio_bases(c)
+    bases = ratio_bases(move, c)
     backward = rule.backward
     sign = -1 if backward else 1
 
@@ -445,9 +452,12 @@ def _parse_entry(obj) -> RegistryEntry:
             tuple((_parse_factor(f), f["length"]) for f in beta["denominator"]),
         )
         pair_id, base_exp = _ints(obj, "id", "base_exp")
+        source, moduli = obj["source"], tuple(obj["moduli"])
+        if not all(isinstance(x, str) for x in (source, *moduli)):
+            raise RegistryError("source and moduli must be strings")
         entry = RegistryEntry(
-            id=pair_id, base_exp=base_exp, source=obj["source"],
-            moduli=tuple(obj["moduli"]), alpha_cases=tuple(cases), beta=spec,
+            id=pair_id, base_exp=base_exp, source=source, moduli=moduli,
+            alpha_cases=tuple(cases), beta=spec,
         )
     except RegistryError as exc:
         raise RegistryError(f"pair {obj.get('id')!r}: {exc}") from None
@@ -483,10 +493,18 @@ def _parse_entry(obj) -> RegistryEntry:
     return entry
 
 
-@lru_cache(maxsize=None)
 def load_registry(path: str | None = None) -> dict[int, RegistryEntry]:
-    """Load and validate the Table-of-pairs data file."""
-    p = Path(path) if path else _DEFAULT_REGISTRY
+    """The Table-of-pairs data file, loaded and validated: ``path``, else
+    the file QBAILEY_REGISTRY names, else the bundled one.  The file is
+    chosen on every call and read once, so a changed environment is never
+    served another file's entries."""
+    return _read_registry(path or os.environ.get("QBAILEY_REGISTRY")
+                          or _DEFAULT_REGISTRY)
+
+
+@lru_cache(maxsize=None)
+def _read_registry(path: str | Path) -> dict[int, RegistryEntry]:
+    p = Path(path)
     try:
         raw = json.loads(p.read_text())
     except OSError as exc:
@@ -509,32 +527,31 @@ def load_registry(path: str | None = None) -> dict[int, RegistryEntry]:
     return entries
 
 
-def registry_entry(pair_id: int, path: str | None = None) -> RegistryEntry:
-    entries = load_registry(path)
+def registry_entry(pair_id: int) -> RegistryEntry:
+    entries = load_registry()
     if pair_id not in entries:
         raise ValueError(f"no Bailey pair with id {pair_id} (valid: 1..5)")
     return entries[pair_id]
 
 
-_REGISTRY_PAIRS: dict[tuple[int, str | None], BaileyPair] = {}
+_REGISTRY_PAIRS: dict[RegistryEntry, BaileyPair] = {}
 
 
-def registry_pair(pair_id: int, path: str | None = None) -> BaileyPair:
+def registry_pair(pair_id: int) -> BaileyPair:
     """One of the five registry pairs as a BaileyPair.
 
-    The pair is made once per (pair_id, path) and then shared, so every
+    The pair is made once per registry entry and then shared, so every
     move chain that starts from it shares its caches and its children
-    (see ``apply_move``)."""
-    key = (pair_id, path)
-    pair = _REGISTRY_PAIRS.get(key)
+    (see ``apply_move``); two registries share it only if the entries
+    are equal."""
+    entry = registry_entry(pair_id)
+    pair = _REGISTRY_PAIRS.get(entry)
     if pair is None:
-        pair = _REGISTRY_PAIRS[key] = _new_registry_pair(pair_id, path)
+        pair = _REGISTRY_PAIRS[entry] = _new_registry_pair(entry)
     return pair
 
 
-def _new_registry_pair(pair_id: int, path: str | None) -> BaileyPair:
-    entry = registry_entry(pair_id, path)
-
+def _new_registry_pair(entry: RegistryEntry) -> BaileyPair:
     def tilde(n: int, order: int) -> LaurentSeries:
         mono = entry.alpha_tilde_monomial(n)
         if mono is None:
@@ -546,7 +563,7 @@ def _new_registry_pair(pair_id: int, path: str | None) -> BaileyPair:
         return beta_from_spec(entry.beta, n, order)
 
     return BaileyPair(entry.base_exp, alpha_tilde=tilde, beta=beta,
-                      provenance=(f"pair{pair_id}",))
+                      provenance=(f"pair{entry.id}",))
 
 
 def slater_a1_pair() -> BaileyPair:

@@ -10,10 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or range error,
 3 data error (bad registry file).  The environment variables QBAILEY_ORDER
 and QBAILEY_REGISTRY supply a default truncation order and an alternate
-registry path.  Only verify-pair evaluates the alternate registry;
-verify-identity and catalog load it, reject it when it is unreadable or
-malformed (exit 3) or differs from the bundled one (exit 2), and otherwise
-verify against the bundled registry.
+registry file, which every subcommand that reads the registry evaluates
+(see ``bailey.load_registry``).
 """
 
 from __future__ import annotations
@@ -81,48 +79,13 @@ def _jobs(text: str) -> int:
     return min(_int_at_least(1)(text), os.cpu_count() or 1)
 
 
-def _registry_path() -> str | None:
-    return os.environ.get("QBAILEY_REGISTRY")
-
-
-def _bundled_registry_only(command: str) -> int | None:
-    """The exit code when QBAILEY_REGISTRY rules out ``command``, else None.
-
-    ``command`` verifies against the bundled registry.  A QBAILEY_REGISTRY
-    file is loaded anyway, so that a bad one is reported as a data error,
-    and one that differs from the bundled registry is refused rather than
-    silently ignored."""
-    path = _registry_path()
-    if path is None:
-        return None
-    try:
-        named = load_registry(path)
-        bundled = load_registry()
-    except RegistryError as exc:
-        print(f"registry error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    if named != bundled:
-        print(f"error: {command} uses the bundled registry, and QBAILEY_REGISTRY "
-              f"names {path}, which differs from it", file=sys.stderr)
-        return EXIT_USAGE
-    return None
-
-
 def _cannot_write(path: str, exc: OSError) -> int:
     print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
     return EXIT_USAGE
 
 
 def cmd_verify_pair(args) -> int:
-    try:
-        pair = registry_pair(args.pair, _registry_path())
-    except RegistryError as exc:
-        print(f"registry error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    results = verify_pair(pair, args.n_max, args.order)
+    results = verify_pair(registry_pair(args.pair), args.n_max, args.order)
     for n, ok in enumerate(results):
         print(f"n={n}: {'ok' if ok else 'FAIL'}")
     if all(results):
@@ -135,17 +98,7 @@ def cmd_verify_pair(args) -> int:
 
 
 def cmd_verify_identity(args) -> int:
-    refused = _bundled_registry_only("verify-identity")
-    if refused is not None:
-        return refused
-    try:
-        rec = build_record(args.pair, args.schedule, args.k, args.i, args.order)
-    except RegistryError as exc:
-        print(f"registry error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rec = build_record(args.pair, args.schedule, args.k, args.i, args.order)
     if args.format == "json":
         print(json.dumps(rec.to_json_dict(), indent=2))
     elif args.format == "latex":
@@ -161,30 +114,21 @@ def _build_cell(cell_order) -> IdentityRecord:
 
 
 def cmd_catalog(args) -> int:
-    if args.max_level < 2:
-        print("error: --max-level must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    refused = _bundled_registry_only("catalog")
-    if refused is not None:
-        return refused
-    # open the output first, so an unwritable path fails before any work
+    # load the registry, then open the output, so that a bad registry file
+    # or an unwritable path fails before any cell is verified
+    load_registry()
     try:
         sink = (open(args.output, "w") if args.output
                 else contextlib.nullcontext(sys.stdout))
     except OSError as exc:
         return _cannot_write(args.output, exc)
     with sink as fh:
-        try:
-            cells = catalog_cells(args.max_level)
-            work = [(c, args.order) for c in cells]
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    records = list(pool.map(_build_cell, work))
-            else:
-                records = [_build_cell(w) for w in work]
-        except RegistryError as exc:
-            print(f"registry error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        work = [(c, args.order) for c in catalog_cells(args.max_level)]
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                records = list(pool.map(_build_cell, work))
+        else:
+            records = [_build_cell(w) for w in work]
         if args.format == "json":
             out = emit_json(records, args.max_level, args.order)
         elif args.format == "latex":
@@ -205,11 +149,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_character(args) -> int:
-    try:
-        m = ModuleLabel(args.s0, args.s1)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    m = ModuleLabel(args.s0, args.s1)
     series = char_product(m, args.order)
     print(f"module ({m.s0},{m.s1}): level {m.level}, modulus {m.modulus}")
     print(series.to_text())
@@ -249,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_identity)
 
     p = sub.add_parser("catalog", help="verify and emit all identities up to a level")
-    p.add_argument("--max-level", type=int, required=True)
+    p.add_argument("--max-level", type=_int_at_least(2), required=True)
     p.add_argument("--order", **order_kw)
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p.add_argument("--output", help="write to a file instead of stdout")
@@ -272,7 +212,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.order is None:
         args.order = _default_order()
-    return args.func(args)
+    # any subcommand may read the registry, and only when it first needs it
+    try:
+        return args.func(args)
+    except RegistryError as exc:
+        print(f"registry error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:  # a pair, cell or module out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ from math import isqrt
 from operator import add
 from typing import Callable
 
-from .bailey import (_MOVE_TABLE, Move, _binom2, compose_exact,
+from .bailey import (_MOVE_TABLE, Move, _binom2, compose_exact, ratio_bases,
                      registry_entry, registry_pair)
 from .laurent import LaurentSeries, monomial, one, signed_sum, zero
 from .qproducts import (
@@ -267,7 +267,7 @@ def build_multisum_spec(s: Schedule) -> MultisumSpec:
             links.append(r - 1)
             sign[r - 1] ^= 1
             sign[r] ^= 1
-        bases = rule.ratio_bases(c)
+        bases = ratio_bases(move, c)
         if bases is not None:
             up, down = bases
             numer.append((r, up))

@@ -250,18 +250,61 @@ def test_empty_registry_env_is_data_error(tmp_path, argv):
     assert "verified" not in proc.stdout
 
 
-@pytest.mark.parametrize("argv", REGISTRY_COMMANDS)
-def test_changed_registry_env_is_refused(tmp_path, argv):
+def test_bad_registry_env_fails_before_the_output_is_opened(tmp_path):
+    reg = tmp_path / "reg.json"
+    reg.write_text("{}")
+    out = tmp_path / "catalog.json"
+    proc = run_cli(["catalog", "--max-level", "2", "--order", "20",
+                    "--output", str(out)],
+                   env_extra={"QBAILEY_REGISTRY": str(reg)})
+    assert proc.returncode == 3
+    assert proc.stderr == (f"registry error: registry {reg}: unsupported or "
+                           "missing schema_version\n")
+    assert not out.exists()
+
+
+def _changed_registry(tmp_path):
+    """QBAILEY_REGISTRY naming the bundled data with pair 3's beta_n
+    multiplied by q^n, which breaks every pair-3 identity."""
     data = json.loads(BUNDLED_REGISTRY.read_text())
     data["pairs"][2]["beta"]["mono_lin"] += 1
     reg = tmp_path / "reg.json"
     reg.write_text(json.dumps(data))
-    proc = run_cli(argv, env_extra={"QBAILEY_REGISTRY": str(reg)})
-    assert proc.returncode == 2
-    assert proc.stderr == (f"error: {argv[0]} uses the bundled registry, and "
-                           f"QBAILEY_REGISTRY names {reg}, which differs from "
-                           "it\n")
-    assert proc.stdout == ""
+    return {"QBAILEY_REGISTRY": str(reg)}
+
+
+def test_changed_registry_env_is_verified_by_catalog(tmp_path):
+    proc = run_cli(REGISTRY_COMMANDS[1], env_extra=_changed_registry(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr == ("FAILED: pair 3 lim3 k=1 i=0\n"
+                           "FAILED: pair 3 lim3 k=1 i=1\n")
+    assert "pair 4 lim2 k=1 i=0: level 2 module (0,1) modulus 10 order 20 " \
+           "verified" in proc.stdout
+
+
+def test_changed_registry_env_is_verified_by_verify_identity(tmp_path):
+    env = _changed_registry(tmp_path)
+    proc = run_cli(REGISTRY_COMMANDS[0], env_extra=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "verified" in proc.stdout
+    proc = run_cli(["verify-identity", "--pair", "3", "--schedule", "lim3",
+                    "--k", "1", "--i", "0", "--order", "20"], env_extra=env)
+    assert proc.returncode == 1
+    assert "failed" in proc.stdout
+
+
+def test_changed_registry_env_jobs_deterministic(tmp_path):
+    env = _changed_registry(tmp_path)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        proc = run_cli(["catalog", "--max-level", "4", "--order", "30",
+                        "--format", "json", "--output", str(out),
+                        "--jobs", jobs], env_extra=env)
+        assert proc.returncode == 1
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b'"status": "failed"' in outputs[0]
 
 
 @pytest.mark.parametrize("argv", REGISTRY_COMMANDS)
@@ -301,6 +344,8 @@ MALFORMED_REGISTRIES = {
                              "pair 1: mono_lin must be an integer, got '0'"),
     "pairs_not_a_list": (_set(["pairs"], 5), "pairs must be a list"),
     "pairs_null": (_set(["pairs"], None), "pairs must be a list"),
+    "moduli_not_strings": (_set(["pairs", 0, "moduli"], [12, 8]),
+                           "pair 1: source and moduli must be strings"),
     "beta_halves_below_the_line": (
         _extra_half, "pair 1: beta has 1 factors (-1; q^d) below the line "
                      "and 0 above, so beta_n is not integral"),

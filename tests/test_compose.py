@@ -8,6 +8,7 @@ trie shares pairs between move words with a common prefix; every value it
 hands out must be the one a fresh, unshared chain computes.
 """
 
+import json
 import random
 
 import pytest
@@ -22,8 +23,8 @@ from qbailey.bailey import (
     apply_move,
     apply_moves,
     compose_exact,
+    registry_entry,
     registry_pair,
-    verify_pair,
 )
 from qbailey.lattice import SCHEDULE_TABLE, Schedule, expand_schedule
 from qbailey.laurent import InversionError, LaurentSeries, monomial, zero
@@ -199,18 +200,15 @@ def test_parent_short_of_the_order_is_an_error():
 
 def test_second_base_change_at_base_q_still_raises():
     # it needs 1/(-1; q)_n, whose leading coefficient is 2
-    moved = apply_move(registry_pair(1), Move.BC2)
-    assert moved.base_exp == 0
-    with pytest.raises(InversionError):
-        verify_pair(moved, 2, 20)
+    with pytest.raises(ValueError, match=r"move BC2 at base q\^1 .* q\^0"):
+        apply_move(registry_pair(1), Move.BC2)
 
 
 # -- the move trie -------------------------------------------------------------
 
 def test_moves_and_registry_pairs_are_shared():
-    pair = registry_pair(1)
-    assert registry_pair(1) is pair
-    assert registry_pair(1, None) is pair
+    pair = registry_pair(2)  # at base q^2, where every move is defined
+    assert registry_pair(2) is pair
     for m in Move:
         assert apply_move(pair, m) is apply_move(pair, m)
     word = [Move.F1, Move.B1, Move.BC1]
@@ -247,7 +245,7 @@ def _shared_run(schedules, monkeypatch):
 def test_shared_chains_match_fresh_chains_in_any_order(monkeypatch):
     fresh = {}
     for s in SCHEDULES:
-        pair = _new_registry_pair(s.pair_id, None)
+        pair = _new_registry_pair(registry_entry(s.pair_id))
         for m in expand_schedule(s):
             pair = _build_move(pair, m)
         fresh[s] = _values(pair)
@@ -255,3 +253,22 @@ def test_shared_chains_match_fresh_chains_in_any_order(monkeypatch):
     random.Random(11).shuffle(shuffled)
     for order in (SCHEDULES, SCHEDULES[::-1], shuffled):
         assert _shared_run(order, monkeypatch) == fresh
+
+
+def test_pairs_are_never_shared_across_registries(tmp_path, monkeypatch):
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    bundled = {pid: registry_pair(pid) for pid in (1, 3)}
+    data = json.loads(bailey._DEFAULT_REGISTRY.read_text())
+    data["pairs"][2]["beta"]["mono_lin"] += 1  # pair 3's beta_n times q^n
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    monkeypatch.setenv("QBAILEY_REGISTRY", str(reg))
+    changed = registry_pair(3)
+    assert changed is not bundled[3]
+    assert changed.beta(1, 10) == bundled[3].beta(1, 9).shift(1)
+    assert apply_move(changed, Move.F1) is not apply_move(bundled[3], Move.F1)
+    assert registry_pair(1) is bundled[1]  # equal entries share their pair
+    monkeypatch.delenv("QBAILEY_REGISTRY")
+    assert registry_pair(3) is bundled[3]
+    monkeypatch.setenv("QBAILEY_REGISTRY", str(reg))
+    assert registry_pair(3) is changed

@@ -144,7 +144,9 @@ def test_multisum_fold_matches_move_engine_off_table(monkeypatch, word):
 @pytest.mark.parametrize("word,message", [
     ((Move.F1, Move.B2), "backward move cannot be outermost"),
     ((Move.B2, Move.F1), "self-binomial"),
-], ids=["backward-outermost", "self-binomial-minus-one"])
+    ((Move.BC1, Move.BC2), r"move BC2 at base q\^1 .* q\^0"),
+], ids=["backward-outermost", "self-binomial-minus-one",
+        "second-base-change-at-base-q"])
 def test_multisum_fold_rejects_words_a_spec_cannot_hold(monkeypatch, word,
                                                          message):
     import qbailey.lattice as lattice
