@@ -36,11 +36,12 @@ inverse:
 The base changes BC1 and BC2 read alpha~_n - a q^{2n-2} alpha~_{n-1} in
 place of alpha_n for n >= 1 and lower the base by one.  Every move thus
 multiplies a parent sequence by a power of q and by finite q-Pochhammer
-symbols, which ``compose_exact`` applies.  Each symbol is a unit triple
-``(PochFactor, length, power)`` with power +1 or -1, applied factor by
-factor in one pass over a dense coefficient list: no series product,
-inversion or Pochhammer cache sits on this path.  A move's beta sums its
-j-pieces into one coefficient map.  ``lattice.build_multisum_spec`` reads
+symbols: a term of ``qproducts.term_sum``, whose one-term case is
+``compose_exact``.  Each symbol is a unit triple ``(PochFactor, length,
+power)`` with power +1 or -1, applied factor by factor in one pass over
+the parent's coefficient window: no series product, inversion or
+Pochhammer cache sits on this path.  A move's beta is one ``term_sum`` of
+its j-pieces.  ``lattice.build_multisum_spec`` reads
 the same table to write a move word as one closed multisum.
 
 Pairs form a shared trie.  ``registry_pair`` makes each registry pair once
@@ -62,14 +63,14 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .laurent import LaurentSeries, monomial, one, signed_sum, zero
+from .laurent import LaurentSeries, monomial, one, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
     Unit,
-    apply_poch_units,
     inv_poch_finite,
     neg_ratio,
+    term_sum,
 )
 
 _DEFAULT_REGISTRY = Path(__file__).parent / "data" / "bailey_pairs.json"
@@ -165,33 +166,14 @@ class BaileyPair:
 
 def compose_exact(order: int, shift: int, parent_get: Callable[[int], LaurentSeries],
                   *units: Unit) -> LaurentSeries:
-    """parent * (finite Pochhammer units) * q^shift, exact to ``order``.
-
-    Each unit is a triple ``(f, length, power)``: the factor
-    (f; q^step)_length when power is 1, its inverse when power is -1.  The
-    parent is requested once, at ``order - shift``.  Every unit has
-    valuation zero and is applied exactly, factor by factor, on a dense
-    coefficient list spanning val(parent)..order - shift
-    (``qproducts.apply_poch_units``), so no coefficient of the parent above
-    that is ever needed, however negative its valuation.  No product,
-    inversion or Pochhammer cache is involved.  The result is truncated to
-    exactly ``order``.
+    """parent * (finite Pochhammer units) * q^shift, exact to ``order``:
+    the one-term case of ``qproducts.term_sum``.  Each unit is a triple
+    ``(f, length, power)``: the factor (f; q^step)_length when power is 1,
+    its inverse when power is -1.  The parent is requested once, at
+    ``order - shift``, and no product, inversion or Pochhammer cache is
+    involved.
     """
-    top = order - shift
-    p = parent_get(top)
-    if p.trunc < top:
-        raise AssertionError("truncation underflow in move composition")
-    if not units:
-        return p.truncated(top).shift(shift)
-    terms = p.terms
-    lo = min(terms) if terms else top + 1
-    a = [0] * max(top - lo + 1, 0)
-    for e, c in terms.items():
-        if e <= top:
-            a[e - lo] = c
-    apply_poch_units(a, units)
-    base = lo + shift
-    return LaurentSeries({base + i: c for i, c in enumerate(a) if c}, order)
+    return term_sum([(1, shift, parent_get, units)], order)
 
 
 def apply_move(pair: BaileyPair, move: Move) -> BaileyPair:
@@ -265,12 +247,11 @@ def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
         return compose_exact(order, sign * rule.f(n, c), parent, *ratio(n, n))
 
     def beta(n, order):
-        return signed_sum(
-            ((-1 if backward and (n + j) % 2 else 1,
-              compose_exact(order,
-                            _binom2(n - j) - rule.f(n, c) if backward else rule.f(j, c),
-                            partial(pair.beta, j), *ratio(j, n), (Q_FACTOR, n - j, -1)))
-             for j in range(n + 1)), order)
+        return term_sum(
+            [(-1 if backward and (n + j) % 2 else 1,
+              _binom2(n - j) - rule.f(n, c) if backward else rule.f(j, c),
+              partial(pair.beta, j), (*ratio(j, n), (Q_FACTOR, n - j, -1)))
+             for j in range(n + 1)], order)
 
     return BaileyPair(c + rule.base_change, alpha=alpha, beta=beta,
                       provenance=pair.provenance + (move.value,))
@@ -307,12 +288,8 @@ def base_shift_closed_tilde(alpha_prime: SeqFn, base_exp: int, n: int,
                             order: int) -> LaurentSeries:
     """Closed-sum form of the shifted alpha~:
     alpha~_n = sum_{r=0..n} q^{c(n-r) + n^2 - r^2} alpha'_r."""
-    c = base_exp
-    total = zero(order)
-    for r in range(n + 1):
-        s = c * (n - r) + n * n - r * r
-        total = total + alpha_prime(r, order - s).shift(s).truncated(order)
-    return total
+    return term_sum([(1, base_exp * (n - r) + n * n - r * r, partial(alpha_prime, r), ())
+                     for r in range(n + 1)], order)
 
 
 def verify_pair(pair: BaileyPair, n_max: int, order: int) -> list[bool]:
@@ -321,11 +298,10 @@ def verify_pair(pair: BaileyPair, n_max: int, order: int) -> list[bool]:
     results = []
     for n in range(n_max + 1):
         lhs = pair.beta(n, order)
-        rhs = signed_sum(
-            ((1, compose_exact(order, 0, partial(pair.alpha, t),
-                               (Q_FACTOR, n - t, -1),
-                               (PochFactor(1, c + 1, 1), n + t, -1)))
-             for t in range(n + 1)), order)
+        rhs = term_sum(
+            [(1, 0, partial(pair.alpha, t),
+              ((Q_FACTOR, n - t, -1), (PochFactor(1, c + 1, 1), n + t, -1)))
+             for t in range(n + 1)], order)
         results.append(lhs.eq_to_order(rhs, order))
     return results
 
@@ -388,15 +364,13 @@ def _length(kind: str, n: int) -> int:
 
 
 def beta_from_spec(spec: BetaSpec, n: int, order: int) -> LaurentSeries:
-    """beta_n of a registry pair, exact to ``order``: ``compose_exact``
-    applies its symbols as unit triples to a constant scalar.
+    """beta_n of a registry pair, exact to ``order``: one term of
+    ``term_sum``, its symbols applied as unit triples to a constant scalar.
 
     A symbol (-1; q^d)_L with L >= 1 has the constant factor (1 + q^0) = 2.
     It is written as 2 (-q^d; q^d)_{L-1}, so every unit is unit-leading (and
     hence divisible), and the 2s of the two sides must leave an integral
     scalar."""
-    if order < 0:
-        return zero(order)  # beta has valuation >= 0, so nothing is visible
     scalars = {1: 1, -1: 1}
     units = []
     for factors, power in ((spec.numerator, 1), (spec.denominator, -1)):
@@ -412,9 +386,7 @@ def beta_from_spec(spec: BetaSpec, n: int, order: int) -> LaurentSeries:
         )
     scalar = scalars[1] // scalars[-1]
     shift = spec.mono_quad * n * n + spec.mono_lin * n
-    return compose_exact(order, shift,
-                         lambda o: monomial(scalar, 0, o) if o >= 0 else zero(o),
-                         *units)
+    return term_sum([(scalar, shift, None, tuple(units))], order)
 
 
 def _ints(obj, *keys: str) -> list[int]:

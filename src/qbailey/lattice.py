@@ -16,8 +16,8 @@ Multisum evaluation.  Every closed sum here is a chain: the summand factors
 into per-variable monomials and Pochhammer pieces plus adjacent-difference
 pieces 1/(q)_{j_r - j_{r+1}} and q^{binom(j_r - j_{r+1}, 2)}.  The evaluator
 runs a dynamic program from the innermost variable outward, keeping one
-partial series (a carry) per feasible (level, value).  Two integer tables
-drive exactness and pruning:
+partial sum (a carry) per feasible (level, value) as a coefficient window,
+``laurent``'s dense format.  Two integer tables drive exactness and pruning:
 
   * IN[L][v]  - minimal exponent contributed by levels L..inner given
                 j_L = v (a lower bound on the valuation of the carry);
@@ -30,15 +30,17 @@ table of binom(d, 2).  A level without a link binomial needs only a running
 minimum, a prefix minimum for IN and a suffix minimum for LOW, so it costs
 one pass over the values.  A value v is feasible at level L iff
 IN + LOW <= order.  Only feasible cells are visited; every completion of an
-infeasible one exceeds the order.  Each kept carry is truncated to
+infeasible one exceeds the order.  Each kept carry's window ends at
 order - LOW[L][v], which is exactly the precision that can still matter,
 and each level keeps the list of its nonzero carries.  A carry's inner sum
 over the level below, sum_w g_w q^{binom(v-w, 2)} / (q)_{v-w}, is one
-Horner chain on a dense coefficient window: going from w - 1 to w it
-shifts by v - w (on a linked level), divides by (1 - q^{v-w+1}) and adds
-g_w, each step a single pass (``qproducts.binomial_step``), so no series
-product, inversion or Pochhammer cache is involved; every carry is first
-checked to reach the sum's truncation.  For the schedules with backward
+Horner chain on one window: going from w - 1 to w it shifts by v - w (on a
+linked level), divides by (1 - q^{v-w+1}) and adds g_w, each step a single
+pass (``qproducts.binomial_step``), so no series product, inversion or
+Pochhammer cache is involved; every carry is first checked to reach the
+sum's truncation.  The cell's own exponent then moves the window's
+valuation, its units apply on the same list and its sign negates it; a
+series is built only once per j_1-block.  For the schedules with backward
 moves the raw summand family is only conditionally summable: individual
 terms have unboundedly negative exponents and cancel in blocks of fixed
 outermost index.  The evaluator therefore sums complete j_1-blocks and
@@ -64,22 +66,24 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from math import isqrt
-from operator import add
+from operator import add, neg
 from typing import Callable
 
 from .bailey import (_MOVE_TABLE, Move, _binom2, compose_exact, ratio_bases,
                      registry_entry, registry_pair)
-from .laurent import LaurentSeries, monomial, one, signed_sum, zero
+from .laurent import LaurentSeries, check_floor, monomial, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
     SumTerm,
+    apply_poch_units,
     binomial_step,
     inv_poch_finite,
     inv_poch_inf,
     neg_ratio,
     poch_finite,  # noqa: F401  unused here; the benchmark tracer wraps this binding
     poch_inf,
+    term_sum,
     vanishing_sum,
 )
 
@@ -286,11 +290,6 @@ def build_multisum_spec(s: Schedule) -> MultisumSpec:
         tuple(prefactors))
 
 
-def _one(o: int) -> LaurentSeries:
-    """The constant 1 as a parent for ``compose_exact``, exact to o."""
-    return one(o) if o >= 0 else zero(o)
-
-
 _NEG_Q = PochFactor(-1, 1, 1)  # the base of (-q; q)_n
 
 _INF = 1 << 60
@@ -362,10 +361,12 @@ def _units(spec: MultisumSpec, level: int, v: int) -> list:
             + [(PochFactor(-1, b, 1), v, -1) for r, b in spec.denom if r == level])
 
 
-def _link_sum(carries: list[tuple[int, LaurentSeries]], v: int, top: int,
-              linked: bool) -> LaurentSeries:
-    """sum over carries (w, g) of g * q^{binom(v-w, 2) linked} / (q)_{v-w},
-    exact to ``top``.  The carries come in ascending w <= v.
+def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
+              linked: bool) -> tuple[int, list[int]]:
+    """sum over carries (w, lo, g) of g * q^{binom(v-w, 2) linked} / (q)_{v-w},
+    as a window up to ``top``.  A carry is a window: g[i] is the
+    coefficient of q^{lo+i}, known up to q^{lo+len(g)-1}.  The carries
+    come in ascending w <= v.
 
     Since q^{binom(d, 2)} / (q)_d = prod_{m=1..d} q^{m-1} / (1 - q^m), the
     sum is the Horner chain
@@ -374,38 +375,37 @@ def _link_sum(carries: list[tuple[int, LaurentSeries]], v: int, top: int,
 
     run on one dense window from the carries' lowest valuation up to
     ``top``: going from w - 1 to w shifts by v - w (on a linked level
-    only), divides by (1 - q^{v-w+1}) and adds g_w, and after the last
-    carry the steps go on up to v.  Every step is one pass over the window
-    (``qproducts.binomial_step``).  A carry must itself reach ``top`` once
-    shifted by its binom(v-w, 2); one that does not would make the sum
-    claim coefficients it does not know.
+    only), divides by (1 - q^{v-w+1}) and adds g_w with one slice
+    operation, and after the last carry the steps go on up to v.  Every
+    step is one pass over the window (``qproducts.binomial_step``).  A
+    carry must itself reach ``top`` once shifted by its binom(v-w, 2); one
+    that does not would make the sum claim coefficients it does not know.
     """
     lo = top + 1
-    for w, g in carries:
+    for w, glo, g in carries:
         s = _binom2(v - w) if linked else 0
-        if g.trunc + s < top:
+        if glo + len(g) - 1 + s < top:
             raise AssertionError(
-                f"carry at j={w} is exact to {g.trunc + s} after its shift, "
-                f"short of {top}")
-        if g.terms:
-            lo = min(lo, min(g.terms))
+                f"carry at j={w} is exact to {glo + len(g) - 1 + s} after its "
+                f"shift, short of {top}")
+        if g:
+            lo = min(lo, glo)
     if lo > top:
-        return zero(top)
+        return top + 1, []
+    check_floor(lo, top)
     n = top - lo + 1
     a = [0] * n
     u = carries[0][0]
-    for w, g in carries + [(v, None)]:
+    for w, glo, g in carries + [(v, lo, [])]:
         for u in range(u + 1, w + 1):
             d = v - u
             if linked and d:
                 a = ([0] * d + a)[:n]
             binomial_step(a, d + 1, 1, -1)
-        if g is not None:
-            for e, c in g.terms.items():
-                if e <= top:
-                    a[e - lo] += c
+        i = glo - lo  # the slice stops at top, and g is read no further
+        a[i:i + len(g)] = map(add, a[i:i + len(g)], g)
         u = w
-    return LaurentSeries({lo + i: c for i, c in enumerate(a) if c}, top)
+    return lo, a
 
 
 def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None,
@@ -426,9 +426,8 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
         cap = 2 * isqrt(max(order, 1)) + V + 14
     LOW, feas, own = _tables(spec, order, cap)
 
-    # nonzero[L]: the nonzero carries (v, series) at level L, v ascending
-    nonzero: list[list[tuple[int, LaurentSeries]]] = [[] for _ in range(V)]
-    blocks: list[tuple[int, LaurentSeries]] = []
+    # nonzero[L]: the nonzero carries (v, lo, window) at level L, v ascending
+    nonzero: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(V)]
     need_dead = 3 + extra_dead
     dead = 0
 
@@ -437,21 +436,22 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
             if not feas[L][v]:
                 continue
             t_cap = order - LOW[L][v]
+            top = t_cap - own[L][v]
             if L == V - 1:
-                inner = compose_exact(t_cap, own[L][v], partial(pair.beta, v),
-                                      *_units(spec, L, v))
+                lo, a = pair.beta(v, top).window(top)
             else:
-                acc = _link_sum(nonzero[L + 1], v, t_cap - own[L][v],
-                                L in spec.link_binoms)
-                inner = compose_exact(t_cap, own[L][v], lambda o: acc,
-                                      *_units(spec, L, v))
-            if inner.is_zero():
-                continue
+                lo, a = _link_sum(nonzero[L + 1], v, top, L in spec.link_binoms)
+            apply_poch_units(a, _units(spec, L, v))
+            k = next((k for k, c in enumerate(a) if c), None)
+            if k is None:
+                continue  # zero to t_cap
+            lo += own[L][v] + k
+            check_floor(lo, t_cap)
+            del a[:k]
             if L in spec.signs and v % 2:
-                inner = -inner
-            nonzero[L].append((v, inner.truncated(t_cap)))
+                a[:] = map(neg, a)
+            nonzero[L].append((v, lo, a))
         if nonzero[0] and nonzero[0][-1][0] == v:
-            blocks.append(nonzero[0][-1])
             dead = 0
         elif finite_n is None:
             dead += 1
@@ -464,18 +464,19 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
                 "the summand family appears not to converge"
             )
 
-    if finite_n is None:
-        total = signed_sum(((1, blk) for _, blk in blocks), order)
-        # 1/(-q^b)_inf = 1 + O(q) is exact to 0 even below a negative order
-        for b in spec.prefactors:
-            total = total * inv_poch_inf(PochFactor(-1, b, 1), max(order, 0))
-        return total.truncated(order)
+    # one series per block, each exact to t_cap = order since LOW[0] is 0;
+    # at finite n each block is divided by (q)_{n-j_1}
     n = finite_n
-    total = signed_sum(
-        ((1, compose_exact(order, 0, lambda o, blk=blk: blk, (Q_FACTOR, n - v, -1)))
-         for v, blk in blocks), order)
-    return compose_exact(order, 0, lambda o: total,
-                         *[(PochFactor(-1, b, 1), n, -1) for b in spec.prefactors])
+    total = term_sum([(1, 0, lambda o, b=LaurentSeries.from_window(lo, a, order): b,
+                       () if n is None else ((Q_FACTOR, n - v, -1),))
+                      for v, lo, a in nonzero[0]], order)
+    if n is not None:
+        return compose_exact(order, 0, lambda o: total,
+                             *[(PochFactor(-1, b, 1), n, -1) for b in spec.prefactors])
+    # 1/(-q^b)_inf = 1 + O(q) is exact to 0 even below a negative order
+    for b in spec.prefactors:
+        total = total * inv_poch_inf(PochFactor(-1, b, 1), max(order, 0))
+    return total.truncated(order)
 
 
 def sum_side(s: Schedule, order: int, *, extra_dead: int = 0) -> LaurentSeries:
@@ -537,7 +538,7 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
             mono = tilde(ti)
             if mono is not None:
                 sign, te = mono
-                terms.append((sign if idx % 2 == 0 else -sign, e + te, units))
+                terms.append((sign if idx % 2 == 0 else -sign, e + te, None, units))
         return terms
 
     return vanishing_sum(block, order)
@@ -555,7 +556,7 @@ def alpha_side_lim1_i0_form(s: Schedule, order: int) -> LaurentSeries:
             return []
         sign, te = mono
         e = c * k * t + k * t * t + te
-        return [(sign, e, ()), (-sign, e + c + 2 * t, ())]
+        return [(sign, e, None, ()), (-sign, e + c + 2 * t, None, ())]
 
     return vanishing_sum(block, order)
 
@@ -602,11 +603,10 @@ def lemma_b1bc1(j1: int, j3: int, order: int) -> bool:
     j1 = j3, j1 = j3 + 1, or otherwise."""
     if not j1 >= j3 >= 0:
         raise ValueError("need j1 >= j3 >= 0")
-    lhs = signed_sum(
-        ((-1 if (j2 + j3) % 2 else 1,
-          compose_exact(order, -j2 + _binom2(j2 - j3), _one,
-                        (Q_FACTOR, j1 - j2, -1), (Q_FACTOR, j2 - j3, -1)))
-         for j2 in range(j3, j1 + 1)), order)
+    lhs = term_sum(
+        [(-1 if (j2 + j3) % 2 else 1, -j2 + _binom2(j2 - j3), None,
+          ((Q_FACTOR, j1 - j2, -1), (Q_FACTOR, j2 - j3, -1)))
+         for j2 in range(j3, j1 + 1)], order)
     if j1 == j3:
         rhs = monomial(1, -j1, order)
     elif j1 == j3 + 1:
@@ -623,35 +623,29 @@ def lemma_f2b1(j1: int, j3: int, c: int, order: int) -> bool:
     / ((-q^c;q)_{j1} (q)_{j1-j3})."""
     if not j1 >= j3 >= 0:
         raise ValueError("need j1 >= j3 >= 0")
-    lhs = signed_sum(
-        ((-1 if j2 % 2 else 1,
-          compose_exact(order, _binom2(j1 - j2), _one,
-                        (Q_FACTOR, j1 - j2, -1), (Q_FACTOR, j2 - j3, -1),
-                        (PochFactor(-1, c, 1), j2, -1)))
-         for j2 in range(j3, j1 + 1)), order)
-    sgn = -1 if j3 % 2 else 1
-    rhs = compose_exact(
-        order,
-        c * (j1 - j3) + _binom2(j1 - j3) + _binom2(j1) - _binom2(j3),
-        _one, (PochFactor(-1, c, 1), j1, -1), (Q_FACTOR, j1 - j3, -1),
-    ) * sgn
+    lhs = term_sum(
+        [(-1 if j2 % 2 else 1, _binom2(j1 - j2), None,
+          ((Q_FACTOR, j1 - j2, -1), (Q_FACTOR, j2 - j3, -1),
+           (PochFactor(-1, c, 1), j2, -1)))
+         for j2 in range(j3, j1 + 1)], order)
+    rhs = term_sum(
+        [(-1 if j3 % 2 else 1,
+          c * (j1 - j3) + _binom2(j1 - j3) + _binom2(j1) - _binom2(j3), None,
+          ((PochFactor(-1, c, 1), j1, -1), (Q_FACTOR, j1 - j3, -1)))], order)
     return lhs.eq_to_order(rhs, order)
 
 
 def _f2b1_lhs(nn: int, t: int, c: int, order: int) -> LaurentSeries:
-    return signed_sum(
-        ((-1 if idx % 2 else 1,
-          compose_exact(order, _binom2(idx), _one,
-                        (Q_FACTOR, nn, 1), (Q_FACTOR, idx, -1),
-                        (Q_FACTOR, nn - idx, -1),
-                        (PochFactor(-1, c, 1), nn - idx + t, -1)))
-         for idx in range(nn + 1)), order)
+    return term_sum(
+        [(-1 if idx % 2 else 1, _binom2(idx), None,
+          ((Q_FACTOR, nn, 1), (Q_FACTOR, idx, -1), (Q_FACTOR, nn - idx, -1),
+           (PochFactor(-1, c, 1), nn - idx + t, -1)))
+         for idx in range(nn + 1)], order)
 
 
 def _f2b1_rhs(nn: int, t: int, c: int, order: int) -> LaurentSeries:
-    sgn = -1 if nn % 2 else 1
-    return compose_exact(order, c * nn + nn * (nn + t - 1), _one,
-                         (PochFactor(-1, c, 1), nn + t, -1)) * sgn
+    return term_sum([(-1 if nn % 2 else 1, c * nn + nn * (nn + t - 1), None,
+                      ((PochFactor(-1, c, 1), nn + t, -1),))], order)
 
 
 def f2b1_recurrence(nn: int, t: int, c: int, order: int) -> bool:
@@ -690,8 +684,8 @@ def _spec(pair_id: int, quad: tuple[int, ...], lin: tuple[int, ...],
 def _spec_form(terms_of: Callable[[int], list[Term]], pair_id: int,
                order: int) -> LaurentSeries:
     """The printed form ``terms_of(pair_id)``, exact to ``order``."""
-    return signed_sum(((sign, eval_multisum(spec, order - shift).shift(shift))
-                       for sign, shift, spec in terms_of(pair_id)), order)
+    return term_sum([(sign, shift, partial(eval_multisum, spec), ())
+                     for sign, shift, spec in terms_of(pair_id)], order)
 
 
 def _f2b1_double(pair_id: int) -> list[Term]:
@@ -773,15 +767,15 @@ def _tail_single(pair_id: int, order: int) -> LaurentSeries:
     def block(j: int) -> list[SumTerm]:
         if pair_id in (4, 2):
             if j == 0:
-                return [(1, 0, ((Q_FACTOR, 1, 1),))]
+                return [(1, 0, None, ((Q_FACTOR, 1, 1),))]
             e = 2 * j * j if pair_id == 4 else j * j
-            return [(1, e, ((PochFactor(1, 2, 1), 2 * j - 1, -1),))]
+            return [(1, e, None, ((PochFactor(1, 2, 1), 2 * j - 1, -1),))]
         units = ((Q_FACTOR, 2 * j + 1, -1),)
         if pair_id == 3:
-            return [(1, 2 * (j * j + j), units)]
+            return [(1, 2 * (j * j + j), None, units)]
         if pair_id == 5:
             units += ((PochFactor(-1, 3, 3), j, 1), (_NEG_Q, j, -1))
-        return [(1, j * j + j, units)]
+        return [(1, j * j + j, None, units)]
 
     return vanishing_sum(block, order)
 
@@ -791,10 +785,10 @@ def _level3_rewritten(order: int) -> LaurentSeries:
     all inside the 1/(-q)_inf prefactor: the rewritten level-3 single sum."""
     def block(j: int) -> list[SumTerm]:
         if j == 0:
-            return [(1, 0, ())]
+            return [(1, 0, None, ())]
         units = ((PochFactor(-1, 3, 3), j - 1, 1), (Q_FACTOR, 2 * j, -1))
         e = j + _binom2(j)
-        return [(1, e, units), (1, e + j, units)]
+        return [(1, e, None, units), (1, e + j, None, units)]
 
     total = vanishing_sum(block, order)
     return (total * inv_poch_inf(_NEG_Q, max(order, 0))).truncated(order)

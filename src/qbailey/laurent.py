@@ -20,8 +20,11 @@ the product's coefficients, so digits never overflow into each other.
 Both paths live in ``__mul__``, which is the only product of two series.
 The Pochhammer symbols of the Bailey moves, the registry betas, the
 multisum's inner sum and the hand-summed series of ``lattice`` do not come
-here: their factors (1 - s q^e) are applied one at a time on a dense
-coefficient list (``qproducts.binomial_step``).
+here: their factors (1 - s q^e) are applied one at a time on a window
+(``qproducts.binomial_step``).  A window ``(lo, a)`` is the dense
+coefficient list a[i] of q^{lo+i}, from the valuation up to a known top
+lo + len(a) - 1.  ``window`` and ``from_window`` are the only conversions
+between the two formats.
 
 Inversion solves for the inverse's coefficients one exponent at a time,
 summing only over the nonzero terms of the series being inverted.  The
@@ -55,6 +58,13 @@ RUNAWAY_BASE = 50
 
 def _floor_for(trunc: int) -> int:
     return -RUNAWAY_FACTOR * max(abs(trunc), RUNAWAY_BASE)
+
+
+def check_floor(lo: int, trunc: int) -> None:
+    """Raise ``RunawayValuationError`` if exponent lo is below trunc's floor."""
+    if lo < _floor_for(trunc):
+        raise RunawayValuationError(
+            f"exponent {lo} below valuation floor {_floor_for(trunc)}")
 
 
 # Products where both operands have at least this many terms go through
@@ -103,25 +113,6 @@ def _kronecker_mul(xs: dict[int, int], ys: dict[int, int], trunc: int) -> dict[i
     return {base + k: d - bias for k, d in enumerate(digits) if d != bias}
 
 
-def signed_sum(pieces, trunc: int) -> "LaurentSeries":
-    """The sum of sign * series over ``(sign, series)`` pairs, exact to trunc.
-
-    Every series must be exact to at least ``trunc``.  The terms are added
-    into one coefficient map and a single series is built at the end,
-    instead of one intermediate series per piece.
-    """
-    out: dict[int, int] = {}
-    get = out.get
-    for sign, piece in pieces:
-        if piece.trunc < trunc:
-            raise TruncationError(
-                f"summand exact to {piece.trunc}, short of {trunc}")
-        for e, c in piece.terms.items():
-            if e <= trunc:
-                out[e] = get(e, 0) + sign * c
-    return LaurentSeries(out, trunc)
-
-
 class LaurentSeries:
     __slots__ = ("terms", "trunc")
 
@@ -138,12 +129,14 @@ class LaurentSeries:
                 raise TruncationError(
                     f"exponent {hi} exceeds truncation order {trunc}"
                 )
-            if lo < _floor_for(trunc):
-                raise RunawayValuationError(
-                    f"exponent {lo} below valuation floor {_floor_for(trunc)}"
-                )
+            check_floor(lo, trunc)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "trunc", trunc)
+
+    @classmethod
+    def from_window(cls, lo: int, a, trunc: int) -> "LaurentSeries":
+        """The series with coefficient a[i] at q^{lo+i}, exact to trunc."""
+        return cls({e: c for e, c in enumerate(a, lo) if c}, trunc)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -176,6 +169,24 @@ class LaurentSeries:
                 f"coefficient at q^{hi} unknown (trunc={self.trunc})"
             )
         return [self.terms.get(e, 0) for e in range(lo, hi + 1)]
+
+    def window(self, top: int) -> tuple[int, list[int]]:
+        """The coefficients from the valuation up to ``top`` as a window
+        ``(lo, a)``: a[i] is the coefficient of q^{lo+i}, and a[0] is
+        nonzero.  A series with no term at or below top gives
+        ``(top + 1, [])``, so lo + len(a) - 1 is top either way."""
+        if top > self.trunc:
+            raise TruncationError(
+                f"coefficient at q^{top} unknown (trunc={self.trunc})")
+        terms = self.terms
+        lo = min(terms, default=top + 1)
+        if lo > top:
+            return top + 1, []
+        a = [0] * (top - lo + 1)
+        for e, c in terms.items():
+            if e <= top:
+                a[e - lo] = c
+        return lo, a
 
     def eq_to_order(self, other: "LaurentSeries", order: int) -> bool:
         """True iff all coefficients agree at every exponent <= order."""
@@ -254,14 +265,12 @@ class LaurentSeries:
         lead = self.terms[v]
         if lead not in (1, -1):
             raise InversionError(f"leading coefficient {lead} is not a unit")
-        m = self.trunc - v  # known length of the monic tail
-        # u = lead * q^-v * self  is 1 + (terms of positive exponent)
-        u = [0] * (m + 1)
-        for e, c in self.terms.items():
-            u[e - v] = lead * c
-        inv = [0] * (m + 1)
-        inv[0] = 1
-        tail = [(d, c) for d, c in enumerate(u) if c and d]
+        _, u = self.window(self.trunc)
+        m = len(u) - 1  # known length of the monic tail
+        # lead * q^-v * self is 1 + (terms of positive exponent); inv solves
+        # the same recurrence from lead, so it is lead * q^v / self
+        inv = [lead] + [0] * m
+        tail = [(d, lead * c) for d, c in enumerate(u) if c and d]
         for e in range(1, m + 1):
             s = 0
             for d, c in tail:
@@ -269,8 +278,7 @@ class LaurentSeries:
                     break
                 s += c * inv[e - d]
             inv[e] = -s
-        terms = {e - v: lead * c for e, c in enumerate(inv) if c}
-        return LaurentSeries(terms, self.trunc - 2 * v)
+        return LaurentSeries.from_window(-v, inv, self.trunc - 2 * v)
 
     def truncated(self, order: int) -> "LaurentSeries":
         """Forget everything above ``order`` (order must be <= trunc)."""

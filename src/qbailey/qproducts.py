@@ -6,11 +6,14 @@ touch a coefficient at or below the requested order is included, with the
 bookkeeping done through valuations so Laurent factors (negative exponents)
 are handled exactly.
 
-Every series that is summed term by term "until it vanishes" goes through
-one loop, ``vanishing_sum``: the alpha sides and reindexed single sums of
-``lattice`` and the three series forms of the quintuple product.  A term is
-(sign, q-shift, unit triples), the units being finite Pochhammer symbols
-that ``apply_poch_units`` applies in one pass per factor.
+Every finite signed sum goes through one accumulator, ``term_sum``.  A
+term is (sign, q-shift, parent, unit triples): the parent is a series
+requested once at the order minus the shift, or None for 1, and the units
+are finite Pochhammer symbols that ``apply_poch_units`` applies in one pass
+per factor on the parent's window.  Every series that is summed term by
+term "until it vanishes" (the alpha sides and reindexed single sums of
+``lattice``, the two series forms of the quintuple product) goes through
+one loop, ``vanishing_sum``, which hands its terms to ``term_sum``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable
+from typing import Callable, Iterable
 
 from .laurent import InversionError, LaurentSeries, zero
 
@@ -111,7 +114,7 @@ def _product_of_binomials(exps_signs: list[tuple[int, int]], order: int) -> Laur
     a = [scale] + [0] * work
     for e, sign in positive:
         binomial_step(a, e, sign, 1)
-    return LaurentSeries({low + i: c for i, c in enumerate(a) if c}, order)
+    return LaurentSeries.from_window(low, a, order)
 
 
 @lru_cache(maxsize=None)
@@ -159,9 +162,10 @@ def inv_poch_inf(f: PochFactor, order: int) -> LaurentSeries:
 # (f, length, power): the finite symbol (f; q^step)_length to the power +-1
 Unit = tuple[PochFactor, int, int]
 
-# One term of a series summed by ``vanishing_sum``: sign * q^shift * the
-# product of the units.
-SumTerm = tuple[int, int, tuple[Unit, ...]]
+# One term of a finite signed sum: (sign, shift, parent, units) stands for
+# sign * q^shift * parent * the product of the units, where the parent is a
+# callable of the order, or None for 1.
+SumTerm = tuple[int, int, Callable[[int], LaurentSeries] | None, tuple[Unit, ...]]
 
 
 def neg_ratio(up: int, down: int, j: int, n: int) -> tuple[Unit, Unit]:
@@ -248,8 +252,7 @@ def inv_euler(order: int) -> LaurentSeries:
     """
     if order < 0:
         return zero(order)
-    p = partition_numbers(order)
-    return LaurentSeries({n: p[n] for n in range(order + 1)}, order)
+    return LaurentSeries.from_window(0, partition_numbers(order), order)
 
 
 # -- quintuple product -------------------------------------------------------
@@ -291,65 +294,80 @@ def qtpi_product(u: int, v: int, order: int) -> LaurentSeries:
     return _product_of_binomials(exps, order)
 
 
-def vanishing_sum(block: Callable[[int], list[SumTerm]],
-                  order: int) -> LaurentSeries:
-    """sum over t = 0, 1, ... of the terms ``block(t)``, exact to ``order``.
-
-    Every unit has valuation zero, so a term's lowest exponent is its
-    shift.  A term with units is applied on the dense window shift..order
-    by ``apply_poch_units``; one without adds its monomial; every term adds
-    into one coefficient map.  The sum stops after three consecutive blocks
-    that have terms but none at or below the order; a block with no terms
-    (alpha~_t = 0 on one residue class) does not count toward the three.
-    """
+def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:
+    """The sum of the terms ``(sign, shift, parent, units)``, exact to
+    ``order``: every term adds into one coefficient map, and one series
+    is built at the end.  A parent is requested once, at ``order - shift``,
+    and its window up to there (or the window of 1) is multiplied by the
+    units in place (``apply_poch_units``), so no coefficient above that is
+    ever needed, however negative its valuation."""
     total: dict[int, int] = {}
     get = total.get
-    t = dead = 0
-    while dead < 3:
-        terms = block(t)
-        if terms:
-            dead += 1
-            for sign, shift, units in terms:
-                if shift > order:
-                    continue
-                dead = 0
-                if not units:
+    for sign, shift, parent, units in terms:
+        top = order - shift
+        if parent is None:
+            if not units:  # a monomial
+                if top >= 0:
                     total[shift] = get(shift, 0) + sign
-                    continue
-                a = [sign] + [0] * (order - shift)
-                apply_poch_units(a, units)
-                for i, c in enumerate(a, shift):
-                    if c:
-                        total[i] = get(i, 0) + c
-        t += 1
+                continue
+            lo, a = (0, [1] + [0] * top) if top >= 0 else (top + 1, [])
+        else:
+            p = parent(top)
+            if p.trunc < top:
+                raise AssertionError("truncation underflow in move composition")
+            lo, a = p.window(top)
+        apply_poch_units(a, units)
+        for e, c in enumerate(a, lo + shift):
+            if c:
+                total[e] = get(e, 0) + sign * c
     return LaurentSeries(total, order)
 
 
-# The three series forms of Q(q^u, q^v), each as four families
+def vanishing_sum(block: Callable[[int], list[SumTerm]],
+                  order: int) -> LaurentSeries:
+    """sum over t = 0, 1, ... of the terms ``block(t)``, exact to ``order``,
+    added by ``term_sum``.
+
+    Block terms have parent None and units of valuation zero, so a term's
+    lowest exponent is its shift.  The sum stops after three consecutive
+    blocks that have terms but none at or below the order; a block with no
+    terms (alpha~_t = 0 on one residue class) does not count toward the
+    three.
+    """
+    def terms():
+        t = dead = 0
+        while dead < 3:
+            block_terms = block(t)
+            if block_terms:
+                live = any(shift <= order for _, shift, _, _ in block_terms)
+                dead = 0 if live else dead + 1
+                yield from block_terms
+            t += 1
+
+    return term_sum(terms(), order)
+
+
+# The two series forms of Q(q^u, q^v), each as four families
 # sign * q^{u (a n^2 + b n + c)/2 + (d n + e) v} over n >= 0: rows
 # (sign, a, b, c, d, e).  Form I is the bilateral sum
 # sum_n s^{(3n^2+n)/2} (t^{3n} - t^{-3n-1}) with n < 0 read as -1 - n.
-# Form II writes the negative indices as -n over n >= 1, reindexed here to
-# n + 1, which gives form I's families again.
 _QTPI_FORMS: dict[str, tuple[tuple[int, ...], ...]] = {
     "I": ((1, 3, 1, 0, 3, 0), (-1, 3, 1, 0, -3, -1),
           (1, 3, 5, 2, -3, -3), (-1, 3, 5, 2, 3, 2)),
-    "II": ((1, 3, 1, 0, 3, 0), (1, 3, 5, 2, -3, -3),
-           (-1, 3, 1, 0, -3, -1), (-1, 3, 5, 2, 3, 2)),
     "III": ((1, 3, -1, 0, -3, 0), (1, 3, 7, 4, 3, 3),
             (-1, 3, 1, 0, -3, -1), (-1, 3, 5, 2, 3, 2)),
 }
 
 
 def qtpi_sum(u: int, v: int, form: str, order: int) -> LaurentSeries:
-    """Q(q^u, q^v) via one of the three series rearrangements I, II, III."""
+    """Q(q^u, q^v) via one of the two series rearrangements I and III."""
     if u < 1:
         raise ValueError(f"the first argument must satisfy u >= 1, got {u}")
     if form not in _QTPI_FORMS:
-        raise ValueError(f"form must be 'I', 'II' or 'III', got {form!r}")
+        raise ValueError(f"form must be 'I' or 'III', got {form!r}")
 
     def block(n: int) -> list[SumTerm]:
-        return [(sign, u * (a * n * n + b * n + c) // 2 + (d * n + e) * v, ())
+        return [(sign, u * (a * n * n + b * n + c) // 2 + (d * n + e) * v, None, ())
                 for sign, a, b, c, d, e in _QTPI_FORMS[form]]
 
     return vanishing_sum(block, order)

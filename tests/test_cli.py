@@ -1,7 +1,9 @@
 """CLI behavior: exit codes, formats, round trips, and the golden catalog."""
 
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +307,23 @@ def test_changed_registry_env_jobs_deterministic(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert b'"status": "failed"' in outputs[0]
+
+
+def test_goldens_script_leaves_goldens_untouched_when_a_cell_fails(
+        tmp_path, monkeypatch):
+    path = Path(__file__).parent.parent / "scripts" / "regenerate_goldens.py"
+    spec = importlib.util.spec_from_file_location("regenerate_goldens", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    goldens = tmp_path / "goldens"
+    shutil.copytree(GOLDEN_DIR, goldens)
+    before = {p.name: p.read_bytes() for p in goldens.iterdir()}
+    monkeypatch.setattr(script, "GOLDENS", goldens)
+    monkeypatch.setenv("QBAILEY_REGISTRY",
+                       _changed_registry(tmp_path)["QBAILEY_REGISTRY"])
+    with pytest.raises(SystemExit, match="exit code 1"):
+        script.run()
+    assert {p.name: p.read_bytes() for p in goldens.iterdir()} == before
 
 
 @pytest.mark.parametrize("argv", REGISTRY_COMMANDS)

@@ -14,9 +14,10 @@ from qbailey.laurent import (
     from_text,
     monomial,
     one,
-    signed_sum,
     zero,
 )
+from qbailey.qproducts import Q_FACTOR, PochFactor, term_sum
+from reference_products import ref_compose
 
 
 def S(terms, trunc):
@@ -348,18 +349,75 @@ def test_invert_sparse_pochhammer():
     assert prod.trunc == N and prod.eq_to_order(one(N), N)
 
 
-def test_signed_sum_matches_chained_additions():
-    pieces = [(1, S({-3: 2, 0: 1, 9: 5}, 12)), (-1, S({0: 1, 4: -2}, 10)),
-              (1, S({4: -2, 11: 7}, 15)), (-1, zero(10))]
-    want = zero(10)
-    for sign, piece in pieces:
-        want = want + piece * sign
-    got = signed_sum(pieces, 10)
-    assert got == want
-    assert got.to_text() == "trunc=10; -3:2 9:5"
-    assert signed_sum([], 4) == zero(4)
+# -- windows and the term accumulator ----------------------------------------
+
+@given(series_st(), st.integers(-30, 30))
+@settings(max_examples=120)
+def test_window_round_trip(x, top):
+    top = min(top, x.trunc)
+    lo, a = x.window(top)
+    assert lo + len(a) - 1 == top
+    assert LaurentSeries.from_window(lo, a, top) == x.truncated(top)
+    if a:
+        assert lo == x.val() and a[0] != 0
 
 
-def test_signed_sum_rejects_a_short_piece():
-    with pytest.raises(TruncationError, match="short of 10"):
-        signed_sum([(1, S({0: 1}, 12)), (1, S({1: 1}, 9))], 10)
+def test_window_edges():
+    assert zero(7).window(7) == (8, [])
+    assert zero(-3).window(-5) == (-4, [])
+    x = S({3: 1, 5: -2}, 10)
+    assert x.window(2) == (3, [])  # top below the valuation
+    assert x.window(3) == (3, [1])
+    assert x.window(6) == (3, [1, 0, -2, 0])
+    with pytest.raises(TruncationError):
+        x.window(11)
+    assert LaurentSeries.from_window(-2, [0, 4, 0], 0) == S({-1: 4}, 0)
+    assert LaurentSeries.from_window(5, [], 4) == zero(4)
+
+
+UNIT_BASES = [Q_FACTOR, PochFactor(-1, 1, 1), PochFactor(1, 2, 3),
+              PochFactor(-1, 3, 2)]
+
+
+def random_term(rng):
+    """(sign, shift, parent, units) with a scalar sign, a parent of 1 or of
+    negative valuation, and up to three units of either power."""
+    sign = rng.choice((1, -1, 2, -3))
+    shift = rng.randint(-8, 12)
+    units = tuple((rng.choice(UNIT_BASES), rng.randint(0, 5), rng.choice((1, -1)))
+                  for _ in range(rng.randint(0, 3)))
+    if rng.random() < 0.3:
+        return sign, shift, None, units
+    lo = rng.randint(-10, 6)
+    parent = S({lo + j: rng.randint(-9, 9) for j in range(rng.randint(0, 8))}, 60)
+    return sign, shift, lambda o: parent, units
+
+
+def _unit_parent(o):
+    return one(o) if o >= 0 else zero(o)
+
+
+def test_term_sum_matches_ref_compose_pieces():
+    for seed in range(20):
+        rng = random.Random(seed)
+        terms = [random_term(rng) for _ in range(rng.randint(0, 6))]
+        for order in (-5, 0, 7, 30):
+            want = zero(order)
+            for sign, shift, parent, units in terms:
+                want = want + ref_compose(order, shift, parent or _unit_parent,
+                                          *units) * sign
+            assert term_sum(terms, order).to_text() == want.to_text(), (seed, order)
+
+
+def test_term_sum_requests_each_parent_once_and_rejects_a_short_one():
+    asked = []
+    parent = S({-2: 1, 0: 3}, 40)
+    got = term_sum([(1, 3, lambda o: asked.append(o) or parent, ()),
+                    (-1, 0, None, ((Q_FACTOR, 2, -1),))], 10)
+    assert asked == [7]
+    # q + 3 q^3 minus the partitions into parts 1 and 2
+    assert got.to_text() == "trunc=10; 0:-1 2:-2 3:1 4:-3 5:-3 6:-4 7:-4 8:-5 " \
+                            "9:-5 10:-6"
+    short = S({0: 1}, 5)
+    with pytest.raises(AssertionError, match="truncation underflow"):
+        term_sum([(1, 0, None, ()), (1, 2, lambda o: short, ())], 10)

@@ -34,7 +34,7 @@ from qbailey.lattice import (
     build_multisum_spec,
     eval_multisum,
 )
-from qbailey.laurent import LaurentSeries, signed_sum, zero
+from qbailey.laurent import LaurentSeries, RunawayValuationError, zero
 from qbailey.qproducts import Q_FACTOR, PochFactor
 from qbailey.records import catalog_cells
 from reference_products import (
@@ -158,7 +158,7 @@ def brute_chain_sum(spec, order):
     (from J = 4 on) have no chain at or below the order."""
     V = spec.nvars
     beta = registry_entry(spec.pair_id).beta
-    pieces = []
+    total = zero(order)
     quiet = 0
     J = 0
     while quiet < 3 or J <= 4:
@@ -176,10 +176,9 @@ def brute_chain_sum(spec, order):
                      for r, b in factors]
             units += [(Q_FACTOR, js[r] - js[r + 1], -1) for r in range(V - 1)]
             sign = (-1) ** sum(js[r] for r in spec.signs)
-            pieces.append((sign, ref_compose(
-                order, e, lambda o: ref_beta_from_spec(beta, last, o), *units)))
+            total = total + ref_compose(
+                order, e, lambda o: ref_beta_from_spec(beta, last, o), *units) * sign
         J += 1
-    total = signed_sum(pieces, order)
     for b in spec.prefactors:
         total = total * ref_inv_poch_inf(PochFactor(-1, b, 1), order)
     return total.truncated(order)
@@ -258,13 +257,13 @@ def test_form_terms_cover_the_spec_forms():
 @pytest.mark.parametrize("order", [10, 30, 60])
 def test_form_terms_match_brute_chain_sum(order):
     for key, form, terms in form_terms():
-        want = []
+        want = zero(order)
         for sign, shift, spec in terms:
             got = eval_multisum(spec, order - shift)
             ref = brute_chain_sum(spec, order - shift)
             assert got.to_text() == ref.to_text(), (key, spec)
-            want.append((sign, ref.shift(shift)))
-        assert form(order).to_text() == signed_sum(want, order).to_text(), key
+            want = want + ref.shift(shift) * sign
+        assert form(order).to_text() == want.to_text(), key
 
 
 def test_eval_multisum_finite_matches_reference():
@@ -272,6 +271,15 @@ def test_eval_multisum_finite_matches_reference():
         for n in range(4):
             assert (eval_multisum(spec, 20, finite_n=n)
                     == ref_eval_multisum(spec, 20, finite_n=n))
+
+
+def link_sum_series(carries, v, top, linked):
+    """``_link_sum`` on the windows of the carries (w, g), read back as a
+    series; the window it returns ends at ``top``."""
+    lo, a = _link_sum([(w, *g.window(g.trunc)) for w, g in carries], v, top,
+                      linked)
+    assert lo + len(a) - 1 == top
+    return LaurentSeries.from_window(lo, a, top)
 
 
 def link_sum_pieces(carries, v, top, linked):
@@ -312,8 +320,7 @@ LINK_SUM_CASES = [
 def test_link_sum_matches_pieces():
     for carries, v, top in LINK_SUM_CASES:
         for linked in (False, True):
-            got = _link_sum(carries, v, top, linked)
-            assert got.trunc == top
+            got = link_sum_series(carries, v, top, linked)
             want = link_sum_pieces(carries, v, top, linked)
             assert got.to_text() == want.to_text(), (v, top, linked)
 
@@ -324,15 +331,15 @@ def test_linked_sum_reads_a_carry_only_up_to_top_minus_its_shift():
     carries = [(0, LaurentSeries({-8: 1, -7: 2, -6: -1}, -6)),
                (6, LaurentSeries({-2: 4, 13: 1}, 13)),
                (8, LaurentSeries({0: 1, 5: 2}, 30))]
-    got = _link_sum(carries, 9, 16, True)
+    got = link_sum_series(carries, 9, 16, True)
     assert got.to_text() == link_sum_pieces(carries, 9, 16, True).to_text()
-    assert _link_sum(carries[:1], 9, 30, True).to_text() == link_sum_pieces(
+    assert link_sum_series(carries[:1], 9, 30, True).to_text() == link_sum_pieces(
         carries[:1], 9, 30, True).to_text()
 
 
 def test_link_sum_of_no_carries_is_zero():
-    assert _link_sum([], 4, 12, True) == zero(12)
-    assert _link_sum([], 0, -3, False) == zero(-3)
+    assert _link_sum([], 4, 12, True) == (13, [])
+    assert _link_sum([], 0, -3, False) == (-2, [])
 
 
 @st.composite
@@ -356,15 +363,25 @@ def link_sum_inputs(draw):
 @given(link_sum_inputs())
 def test_link_sum_matches_pieces_property(inputs):
     carries, v, top, linked = inputs
-    got = _link_sum(carries, v, top, linked)
+    got = link_sum_series(carries, v, top, linked)
     assert got.to_text() == link_sum_pieces(carries, v, top, linked).to_text()
 
 
 def test_link_sum_rejects_a_carry_short_of_top():
     # exact only to q^4; linked at v - w = 2 it reaches q^5, short of q^6
-    short = LaurentSeries({0: 1, 2: -1}, 4)
-    assert _link_sum([(0, short)], 2, 5, True).trunc == 5
+    short = [(0, *LaurentSeries({0: 1, 2: -1}, 4).window(4))]
+    # (1 - q^2) q / ((1 - q)(1 - q^2)) = q / (1 - q), leading zero kept
+    assert _link_sum(short, 2, 5, True) == (0, [0, 1, 1, 1, 1, 1])
     with pytest.raises(AssertionError, match="short of 6"):
-        _link_sum([(0, short)], 2, 6, True)
+        _link_sum(short, 2, 6, True)
     with pytest.raises(AssertionError):
-        _link_sum([(0, short)], 2, 5, False)
+        _link_sum(short, 2, 5, False)
+
+
+def test_runaway_spec_hits_the_valuation_floor():
+    # own exponent -100 j: the cell at j = 6 starts at q^-600, below the
+    # floor -500 of order 40, long before the cap
+    spec = MultisumSpec(1, 1, (0,), (-100,), (), (), (), (), (), ())
+    with pytest.raises(RunawayValuationError,
+                       match="exponent -600 below valuation floor -500"):
+        eval_multisum(spec, 40)
