@@ -102,11 +102,11 @@ class BaileyPair:
     Exactly one of ``alpha`` / ``alpha_tilde`` is supplied; the other is
     derived.  Each sequence function takes (n, order) and must return a
     series exact at least to ``order``.  Memoization keeps the deepest
-    (highest-order) evaluation per index, and every value handed out is
-    truncated to exactly the requested order, so what a caller sees does
-    not depend on which deeper request came first.  ``apply_move`` keeps
-    the pair's children here too.  Instances are immutable apart from
-    these caches, so sharing across threads is safe under the GIL.
+    (highest-order) evaluation per index, and every value handed out ends
+    at exactly the requested order, so what a caller sees does not depend
+    on which deeper request came first.  ``apply_move`` keeps the pair's
+    children here too.  Instances are immutable apart from these caches,
+    so sharing across threads is safe under the GIL.
     """
 
     def __init__(self, base_exp: int, *, alpha: SeqFn | None = None,
@@ -124,27 +124,29 @@ class BaileyPair:
         self._beta_cache: dict[int, LaurentSeries] = {}
         self._children: dict[Move, BaileyPair] = {}
 
-    def _cached(self, cache, fn, n: int, order: int) -> LaurentSeries:
+    def _deepest(self, cache, fn, n: int, order: int) -> LaurentSeries:
         hit = cache.get(n)
         if hit is None or hit.trunc < order:
             hit = fn(n, order)
             if hit.trunc < order:
                 raise AssertionError("sequence evaluation lost truncation")
             cache[n] = hit
-        return hit.truncated(order)
+        return hit
 
     def alpha(self, n: int, order: int) -> LaurentSeries:
-        if self._alpha_fn is not None:
-            return self._cached(self._alpha_cache, self._alpha_fn, n, order)
-        return self._cached(self._alpha_cache, self._alpha_from_tilde, n, order)
+        fn = self._alpha_fn or self._alpha_from_tilde
+        return self._deepest(self._alpha_cache, fn, n, order).truncated(order)
 
     def alpha_tilde(self, n: int, order: int) -> LaurentSeries:
-        if self._tilde_fn is not None:
-            return self._cached(self._tilde_cache, self._tilde_fn, n, order)
-        return self._cached(self._tilde_cache, self._tilde_from_alpha, n, order)
+        fn = self._tilde_fn or self._tilde_from_alpha
+        return self._deepest(self._tilde_cache, fn, n, order).truncated(order)
 
     def beta(self, n: int, order: int) -> LaurentSeries:
-        return self._cached(self._beta_cache, self._beta_fn, n, order)
+        return self._deepest(self._beta_cache, self._beta_fn, n, order).truncated(order)
+
+    def beta_window(self, n: int, top: int) -> tuple[int, list[int]]:
+        """beta_n's window up to ``top``, read without a truncated copy."""
+        return self._deepest(self._beta_cache, self._beta_fn, n, top).window(top)
 
     def _alpha_from_tilde(self, n: int, order: int) -> LaurentSeries:
         # alpha_n = (1 - q^{c+2n}) / (1 - q^c) * alpha~_n, needs c >= 1

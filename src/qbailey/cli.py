@@ -8,10 +8,11 @@ Subcommands:
   character        print a principal character's coefficients
 
 Exit codes: 0 success, 1 verification failure, 2 usage or range error,
-3 data error (bad registry file).  The environment variables QBAILEY_ORDER
-and QBAILEY_REGISTRY supply a default truncation order and an alternate
-registry file, which every subcommand that reads the registry evaluates
-(see ``bailey.load_registry``).
+3 data error (bad registry file), 4 evaluation error (a sum that ran below
+its valuation floor or did not stabilize).  The environment variables
+QBAILEY_ORDER and QBAILEY_REGISTRY supply a default truncation order and an
+alternate registry file, which every subcommand that reads the registry
+evaluates (see ``bailey.load_registry``).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+EXIT_EVAL = 4
 
 
 def _usage_exit(message: str) -> NoReturn:
@@ -221,6 +223,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a pair, cell or module out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # a runaway or unstable sum
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EVAL
 
 
 if __name__ == "__main__":

@@ -39,15 +39,16 @@ linked level), divides by (1 - q^{v-w+1}) and adds g_w, each step a single
 pass (``qproducts.binomial_step``), so no series product, inversion or
 Pochhammer cache is involved; every carry is first checked to reach the
 sum's truncation.  The cell's own exponent then moves the window's
-valuation, its units apply on the same list and its sign negates it; a
-series is built only once per j_1-block.  For the schedules with backward
-moves the raw summand family is only conditionally summable: individual
-terms have unboundedly negative exponents and cancel in blocks of fixed
-outermost index.  The evaluator therefore sums complete j_1-blocks and
-stops only after three consecutive blocks vanish to the requested order
-(a margin against non-monotonic low-index behavior); ``extra_dead``
-extends that margin so callers can re-certify stability under a raised
-cap.
+valuation, its units apply on the same list and its sign negates it; the
+j_1-blocks add into one window.  In the n -> oo limit the grid ends at a
+proved bound on j_1 (``_j1_bound``) when its P > 0, else at the heuristic
+cap 2 isqrt(order) + V + 14.  For the schedules with backward moves the
+summands are only conditionally summable: their exponents are unboundedly
+negative and cancel in blocks of fixed outermost index.  So the evaluator
+sums complete j_1-blocks and stops after three consecutive blocks vanish
+to the order (a margin against non-monotonic low-index behavior) or at the
+end of a proved grid; reaching the heuristic cap raises ArithmeticError.
+``extra_dead`` extends the margin; inside a proved grid it adds nothing.
 
 Most printed simplified forms (``simplified_forms``) are signed sums of
 such chain specs, each shifted by a power of q, evaluated by the same DP.
@@ -63,14 +64,14 @@ and holds their one stopping rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import isqrt
 from operator import add, neg
 from typing import Callable
 
-from .bailey import (_MOVE_TABLE, Move, _binom2, compose_exact, ratio_bases,
-                     registry_entry, registry_pair)
+from .bailey import (_MOVE_TABLE, Move, RegistryEntry, _binom2, compose_exact,
+                     ratio_bases, registry_entry, registry_pair)
 from .laurent import LaurentSeries, check_floor, monomial, zero
 from .qproducts import (
     PochFactor,
@@ -252,13 +253,17 @@ def build_multisum_spec(s: Schedule) -> MultisumSpec:
     and its 1/(-q^b)_n on r - 1 (a prefactor when r = 0).  A backward move
     puts -f(j_{r-1}, c), the link binomial binom(j_{r-1} - j_r, 2) and the
     sign (-1)^{j_{r-1} + j_r} on the pair (r - 1, r), and its ratio the
-    other way round.
+    other way round.  Memoized on the schedule, its word and registry entry.
     """
-    word = expand_schedule(s)
+    return _fold(s, tuple(expand_schedule(s)), registry_entry(s.pair_id))
+
+
+@lru_cache(maxsize=None)
+def _fold(s: Schedule, word: tuple[Move, ...], entry: RegistryEntry) -> MultisumSpec:
     V = len(word)
     quad, lin, self_binom, sign = [0] * V, [0] * V, [0] * V, [0] * V
     links, numer, denom, prefactors = [], [], [], []
-    c = s.base_exp
+    c = entry.base_exp
     for r, move in zip(range(V - 1, -1, -1), word):
         rule = _MOVE_TABLE[move]
         at, sgn = (r - 1, -1) if rule.backward else (r, 1)
@@ -355,6 +360,26 @@ def _tables(spec: MultisumSpec, order: int, cap: int):
     return LOW, feas, own
 
 
+def _j1_bound(spec: MultisumSpec, order: int) -> int | None:
+    """The last j_1 whose block can reach ``order``, or None if unproved.
+
+    Twice a chain's exponent is sum A_l j_l^2 + B_l j_l plus link binomials
+    (>= 0), with A, B as below; the rest has valuation zero.  As j_1 >= ...
+    >= 0, Abel summation bounds it by P j_1^2 + S j_1, P and S the least
+    prefix sums of A and B.  If P > 0, no block past the largest v with
+    P v^2 + S v <= 2 order reaches the order."""
+    beta = registry_entry(spec.pair_id).beta  # its monomial joins l = V - 1
+    A = [2 * a + (L in spec.self_binoms) for L, a in enumerate(spec.quad)]
+    B = [2 * b - (L in spec.self_binoms) for L, b in enumerate(spec.lin)]
+    A[-1] += 2 * beta.mono_quad
+    B[-1] += 2 * beta.mono_lin
+    P, S = min(accumulate(A)), min(accumulate(B))
+    if P <= 0:
+        return None
+    # floor of the larger root of P v^2 + S v - 2 order (the vertex if none)
+    return (isqrt(max(S * S + 8 * P * order, 0)) - S) // (2 * P)
+
+
 def _units(spec: MultisumSpec, level: int, v: int) -> list:
     """The unit triples (-q^b; q)_v^{+-1} that variable ``level`` carries."""
     return ([(PochFactor(-1, b, 1), v, 1) for r, b in spec.numer if r == level]
@@ -416,15 +441,20 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
     (outer factor 1/(q)_{n-j_1} and finite leading Pochhammers); without
     it, the n -> oo limit (outer factor -> 1, leading factors -> infinite
     products), summed in j_1-blocks until three consecutive blocks (plus
-    ``extra_dead`` more) vanish to the requested order.
+    ``extra_dead`` more) vanish to the order or a proved grid ends.
     """
     V = spec.nvars
     pair = registry_pair(spec.pair_id)
-    if finite_n is not None:
-        cap = finite_n
-    else:
-        cap = 2 * isqrt(max(order, 1)) + V + 14
+    n = finite_n
+    proved = n is not None
+    cap = n if proved else 2 * isqrt(max(order, 1)) + V + 14
+    bound = None if proved else _j1_bound(spec, order)
+    if bound is not None and bound < cap:
+        cap, proved = bound, True
     LOW, feas, own = _tables(spec, order, cap)
+    linked = [L in spec.link_binoms for L in range(V)]
+    signed = [L in spec.signs for L in range(V)]
+    units = [_units(spec, L, 0) for L in range(V)]
 
     # nonzero[L]: the nonzero carries (v, lo, window) at level L, v ascending
     nonzero: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(V)]
@@ -438,41 +468,45 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
             t_cap = order - LOW[L][v]
             top = t_cap - own[L][v]
             if L == V - 1:
-                lo, a = pair.beta(v, top).window(top)
+                lo, a = pair.beta_window(v, top)
             else:
-                lo, a = _link_sum(nonzero[L + 1], v, top, L in spec.link_binoms)
-            apply_poch_units(a, _units(spec, L, v))
+                lo, a = _link_sum(nonzero[L + 1], v, top, linked[L])
+            if units[L]:
+                apply_poch_units(a, [(f, v, power) for f, _, power in units[L]])
             k = next((k for k, c in enumerate(a) if c), None)
             if k is None:
                 continue  # zero to t_cap
             lo += own[L][v] + k
             check_floor(lo, t_cap)
             del a[:k]
-            if L in spec.signs and v % 2:
+            if signed[L] and v % 2:
                 a[:] = map(neg, a)
             nonzero[L].append((v, lo, a))
         if nonzero[0] and nonzero[0][-1][0] == v:
             dead = 0
-        elif finite_n is None:
+        elif n is None:
             dead += 1
             if dead >= need_dead and v >= 4:
                 break
     else:
-        if finite_n is None:
+        if not proved:
             raise ArithmeticError(
                 f"multisum did not stabilize within j_1 <= {cap}; "
                 "the summand family appears not to converge"
             )
 
-    # one series per block, each exact to t_cap = order since LOW[0] is 0;
-    # at finite n each block is divided by (q)_{n-j_1}
-    n = finite_n
-    total = term_sum([(1, 0, lambda o, b=LaurentSeries.from_window(lo, a, order): b,
-                       () if n is None else ((Q_FACTOR, n - v, -1),))
-                      for v, lo, a in nonzero[0]], order)
+    # the blocks, each exact to t_cap = order since LOW[0] is 0, added into
+    # one window; at finite n each is divided by (q)_{n-j_1} on the way
     if n is not None:
-        return compose_exact(order, 0, lambda o: total,
-                             *[(PochFactor(-1, b, 1), n, -1) for b in spec.prefactors])
+        lo, a = _link_sum(nonzero[0], n, order, False)
+        apply_poch_units(a, [(PochFactor(-1, b, 1), n, -1) for b in spec.prefactors])
+        return LaurentSeries.from_window(lo, a, order)
+    lo = min((glo for _, glo, _ in nonzero[0]), default=order + 1)
+    a = [0] * (order - lo + 1)
+    for _, glo, g in nonzero[0]:
+        i = glo - lo
+        a[i:i + len(g)] = map(add, a[i:i + len(g)], g)
+    total = LaurentSeries.from_window(lo, a, order)
     # 1/(-q^b)_inf = 1 + O(q) is exact to 0 even below a negative order
     for b in spec.prefactors:
         total = total * inv_poch_inf(PochFactor(-1, b, 1), max(order, 0))
@@ -588,8 +622,7 @@ def verify_remark_relations(k: int, order: int) -> bool:
                                 (_NEG_Q, 1, 1))
         ok &= case.eq_to_order(unified, order)
     for pid in (1, 2, 3, 4, 5):
-        kind = "lim1"
-        s0 = Schedule(kind, k, 0, pid)
+        s0 = Schedule("lim1", k, 0, pid)
         ok &= alpha_side(s0, order).eq_to_order(
             alpha_side_lim1_i0_form(s0, order), order)
     return ok

@@ -67,6 +67,16 @@ def test_verify_identity_range_error():
     assert proc.returncode == 2
 
 
+def test_evaluation_error_is_one_line_and_exit_4():
+    # a backward-move cell whose carries fall below the valuation floor
+    proc = run_cli(["verify-identity", "--pair", "5", "--schedule", "lim1",
+                    "--k", "1", "--i", "3", "--order", "1748"])
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_identity_json_round_trip():
     proc = run_cli(["verify-identity", "--pair", "1", "--schedule", "lim1",
                     "--k", "1", "--i", "2", "--order", "40", "--format", "json"])

@@ -1,6 +1,8 @@
 """Schedules, closed multisums, alpha-side sums, lemmas, simplified forms."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,9 @@ from qbailey.qproducts import (
     poch_finite,
     qtpi_product,
 )
+
+_BUNDLED_REGISTRY = (Path(__file__).parent.parent / "src" / "qbailey" / "data"
+                     / "bailey_pairs.json")
 
 
 def test_expand_schedule_examples():
@@ -154,6 +159,23 @@ def test_multisum_fold_rejects_words_a_spec_cannot_hold(monkeypatch, word,
     monkeypatch.setattr(lattice, "expand_schedule", lambda s: list(word))
     with pytest.raises(ValueError, match=message):
         build_multisum_spec(Schedule("lim1", 1, 0, 2))
+
+
+def test_multisum_fold_follows_a_changed_registry(tmp_path, monkeypatch):
+    # the fold is memoized, but on the registry entry too: pair 1 at base
+    # q^2 moves the lone variable's linear exponent up by one
+    s = Schedule("lim1", 1, 0, 1)
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    bundled = build_multisum_spec(s)
+    data = json.loads(_BUNDLED_REGISTRY.read_text())
+    data["pairs"][0]["base_exp"] = 2
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    monkeypatch.setenv("QBAILEY_REGISTRY", str(reg))
+    changed = build_multisum_spec(s)
+    assert changed == replace(bundled, lin=(bundled.lin[0] + 1,))
+    monkeypatch.delenv("QBAILEY_REGISTRY")
+    assert build_multisum_spec(s) == bundled
 
 
 def test_limit_identity_matches_printed_normalization():

@@ -14,11 +14,14 @@ exactly.
 """
 
 from math import isqrt
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbailey.lattice as lattice
 from qbailey.bailey import registry_entry
 from qbailey.lattice import (
     SCHEDULE_TABLE,
@@ -27,6 +30,7 @@ from qbailey.lattice import (
     _INF,
     _SIMPLIFIED,
     _binom2,
+    _j1_bound,
     _link_sum,
     _spec_form,
     _tables,
@@ -221,18 +225,84 @@ def test_tables_match_reference(order):
                        for L in range(spec.nvars)]
 
 
+def concave_specs():
+    """Levels of negative quadratic exponent under link binomials, which the
+    catalog has only in a few shapes."""
+    return [MultisumSpec(1, 3, (1, quad, -1), (lin, -lin, lin), (1,), links,
+                         (), (), (), ())
+            for quad in (-2, -1, 0, 1) for lin in (-7, 0, 5, 11)
+            for links in ((0,), (1,), (0, 1))]
+
+
 def test_tables_match_reference_on_concave_links():
-    # levels of negative quadratic exponent under link binomials, which the
-    # catalog has only in a few shapes: the minimum over w can sit far below
-    # v behind larger values, so a scan may stop only on the prefix minimum
-    for quad in (-2, -1, 0, 1):
-        for lin in (-7, 0, 5, 11):
-            for links in ((0,), (1,), (0, 1)):
-                spec = MultisumSpec(1, 3, (1, quad, -1), (lin, -lin, lin), (1,),
-                                    links, (), (), (), ())
-                for order in (-20, 0, 30):
-                    LOW, feas, _ = _tables(spec, order, 25)
-                    assert (LOW, feas) == ref_tables(spec, order, 25)
+    # the minimum over w can sit far below v behind larger values, so a
+    # scan may stop only on the prefix minimum
+    for spec in concave_specs():
+        for order in (-20, 0, 30):
+            LOW, feas, _ = _tables(spec, order, 25)
+            assert (LOW, feas) == ref_tables(spec, order, 25)
+
+
+@st.composite
+def bound_specs(draw):
+    """A random chain spec of up to four variables and a beta monomial."""
+    V = draw(st.integers(1, 4))
+    coef = st.lists(st.integers(-2, 2), min_size=V, max_size=V)
+    levels = st.sets(st.integers(0, V - 1))
+    spec = MultisumSpec(1, V, tuple(draw(coef)), tuple(draw(coef)),
+                        tuple(sorted(draw(levels))),
+                        tuple(sorted(draw(st.sets(st.integers(0, V - 2)))))
+                        if V > 1 else (), (), (), (), ())
+    return spec, draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_specs())
+def test_j1_bound_holds_on_every_chain(inputs):
+    # twice a chain's exponent is at least P j_1^2 + S j_1, and so no chain
+    # whose exponent is e has j_1 beyond the bound at order e
+    spec, bq, bl = inputs
+    V = spec.nvars
+    A = [2 * spec.quad[L] + (L in spec.self_binoms) + 2 * bq * (L == V - 1)
+         for L in range(V)]
+    B = [2 * spec.lin[L] - (L in spec.self_binoms) + 2 * bl * (L == V - 1)
+         for L in range(V)]
+    P = min(sum(A[:L + 1]) for L in range(V))
+    S = min(sum(B[:L + 1]) for L in range(V))
+    entry = SimpleNamespace(beta=SimpleNamespace(mono_quad=bq, mono_lin=bl))
+    with mock.patch.object(lattice, "registry_entry", lambda pid: entry):
+        for J in range(13):
+            for js in _chains(J, V - 1):
+                js = (J,) + js
+                e = sum(_own_exponent(spec, r, j) for r, j in enumerate(js))
+                e += sum(_binom2(js[r] - js[r + 1]) for r in spec.link_binoms)
+                e += bq * js[-1] ** 2 + bl * js[-1]
+                bound = _j1_bound(spec, e)
+                assert (bound is None) == (P <= 0)
+                if bound is not None:
+                    assert 2 * e >= P * J * J + S * J, (js, e)
+                    assert bound >= J, (js, e, bound)
+
+
+@pytest.mark.parametrize("order", [1, 10, 30, 80])
+def test_j1_bound_covers_every_feasible_block(order):
+    # on the heuristic grid, no j_1 past the bound is feasible
+    for spec in catalog_specs(31) + form_specs() + concave_specs():
+        bound = _j1_bound(spec, order)
+        if bound is None:
+            continue
+        cap = 2 * isqrt(order) + spec.nvars + 14
+        _, feas, _ = _tables(spec, order, cap)
+        last = max((v for v, ok in enumerate(feas[0]) if ok), default=-1)
+        assert bound >= last, (spec, order)
+
+
+def test_sum_without_a_bound_that_never_vanishes_does_not_stabilize():
+    # P = 0 gives no bound, and every block 1/(q)_{2 j} reaches the order
+    spec = MultisumSpec(1, 1, (0,), (0,), (), (), (), (), (), ())
+    assert _j1_bound(spec, 10) is None
+    with pytest.raises(ArithmeticError, match="did not stabilize"):
+        eval_multisum(spec, 10)
 
 
 @pytest.mark.parametrize("max_level,order", [(13, 30), (7, 120)])
