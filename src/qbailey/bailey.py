@@ -44,6 +44,11 @@ Pochhammer cache sits on this path.  A move's beta is one ``term_sum`` of
 its j-pieces.  ``lattice.build_multisum_spec`` reads
 the same table to write a move word as one closed multisum.
 
+A registry pair's beta_n = q^{mono(n)} (symbols of length n or 2n) is
+stepped from beta_{n-1} (``beta_chain``): the pair keeps the valuation-zero
+part of each beta_n as a window and multiplies in only the factors the
+symbol lengths gain, so an index costs O(1) passes, not O(n).
+
 Pairs form a shared trie.  ``registry_pair`` makes each registry pair once
 per registry entry, and ``apply_move`` memoizes each child on its parent,
 keyed by the move, so move words with a common prefix share the pairs along it
@@ -68,14 +73,18 @@ from .qproducts import (
     PochFactor,
     Q_FACTOR,
     Unit,
+    apply_poch_units,
     inv_poch_finite,
     neg_ratio,
+    running_chain,
     term_sum,
 )
 
 _DEFAULT_REGISTRY = Path(__file__).parent / "data" / "bailey_pairs.json"
 
 SeqFn = Callable[[int, int], LaurentSeries]
+# (n, top) -> the window (lo, a) of a sequence's n-th member up to q^top
+WindowFn = Callable[[int, int], tuple[int, list[int]]]
 
 
 class RegistryError(ValueError):
@@ -110,15 +119,19 @@ class BaileyPair:
     """
 
     def __init__(self, base_exp: int, *, alpha: SeqFn | None = None,
-                 alpha_tilde: SeqFn | None = None, beta: SeqFn,
+                 alpha_tilde: SeqFn | None = None, beta: SeqFn | None = None,
+                 beta_window: WindowFn | None = None,
                  provenance: tuple[str, ...] = ()):
         if (alpha is None) == (alpha_tilde is None):
             raise ValueError("supply exactly one of alpha / alpha_tilde")
+        if (beta is None) == (beta_window is None):
+            raise ValueError("supply exactly one of beta / beta_window")
         self.base_exp = base_exp
         self.provenance = provenance
         self._alpha_fn = alpha
         self._tilde_fn = alpha_tilde
         self._beta_fn = beta
+        self._window_fn = beta_window
         self._alpha_cache: dict[int, LaurentSeries] = {}
         self._tilde_cache: dict[int, LaurentSeries] = {}
         self._beta_cache: dict[int, LaurentSeries] = {}
@@ -142,10 +155,15 @@ class BaileyPair:
         return self._deepest(self._tilde_cache, fn, n, order).truncated(order)
 
     def beta(self, n: int, order: int) -> LaurentSeries:
+        if self._window_fn is not None:
+            return LaurentSeries.from_window(*self._window_fn(n, order), order)
         return self._deepest(self._beta_cache, self._beta_fn, n, order).truncated(order)
 
     def beta_window(self, n: int, top: int) -> tuple[int, list[int]]:
-        """beta_n's window up to ``top``, read without a truncated copy."""
+        """beta_n's coefficients up to ``top`` as a fresh window ``(lo, a)``
+        ending at top, which the caller may change."""
+        if self._window_fn is not None:
+            return self._window_fn(n, top)
         return self._deepest(self._beta_cache, self._beta_fn, n, top).window(top)
 
     def _alpha_from_tilde(self, n: int, order: int) -> LaurentSeries:
@@ -339,6 +357,9 @@ class BetaSpec:
     numerator: tuple[tuple[PochFactor, str], ...]
     denominator: tuple[tuple[PochFactor, str], ...]
 
+    def mono(self, n: int) -> int:
+        return self.mono_quad * n * n + self.mono_lin * n
+
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -365,14 +386,12 @@ def _length(kind: str, n: int) -> int:
     raise RegistryError(f"unknown Pochhammer length kind {kind!r}")
 
 
-def beta_from_spec(spec: BetaSpec, n: int, order: int) -> LaurentSeries:
-    """beta_n of a registry pair, exact to ``order``: one term of
-    ``term_sum``, its symbols applied as unit triples to a constant scalar.
-
-    A symbol (-1; q^d)_L with L >= 1 has the constant factor (1 + q^0) = 2.
-    It is written as 2 (-q^d; q^d)_{L-1}, so every unit is unit-leading (and
-    hence divisible), and the 2s of the two sides must leave an integral
-    scalar."""
+def _beta_units(spec: BetaSpec, n: int) -> tuple[int, tuple[Unit, ...]]:
+    """(scalar, units) with beta_n = scalar q^{mono(n)} times the unit
+    triples.  A symbol (-1; q^d)_L with L >= 1 has the constant factor
+    (1 + q^0) = 2.  It is written as 2 (-q^d; q^d)_{L-1}, so every unit is
+    unit-leading (and hence divisible), and the 2s of the two sides must
+    leave an integral scalar."""
     scalars = {1: 1, -1: 1}
     units = []
     for factors, power in ((spec.numerator, 1), (spec.denominator, -1)):
@@ -386,9 +405,43 @@ def beta_from_spec(spec: BetaSpec, n: int, order: int) -> LaurentSeries:
         raise RegistryError(
             f"non-integral scalar {scalars[1]}/{scalars[-1]} in beta evaluation"
         )
-    scalar = scalars[1] // scalars[-1]
-    shift = spec.mono_quad * n * n + spec.mono_lin * n
-    return term_sum([(scalar, shift, None, tuple(units))], order)
+    return scalars[1] // scalars[-1], tuple(units)
+
+
+def beta_from_spec(spec: BetaSpec, n: int, order: int) -> LaurentSeries:
+    """beta_n of a registry pair, exact to ``order``, from scratch: one term
+    of ``term_sum``, its symbols applied as unit triples to a constant
+    scalar."""
+    scalar, units = _beta_units(spec, n)
+    return term_sum([(scalar, spec.mono(n), None, units)], order)
+
+
+def beta_chain(spec: BetaSpec) -> WindowFn:
+    """``window(n, top)``: beta_n of a registry pair as a fresh window
+    ending at top.  beta_n is q^{mono(n)} times u_n, the valuation-zero
+    product of the symbols, which ``qproducts.running_chain`` steps from
+    u_{n-1}.  u_0 and u_1, and a chain with no u_m deep enough, come from
+    ``_beta_units``, where the (-1; q^d) rewrite and its integrality check
+    live.  A copy is cut at exactly top, so no result depends on what was
+    asked before."""
+    def start(n: int, depth: int) -> list[int]:
+        scalar, units = _beta_units(spec, n)
+        u = [scalar] + [0] * depth
+        apply_poch_units(u, units)
+        return u
+
+    units = running_chain(
+        tuple((f, _length(kind, 1), power)
+              for factors, power in ((spec.numerator, 1), (spec.denominator, -1))
+              for f, kind in factors), start)
+
+    def window(n: int, top: int) -> tuple[int, list[int]]:
+        lo = spec.mono(n)
+        if top < lo:
+            return top + 1, []
+        return lo, units(n, top - lo)[:top - lo + 1]
+
+    return window
 
 
 def _ints(obj, *keys: str) -> list[int]:
@@ -518,7 +571,11 @@ def registry_pair(pair_id: int) -> BaileyPair:
     move chain that starts from it shares its caches and its children
     (see ``apply_move``); two registries share it only if the entries
     are equal."""
-    entry = registry_entry(pair_id)
+    return entry_pair(registry_entry(pair_id))
+
+
+def entry_pair(entry: RegistryEntry) -> BaileyPair:
+    """The shared BaileyPair of a resolved registry entry."""
     pair = _REGISTRY_PAIRS.get(entry)
     if pair is None:
         pair = _REGISTRY_PAIRS[entry] = _new_registry_pair(entry)
@@ -533,10 +590,8 @@ def _new_registry_pair(entry: RegistryEntry) -> BaileyPair:
         sign, exp = mono
         return monomial(sign, exp, max(order, exp))
 
-    def beta(n: int, order: int) -> LaurentSeries:
-        return beta_from_spec(entry.beta, n, order)
-
-    return BaileyPair(entry.base_exp, alpha_tilde=tilde, beta=beta,
+    return BaileyPair(entry.base_exp, alpha_tilde=tilde,
+                      beta_window=beta_chain(entry.beta),
                       provenance=(f"pair{entry.id}",))
 
 

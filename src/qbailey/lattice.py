@@ -40,25 +40,37 @@ pass (``qproducts.binomial_step``), so no series product, inversion or
 Pochhammer cache is involved; every carry is first checked to reach the
 sum's truncation.  The cell's own exponent then moves the window's
 valuation, its units apply on the same list and its sign negates it; the
-j_1-blocks add into one window.  In the n -> oo limit the grid ends at a
-proved bound on j_1 (``_j1_bound``) when its P > 0, else at the heuristic
-cap 2 isqrt(order) + V + 14.  For the schedules with backward moves the
-summands are only conditionally summable: their exponents are unboundedly
-negative and cancel in blocks of fixed outermost index.  So the evaluator
-sums complete j_1-blocks and stops after three consecutive blocks vanish
-to the order (a margin against non-monotonic low-index behavior) or at the
-end of a proved grid; reaching the heuristic cap raises ArithmeticError.
-``extra_dead`` extends the margin; inside a proved grid it adds nothing.
+j_1-blocks add into one window.  The beta_v of the innermost level are read
+from the registry pair's stepped windows (``bailey.beta_chain``).  In the
+n -> oo limit the grid ends at a proved bound on j_1 (``_j1_bound``) when
+its P > 0, else at the heuristic cap 2 isqrt(order) + V + 14.  For the
+schedules with backward moves the summands are only conditionally
+summable: their exponents are unboundedly negative and cancel in blocks of
+fixed outermost index.  So the evaluator sums complete j_1-blocks and stops
+after three consecutive blocks vanish to the order (a margin against
+non-monotonic low-index behavior) or at the end of a proved grid; reaching
+the heuristic cap raises ArithmeticError.  ``extra_dead`` extends the
+margin; inside a proved grid it adds nothing.
+
+Valuations.  Every kept carry must start at or above IN[L][v]; one below
+it is an internal error (AssertionError naming the cell), whatever the
+order, so a proved grid (finite n, or a j_1 bound) has no order wall.  Only
+on a heuristic-cap grid is each carry also held to ``laurent``'s runaway
+floor, which raises ``RunawayValuationError``.
 
 Most printed simplified forms (``simplified_forms``) are signed sums of
 such chain specs, each shifted by a power of q, evaluated by the same DP.
 
 Hand-summed series.  The alpha sides and the two reindexed single sums
 with affine Pochhammer lengths are not chains.  Each is written as a block
-function of t that returns its terms (sign, q-shift, unit triples), the
-unit triples being finite Pochhammer symbols applied in one pass per
-factor.  One loop, ``qproducts.vanishing_sum``, sums every such series
-and holds their one stopping rule.
+function of t that returns its terms (sign, q-shift, parent, unit
+triples).  An alpha side's ratio (-q; q)_t / (-q^{c'}; q)_t is one running
+window per sum (``qproducts.running_chain``): from t - 1 to t it is
+multiplied by (1 + q^t) / (1 + q^{c'+t-1}), three passes, and each term
+adds a slice of it.  The single sums apply their unit triples, finite
+Pochhammer symbols, in one pass per factor.  One loop,
+``qproducts.vanishing_sum``, sums every such series and holds their one
+stopping rule.
 """
 
 from __future__ import annotations
@@ -71,7 +83,7 @@ from operator import add, neg
 from typing import Callable
 
 from .bailey import (_MOVE_TABLE, Move, RegistryEntry, _binom2, compose_exact,
-                     ratio_bases, registry_entry, registry_pair)
+                     entry_pair, ratio_bases, registry_entry)
 from .laurent import LaurentSeries, check_floor, monomial, zero
 from .qproducts import (
     PochFactor,
@@ -81,9 +93,9 @@ from .qproducts import (
     binomial_step,
     inv_poch_finite,
     inv_poch_inf,
-    neg_ratio,
     poch_finite,  # noqa: F401  unused here; the benchmark tracer wraps this binding
     poch_inf,
+    running_chain,
     term_sum,
     vanishing_sum,
 )
@@ -300,10 +312,11 @@ _NEG_Q = PochFactor(-1, 1, 1)  # the base of (-q; q)_n
 _INF = 1 << 60
 
 
-def _tables(spec: MultisumSpec, order: int, cap: int):
-    """IN, LOW and feasibility tables on the (level, value) grid.
+def _tables(spec: MultisumSpec, order: int, cap: int, entry: RegistryEntry):
+    """IN, LOW and feasibility tables on the (level, value) grid, for the
+    spec's registry ``entry``.
 
-    Returns ``(LOW, feas, own)``, where ``own[L][v]`` is the exponent
+    Returns ``(IN, LOW, feas, own)``, where ``own[L][v]`` is the exponent
     quad[L] v^2 + lin[L] v (+ binom(v, 2) on a self-binomial level) that
     variable L contributes at j_L = v.  A level without a link binomial is a
     running minimum: a prefix minimum for IN, a suffix minimum for LOW.  A
@@ -312,7 +325,6 @@ def _tables(spec: MultisumSpec, order: int, cap: int):
     LOW minimizes over the feasible outer values only.
     """
     V = spec.nvars
-    entry = registry_entry(spec.pair_id)
     bq, bl = entry.beta.mono_quad, entry.beta.mono_lin
     values = range(cap + 1)
     b2 = [_binom2(d) for d in values]
@@ -357,10 +369,10 @@ def _tables(spec: MultisumSpec, order: int, cap: int):
             row = list(accumulate(reversed(cost), min))[::-1]
         LOW.append(row)
         feas.append([lo < _INF and lo + e <= order for lo, e in zip(row, IN[L])])
-    return LOW, feas, own
+    return IN, LOW, feas, own
 
 
-def _j1_bound(spec: MultisumSpec, order: int) -> int | None:
+def _j1_bound(spec: MultisumSpec, order: int, entry: RegistryEntry) -> int | None:
     """The last j_1 whose block can reach ``order``, or None if unproved.
 
     Twice a chain's exponent is sum A_l j_l^2 + B_l j_l plus link binomials
@@ -368,7 +380,7 @@ def _j1_bound(spec: MultisumSpec, order: int) -> int | None:
     >= 0, Abel summation bounds it by P j_1^2 + S j_1, P and S the least
     prefix sums of A and B.  If P > 0, no block past the largest v with
     P v^2 + S v <= 2 order reaches the order."""
-    beta = registry_entry(spec.pair_id).beta  # its monomial joins l = V - 1
+    beta = entry.beta  # its monomial joins l = V - 1
     A = [2 * a + (L in spec.self_binoms) for L, a in enumerate(spec.quad)]
     B = [2 * b - (L in spec.self_binoms) for L, b in enumerate(spec.lin)]
     A[-1] += 2 * beta.mono_quad
@@ -398,37 +410,40 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
 
         g_v + q^0/(1 - q) (g_{v-1} + q^1/(1 - q^2) (g_{v-2} + ...)),
 
-    run on one dense window from the carries' lowest valuation up to
-    ``top``: going from w - 1 to w shifts by v - w (on a linked level
-    only), divides by (1 - q^{v-w+1}) and adds g_w with one slice
-    operation, and after the last carry the steps go on up to v.  Every
-    step is one pass over the window (``qproducts.binomial_step``).  A
-    carry must itself reach ``top`` once shifted by its binom(v-w, 2); one
-    that does not would make the sum claim coefficients it does not know.
+    run on one dense window that ends at ``top``: going from w - 1 to w
+    shifts by v - w (on a linked level only), divides by (1 - q^{v-w+1})
+    and adds g_w with one slice operation, and after the last carry the
+    steps go on up to v.  A shift moves the window's start up and drops as
+    many coefficients past ``top``; a carry that starts below the window
+    extends it downward.  Every step is one pass over the window
+    (``qproducts.binomial_step``).  A carry must itself reach ``top`` once
+    shifted by its binom(v-w, 2); one that does not would make the sum
+    claim coefficients it does not know.
     """
-    lo = top + 1
     for w, glo, g in carries:
         s = _binom2(v - w) if linked else 0
         if glo + len(g) - 1 + s < top:
             raise AssertionError(
                 f"carry at j={w} is exact to {glo + len(g) - 1 + s} after its "
                 f"shift, short of {top}")
-        if g:
-            lo = min(lo, glo)
-    if lo > top:
-        return top + 1, []
-    check_floor(lo, top)
-    n = top - lo + 1
-    a = [0] * n
+    lo, a = top + 1, []
+    if not carries:
+        return lo, a
     u = carries[0][0]
     for w, glo, g in carries + [(v, lo, [])]:
-        for u in range(u + 1, w + 1):
-            d = v - u
+        # the steps u + 1 .. w, d = v - u falling; an empty window stays so
+        for d in range(v - u - 1, v - w - 1, -1) if a else ():
             if linked and d:
-                a = ([0] * d + a)[:n]
-            binomial_step(a, d + 1, 1, -1)
-        i = glo - lo  # the slice stops at top, and g is read no further
-        a[i:i + len(g)] = map(add, a[i:i + len(g)], g)
+                del a[-d:]
+                lo = top + 1 - len(a)
+            if d + 1 < len(a):  # a longer factor is 1 on the window
+                binomial_step(a, d + 1, 1, -1)
+        if g and glo <= top:
+            if glo < lo:
+                a[:0] = [0] * (lo - glo)
+                lo = glo
+            i = glo - lo  # the slice stops at top, and g is read no further
+            a[i:i + len(g)] = map(add, a[i:i + len(g)], g)
         u = w
     return lo, a
 
@@ -444,14 +459,15 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
     ``extra_dead`` more) vanish to the order or a proved grid ends.
     """
     V = spec.nvars
-    pair = registry_pair(spec.pair_id)
+    entry = registry_entry(spec.pair_id)
+    pair = entry_pair(entry)
     n = finite_n
     proved = n is not None
     cap = n if proved else 2 * isqrt(max(order, 1)) + V + 14
-    bound = None if proved else _j1_bound(spec, order)
+    bound = None if proved else _j1_bound(spec, order, entry)
     if bound is not None and bound < cap:
         cap, proved = bound, True
-    LOW, feas, own = _tables(spec, order, cap)
+    IN, LOW, feas, own = _tables(spec, order, cap, entry)
     linked = [L in spec.link_binoms for L in range(V)]
     signed = [L in spec.signs for L in range(V)]
     units = [_units(spec, L, 0) for L in range(V)]
@@ -477,7 +493,12 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
             if k is None:
                 continue  # zero to t_cap
             lo += own[L][v] + k
-            check_floor(lo, t_cap)
+            if lo < IN[L][v]:
+                raise AssertionError(
+                    f"carry at level {L}, j={v} starts at q^{lo}, below its "
+                    f"proved valuation q^{IN[L][v]}")
+            if not proved:
+                check_floor(lo, t_cap)
             del a[:k]
             if signed[L] and v % 2:
                 a[:] = map(neg, a)
@@ -538,41 +559,45 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
     c = s.base_exp
     k, i = s.k, s.i
     tilde = registry_entry(s.pair_id).alpha_tilde_monomial
+    # the ratio (-q; q)_t / (-q^down; q)_t of every family but the first
+    if s.kind == "lim1":
+        ratio = None
+    else:
+        down = c if s.kind == "lim3" or (i == 0 and not unified) else c - 1
+        ratio = running_chain(((_NEG_Q, 1, 1), (PochFactor(-1, down, 1), 1, -1)))
 
     def block(t: int) -> list[SumTerm]:
-        # pieces: (exponent shift, units, tilde index); the second is negated
+        # pieces: (exponent shift, ratio index or None, tilde index); the
+        # second is negated
         if s.kind == "lim1":
             e = c * k * t + k * t * t - i * t
-            pieces = [(e, (), t), (e + c * (i + 1) + 2 * i * t + 2 * t, (), t)]
+            pieces = [(e, None, t), (e + c * (i + 1) + 2 * i * t + 2 * t, None, t)]
         elif s.kind == "lim2" and (unified or i > 1):
             e = c * k * t + k * t * t - i * t - (t * t + t) // 2
-            ratio = neg_ratio(1, c - 1, t, t)
-            # times (1 + q^{t+1}) / (1 + q^{c+t-1})
-            extra = ratio + neg_ratio(t + 1, c + t - 1, 1, 1)
-            pieces = [(e, ratio, t),
-                      (e + c * (i + 1) + t - 1 + 2 * i * t, extra, t)]
+            # the second is times (1 + q^{t+1}) / (1 + q^{c+t-1}): ratio_{t+1}
+            pieces = [(e, t, t), (e + c * (i + 1) + t - 1 + 2 * i * t, t + 1, t)]
         elif s.kind == "lim3" or i == 0:
             # the lim2 display at i = 0 is the lim3 form at i = 0
             e = c * k * t + k * t * t - i * t - (t * t + t) // 2
-            ratio = neg_ratio(1, c, t, t)
-            pieces = [(e, ratio, t), (e + c * (i + 1) + 2 * t * (i + 1), ratio, t)]
+            pieces = [(e, t, t), (e + c * (i + 1) + 2 * t * (i + 1), t, t)]
         else:  # lim2, i == 1, the separate two-term display
             if t == 0:
-                pieces = [(0, (), 0)]
+                pieces = [(0, None, 0)]
             else:
                 head = c * t + (t * t - t) // 2 - t
-                ratio = neg_ratio(1, c - 1, t, t)
                 pieces = [
-                    (head + c * (k - 1) * t + (k - 1) * t * t, ratio, t),
+                    (head + c * (k - 1) * t + (k - 1) * t * t, t, t),
                     (head + c * (k - 1) * (t - 1) + (k - 1) * (t - 1) * (t - 1)
-                     + c + 2 * t - 2, ratio, t - 1),
+                     + c + 2 * t - 2, t, t - 1),
                 ]
         terms = []
-        for idx, (e, units, ti) in enumerate(pieces):
+        for idx, (e, r, ti) in enumerate(pieces):
             mono = tilde(ti)
             if mono is not None:
                 sign, te = mono
-                terms.append((sign if idx % 2 == 0 else -sign, e + te, None, units))
+                shift = e + te
+                window = None if r is None else ratio(r, order - shift)
+                terms.append((sign if idx % 2 == 0 else -sign, shift, window, ()))
         return terms
 
     return vanishing_sum(block, order)

@@ -27,9 +27,11 @@ lo + len(a) - 1.  ``window`` and ``from_window`` are the only conversions
 between the two formats.
 
 Inversion solves for the inverse's coefficients one exponent at a time,
-summing only over the nonzero terms of the series being inverted.  The
-series inverted here are mostly Pochhammer products, which are sparse, so
-this skips most of the work of the dense recurrence.
+summing only over the nonzero terms of the series being inverted.  No
+verification path inverts a series: every inverse there is a product of
+one-pass division steps (``qproducts.inv_poch_finite``, and
+``qproducts.inv_poch_inf`` by Euler's product), so ``invert`` is the
+generic inverse that the tests compare those against.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -49,9 +51,11 @@ class RunawayValuationError(ArithmeticError):
     """Exponents fell below the configured floor; computation is diverging."""
 
 
-# Exponents below -RUNAWAY_FACTOR * max(|trunc|, RUNAWAY_BASE) abort.  Every
-# quantity of interest has valuation bounded well above this; hitting the
-# floor means a schedule or product was set up wrong and is running away.
+# Exponents below -RUNAWAY_FACTOR * max(|trunc|, RUNAWAY_BASE) abort: a
+# series, or a sum whose terms no proved bound covers, has run away.  The
+# multisum DP applies it only past a heuristic cap on j_1; on a proved grid
+# its carries may legitimately go lower before they cancel, and its IN table
+# bounds them instead (see ``lattice``).
 RUNAWAY_FACTOR = 10
 RUNAWAY_BASE = 50
 

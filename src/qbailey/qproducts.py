@@ -8,12 +8,25 @@ are handled exactly.
 
 Every finite signed sum goes through one accumulator, ``term_sum``.  A
 term is (sign, q-shift, parent, unit triples): the parent is a series
-requested once at the order minus the shift, or None for 1, and the units
-are finite Pochhammer symbols that ``apply_poch_units`` applies in one pass
-per factor on the parent's window.  Every series that is summed term by
-term "until it vanishes" (the alpha sides and reindexed single sums of
-``lattice``, the two series forms of the quintuple product) goes through
-one loop, ``vanishing_sum``, which hands its terms to ``term_sum``.
+requested once at the order minus the shift, a dense window from q^0 that
+the sum only reads, or None for 1, and the units are finite Pochhammer
+symbols that ``apply_poch_units`` applies in one pass per factor on the
+parent's window.  Every series that is summed term by term "until it
+vanishes" (the alpha sides and reindexed single sums of ``lattice``, the
+two series forms of the quintuple product) goes through one loop,
+``vanishing_sum``, which hands its terms to ``term_sum``.
+
+Chains.  A product of symbols whose lengths grow with an index t, such as
+(-q; q)_t / (-q^c; q)_t or a registry beta's 1/(q^c; q)_{2n}, gains only a
+few factors from t - 1 to t.  ``chain_step`` applies just those to the
+previous index's window, so walking a chain costs a few passes per index
+instead of O(t).  ``running_chain`` keeps the windows of one chain: an
+alpha side's for one sum, a registry pair's betas for the pair's life
+(``bailey.beta_chain``).
+
+Inverses.  1/(f; q^d)_n divides the factors out one pass each.  The
+infinite 1/(-q^m; q^d)_inf is Euler's (q^m; q^d)_inf / (q^{2m}; q^{2d})_inf,
+again one pass per factor, so no series is inverted.
 """
 
 from __future__ import annotations
@@ -128,14 +141,18 @@ def poch_finite(f: PochFactor, n: int, order: int) -> LaurentSeries:
     return _product_of_binomials(exps, order)
 
 
-@lru_cache(maxsize=None)
-def poch_inf(f: PochFactor, order: int) -> LaurentSeries:
-    """(sign*q^m; q^d)_inf, exact to order."""
+def _check_infinite(f: PochFactor) -> None:
     if not f.infinite_ok():
         raise DivergentProductError(
             f"({f.sign:+d}*q^{f.base_exp}; q^{f.step})_inf does not converge "
             "as a formal series"
         )
+
+
+@lru_cache(maxsize=None)
+def poch_inf(f: PochFactor, order: int) -> LaurentSeries:
+    """(sign*q^m; q^d)_inf, exact to order."""
+    _check_infinite(f)
     if order < 0:
         return zero(order)
     exps = [(f.factor_exponent(t), f.sign)
@@ -145,18 +162,37 @@ def poch_inf(f: PochFactor, order: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def inv_poch_finite(f: PochFactor, n: int, order: int) -> LaurentSeries:
-    """1 / (sign*q^m; q^d)_n.  The product must be unit-leading."""
-    if order < 0:
-        return zero(order)
-    return poch_finite(f, n, order).invert().truncated(order)
+    """1 / (sign*q^m; q^d)_n, exact to order: one division step per factor
+    (``apply_poch_units``), so the symbol must have m >= 1."""
+    return term_sum([(1, 0, None, ((f, n, -1),))], order)
 
 
 @lru_cache(maxsize=None)
 def inv_poch_inf(f: PochFactor, order: int) -> LaurentSeries:
-    """1 / (sign*q^m; q^d)_inf.  The product must be unit-leading."""
+    """1 / (sign*q^m; q^d)_inf, exact to order, by binomial steps on one
+    window.  Sign +1 divides every factor out.  Sign -1 uses Euler's
+    (x; p)_inf (-x; p)_inf = (x^2; p^2)_inf at x = q^m, p = q^d: it
+    multiplies by (1 - q^e) over e = m + t d and divides by it over
+    e = 2m + 2t d, an e in both sets cancelling.  (-1; q^d)_inf has the
+    constant factor 2 and no integral inverse."""
+    _check_infinite(f)
     if order < 0:
         return zero(order)
-    return poch_inf(f, order).invert().truncated(order)
+    m, d = f.base_exp, f.step
+    if m == 0:
+        raise InversionError(f"1/(-q^0; q^{d})_inf is not unit-leading")
+    if f.sign == 1:
+        up, down = (), range(m, order + 1, d)
+    else:
+        up, down = range(m, order + 1, d), range(2 * m, order + 1, 2 * d)
+    a = [1] + [0] * order
+    for e in up:
+        if e not in down:
+            binomial_step(a, e, 1, 1)
+    for e in down:
+        if e not in up:
+            binomial_step(a, e, 1, -1)
+    return LaurentSeries.from_window(0, a, order)
 
 
 # (f, length, power): the finite symbol (f; q^step)_length to the power +-1
@@ -164,8 +200,10 @@ Unit = tuple[PochFactor, int, int]
 
 # One term of a finite signed sum: (sign, shift, parent, units) stands for
 # sign * q^shift * parent * the product of the units, where the parent is a
-# callable of the order, or None for 1.
-SumTerm = tuple[int, int, Callable[[int], LaurentSeries] | None, tuple[Unit, ...]]
+# callable of the order, a dense window of a series from q^0 (a list the
+# sum only reads), or None for 1.
+SumTerm = tuple[int, int, Callable[[int], LaurentSeries] | list[int] | None,
+                tuple[Unit, ...]]
 
 
 def neg_ratio(up: int, down: int, j: int, n: int) -> tuple[Unit, Unit]:
@@ -213,6 +251,63 @@ def apply_poch_units(a: list[int], units) -> None:
                 a[:] = [0] * n if s == 1 else [2 * c for c in a]
             else:
                 binomial_step(a, e, s, power)
+
+
+# A chain of symbols (f; q^step)_{mult t}^power over t = 0, 1, ...: triples
+# (f, mult, power), the length of each symbol a multiple of the index t.
+Chain = tuple[tuple[PochFactor, int, int], ...]
+
+
+def chain_step(a: list[int], chain: Chain, t: int) -> None:
+    """Step the dense window ``a`` of a chain's product from index t - 1
+    to t in place: each symbol (f, mult, power) gains its factors
+    mult (t - 1) .. mult t - 1, one ``binomial_step`` each.  Their
+    exponents must be positive, as they are from t = 2 on."""
+    n = len(a)
+    for f, mult, power in chain:
+        for j in range(mult * (t - 1), mult * t):
+            e = f.base_exp + j * f.step
+            if e >= n:
+                break
+            binomial_step(a, e, f.sign, power)
+
+
+def running_chain(chain: Chain, start: Callable[[int, int], list[int]] | None = None
+                  ) -> Callable[[int, int], list[int]]:
+    """``window(t, top)``: the chain's product at index t as a dense window
+    from q^0 to at least q^top.  It is stepped (``chain_step``, a few
+    passes per index) from the nearest lower index whose window reaches
+    top, and every window it passes is kept, cut at that top: the tops of
+    a sum whose shifts grow shrink.  Indices 0 and 1, and a chain with no
+    window deep enough, begin at ``start(t, top)``, by default the symbols
+    applied from scratch, so a step never meets a factor (1 - s q^0).  A
+    window is never changed once handed out."""
+    if start is None:
+        def start(t: int, top: int) -> list[int]:
+            a = [1] + [0] * top
+            apply_poch_units(a, [(f, mult * t, power) for f, mult, power in chain])
+            return a
+    kept: dict[int, list[int]] = {}
+
+    def window(t: int, top: int) -> list[int]:
+        if top < 0:
+            return []
+        a = kept.get(t)
+        if a is not None and len(a) > top:
+            return a
+        m = t - 1
+        while m >= 1 and len(kept.get(m, ())) <= top:
+            m -= 1
+        if m < 1:
+            m = min(t, 1)
+            kept[m] = start(m, top)
+        a = kept[m]
+        for j in range(m + 1, t + 1):
+            a = kept[j] = a[:top + 1]
+            chain_step(a, chain, j)
+        return a
+
+    return window
 
 
 # -- partitions and Euler's product -----------------------------------------
@@ -300,7 +395,9 @@ def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:
     is built at the end.  A parent is requested once, at ``order - shift``,
     and its window up to there (or the window of 1) is multiplied by the
     units in place (``apply_poch_units``), so no coefficient above that is
-    ever needed, however negative its valuation."""
+    ever needed, however negative its valuation.  A window parent is
+    sliced up to there and never changed, so one running window can serve
+    many terms."""
     total: dict[int, int] = {}
     get = total.get
     for sign, shift, parent, units in terms:
@@ -311,6 +408,11 @@ def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:
                     total[shift] = get(shift, 0) + sign
                 continue
             lo, a = (0, [1] + [0] * top) if top >= 0 else (top + 1, [])
+        elif type(parent) is list:
+            if len(parent) <= top:
+                raise AssertionError(
+                    f"window known to q^{len(parent) - 1}, short of q^{top}")
+            lo, a = 0, parent[:top + 1]
         else:
             p = parent(top)
             if p.trunc < top:
@@ -328,11 +430,11 @@ def vanishing_sum(block: Callable[[int], list[SumTerm]],
     """sum over t = 0, 1, ... of the terms ``block(t)``, exact to ``order``,
     added by ``term_sum``.
 
-    Block terms have parent None and units of valuation zero, so a term's
-    lowest exponent is its shift.  The sum stops after three consecutive
-    blocks that have terms but none at or below the order; a block with no
-    terms (alpha~_t = 0 on one residue class) does not count toward the
-    three.
+    Block terms have parent None or a window from q^0, and units of
+    valuation zero, so a term's lowest exponent is at least its shift.
+    The sum stops after three consecutive blocks that have terms but none
+    at or below the order; a block with no terms (alpha~_t = 0 on one
+    residue class) does not count toward the three.
     """
     def terms():
         t = dead = 0

@@ -89,10 +89,10 @@ def ref_compose(order, shift, parent_get, *units):
 def ref_beta_from_spec(spec, n, order):
     """beta_n of a registry spec as the product of its symbols' series,
     the denominators inverted, with (-1; q^d)_L written 2 (-q^d; q^d)_{L-1}."""
-    if order < 0:
-        return zero(order)
     shift = spec.mono_quad * n * n + spec.mono_lin * n
-    work = order - min(shift, 0)
+    work = order - shift
+    if order < 0 or work < 0:
+        return zero(order)
     acc = one(work)
     scalars = {1: 1, -1: 1}
     for factors, power in ((spec.numerator, 1), (spec.denominator, -1)):

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from qbailey.bailey import (
     apply_moves,
     base_shift,
     base_shift_closed_tilde,
+    beta_chain,
     beta_from_spec,
     load_registry,
     registry_entry,
@@ -91,6 +93,64 @@ def test_beta_matches_product_and_invert_form(pid):
             got = beta_from_spec(spec, n, order)
             assert got.trunc == order
             assert got.to_text() == ref_beta_from_spec(spec, n, order).to_text()
+
+
+def _ascending(requests):
+    return sorted(requests)
+
+
+def _descending(requests):
+    return sorted(requests, reverse=True)
+
+
+def _shuffled(requests):
+    requests = list(requests)
+    random.Random(11).shuffle(requests)
+    return requests
+
+
+@pytest.mark.parametrize("arrange", [_ascending, _descending, _shuffled])
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5])
+def test_stepped_beta_windows_match_the_product_form(pid, arrange):
+    # tops below, at and past beta_n's valuation q^{mono(n)}, in an order
+    # that deepens, reuses and restarts the chain
+    spec = registry_entry(pid).beta
+    window = beta_chain(spec)
+    requests = [(n, spec.mono(n) + depth)
+                for n in range(41) for depth in (-2, 0, 9, 45)]
+    for n, top in arrange(requests):
+        lo, a = window(n, top)
+        assert lo + len(a) - 1 == top
+        got = LaurentSeries.from_window(lo, a, top)
+        assert got.to_text() == _ref_beta(pid, n, top), (n, top)
+        a.append(7)  # the caller owns its window
+
+
+_REF_BETAS = {}
+
+
+def _ref_beta(pid, n, top):
+    key = (pid, n, top)
+    if key not in _REF_BETAS:
+        _REF_BETAS[key] = ref_beta_from_spec(
+            registry_entry(pid).beta, n, top).to_text()
+    return _REF_BETAS[key]
+
+
+def test_registry_pair_beta_reads_its_stepped_window():
+    pair = registry_pair(5)
+    spec = registry_entry(5).beta
+    for n in (6, 2, 9):
+        for order in (30, 4, 55):
+            assert pair.beta(n, order) == beta_from_spec(spec, n, order)
+
+
+def test_stepped_beta_keeps_the_integrality_check():
+    window = beta_chain(BetaSpec(0, 0, (), ((PochFactor(-1, 0, 1), "n"),)))
+    assert window(0, 10) == (0, [1] + [0] * 10)
+    for n in (1, 4):
+        with pytest.raises(RegistryError, match="non-integral scalar 1/2"):
+            window(n, 10)
 
 
 def test_beta_with_a_non_integral_scalar_is_a_registry_error():

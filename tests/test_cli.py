@@ -67,14 +67,30 @@ def test_verify_identity_range_error():
     assert proc.returncode == 2
 
 
-def test_evaluation_error_is_one_line_and_exit_4():
-    # a backward-move cell whose carries fall below the valuation floor
-    proc = run_cli(["verify-identity", "--pair", "5", "--schedule", "lim1",
-                    "--k", "1", "--i", "3", "--order", "1748"])
+def test_evaluation_error_is_one_line_and_exit_4(tmp_path):
+    # pair 1's beta_n times q^{-n^2-100n}: the first-family cell at k=1,
+    # i=0 then has no proved j_1 bound, and its carries run below the
+    # valuation floor of the heuristic grid
+    data = json.loads(BUNDLED_REGISTRY.read_text())
+    data["pairs"][0]["beta"].update(mono_quad=-1, mono_lin=-100)
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    proc = run_cli(["verify-identity", "--pair", "1", "--schedule", "lim1",
+                    "--k", "1", "--i", "0", "--order", "40"],
+                   env_extra={"QBAILEY_REGISTRY": str(reg)})
     assert proc.returncode == 4
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_backward_move_cell_past_the_old_order_wall_verifies():
+    # its carries go below the old runaway floor -520 of order 1748 before
+    # they cancel; on the proved grid only IN bounds them
+    proc = run_cli(["verify-identity", "--pair", "5", "--schedule", "lim1",
+                    "--k", "1", "--i", "3", "--order", "1748"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("order 1748 verified\n")
 
 
 def test_verify_identity_json_round_trip():
@@ -153,6 +169,28 @@ def test_catalog_matches_golden_files(tmp_path, fmt, name):
 def test_main_in_process():
     assert main(["verify-identity", "--pair", "3", "--schedule", "lim1",
                  "--k", "1", "--i", "0", "--order", "30"]) == 0
+
+
+def test_catalog_never_inverts_a_series(monkeypatch, capsys):
+    # every inverse on the catalog path is a product of one-pass steps
+    from qbailey import qproducts
+    from qbailey.laurent import LaurentSeries
+
+    for name in ("poch_finite", "inv_poch_finite", "poch_inf", "inv_poch_inf",
+                 "inv_euler"):
+        getattr(qproducts, name).cache_clear()
+    calls = []
+    real = LaurentSeries.invert
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LaurentSeries, "invert", counted)
+    assert main(["catalog", "--max-level", "7", "--order", "120",
+                 "--format", "text"]) == 0
+    assert capsys.readouterr().out.count("verified") == 30
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,7 +22,7 @@ from qbailey.lattice import (
     alpha_side_lim1_i0_form,
 )
 from qbailey.laurent import monomial, one, zero
-from qbailey.qproducts import PochFactor, Q_FACTOR
+from qbailey.qproducts import PochFactor, Q_FACTOR, vanishing_sum
 from reference_products import ref_inv_poch_finite, ref_inv_poch_inf, ref_poch_finite
 
 ORDERS = [-3, 0, 1, 8, 17, 60]
@@ -180,3 +180,21 @@ def test_single_sums_match_oracle(order):
     inside = ref_sum(level3_block, order)
     want = (inside * ref_inv_poch_inf(PochFactor(-1, 1, 1), order + PAD)).truncated(order)
     assert _level3_rewritten(order).to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("unified", [False, True])
+def test_running_ratio_matches_the_per_t_units(unified):
+    # the library steps one ratio window along t; the same summands with
+    # each ratio applied from scratch at every t, by the same one-pass
+    # steps, must give the same series
+    order = 150
+    for (pid, kind), row in sorted(SCHEDULE_TABLE.items()):
+        for k in (1, 2, 3):
+            for i in range(row.imax(k) + 1):
+                s = Schedule(kind, k, i, pid)
+                block = ref_alpha_block(s, unified)
+                per_t = vanishing_sum(
+                    lambda t: [(sign, e, None, tuple(units))
+                               for sign, e, units in block(t)], order)
+                got = alpha_side(s, order, unified=unified)
+                assert got.to_text() == per_t.to_text(), (s, unified)

@@ -84,14 +84,14 @@ def ref_tables(spec, order, cap):
                     best = min(best, x + (_binom2(u - v) if linked else 0))
             LOW[L][v] = best
             feas[L][v] = best < _INF and best + IN[L][v] <= order
-    return LOW, feas
+    return IN, LOW, feas
 
 
 def ref_eval_multisum(spec, order, finite_n=None):
     V = spec.nvars
     beta = registry_entry(spec.pair_id).beta
     cap = finite_n if finite_n is not None else 2 * isqrt(max(order, 1)) + V + 14
-    LOW, feas = ref_tables(spec, order, cap)
+    _, LOW, feas = ref_tables(spec, order, cap)
     carries = [[None] * (cap + 1) for _ in range(V)]
     blocks = []
     dead = 0
@@ -219,8 +219,9 @@ def small_k_specs(max_k):
 def test_tables_match_reference(order):
     for spec in catalog_specs(19) + form_specs():
         cap = 2 * isqrt(order) + spec.nvars + 14
-        LOW, feas, own = _tables(spec, order, cap)
-        assert (LOW, feas) == ref_tables(spec, order, cap)
+        IN, LOW, feas, own = _tables(spec, order, cap,
+                                     registry_entry(spec.pair_id))
+        assert (IN, LOW, feas) == ref_tables(spec, order, cap)
         assert own == [[_own_exponent(spec, L, v) for v in range(cap + 1)]
                        for L in range(spec.nvars)]
 
@@ -239,8 +240,8 @@ def test_tables_match_reference_on_concave_links():
     # scan may stop only on the prefix minimum
     for spec in concave_specs():
         for order in (-20, 0, 30):
-            LOW, feas, _ = _tables(spec, order, 25)
-            assert (LOW, feas) == ref_tables(spec, order, 25)
+            IN, LOW, feas, _ = _tables(spec, order, 25, registry_entry(1))
+            assert (IN, LOW, feas) == ref_tables(spec, order, 25)
 
 
 @st.composite
@@ -270,29 +271,28 @@ def test_j1_bound_holds_on_every_chain(inputs):
     P = min(sum(A[:L + 1]) for L in range(V))
     S = min(sum(B[:L + 1]) for L in range(V))
     entry = SimpleNamespace(beta=SimpleNamespace(mono_quad=bq, mono_lin=bl))
-    with mock.patch.object(lattice, "registry_entry", lambda pid: entry):
-        for J in range(13):
-            for js in _chains(J, V - 1):
-                js = (J,) + js
-                e = sum(_own_exponent(spec, r, j) for r, j in enumerate(js))
-                e += sum(_binom2(js[r] - js[r + 1]) for r in spec.link_binoms)
-                e += bq * js[-1] ** 2 + bl * js[-1]
-                bound = _j1_bound(spec, e)
-                assert (bound is None) == (P <= 0)
-                if bound is not None:
-                    assert 2 * e >= P * J * J + S * J, (js, e)
-                    assert bound >= J, (js, e, bound)
+    for J in range(13):
+        for js in _chains(J, V - 1):
+            js = (J,) + js
+            e = sum(_own_exponent(spec, r, j) for r, j in enumerate(js))
+            e += sum(_binom2(js[r] - js[r + 1]) for r in spec.link_binoms)
+            e += bq * js[-1] ** 2 + bl * js[-1]
+            bound = _j1_bound(spec, e, entry)
+            assert (bound is None) == (P <= 0)
+            if bound is not None:
+                assert 2 * e >= P * J * J + S * J, (js, e)
+                assert bound >= J, (js, e, bound)
 
 
 @pytest.mark.parametrize("order", [1, 10, 30, 80])
 def test_j1_bound_covers_every_feasible_block(order):
     # on the heuristic grid, no j_1 past the bound is feasible
     for spec in catalog_specs(31) + form_specs() + concave_specs():
-        bound = _j1_bound(spec, order)
+        bound = _j1_bound(spec, order, registry_entry(spec.pair_id))
         if bound is None:
             continue
         cap = 2 * isqrt(order) + spec.nvars + 14
-        _, feas, _ = _tables(spec, order, cap)
+        _, _, feas, _ = _tables(spec, order, cap, registry_entry(spec.pair_id))
         last = max((v for v, ok in enumerate(feas[0]) if ok), default=-1)
         assert bound >= last, (spec, order)
 
@@ -300,7 +300,7 @@ def test_j1_bound_covers_every_feasible_block(order):
 def test_sum_without_a_bound_that_never_vanishes_does_not_stabilize():
     # P = 0 gives no bound, and every block 1/(q)_{2 j} reaches the order
     spec = MultisumSpec(1, 1, (0,), (0,), (), (), (), (), (), ())
-    assert _j1_bound(spec, 10) is None
+    assert _j1_bound(spec, 10, registry_entry(1)) is None
     with pytest.raises(ArithmeticError, match="did not stabilize"):
         eval_multisum(spec, 10)
 
@@ -440,8 +440,9 @@ def test_link_sum_matches_pieces_property(inputs):
 def test_link_sum_rejects_a_carry_short_of_top():
     # exact only to q^4; linked at v - w = 2 it reaches q^5, short of q^6
     short = [(0, *LaurentSeries({0: 1, 2: -1}, 4).window(4))]
-    # (1 - q^2) q / ((1 - q)(1 - q^2)) = q / (1 - q), leading zero kept
-    assert _link_sum(short, 2, 5, True) == (0, [0, 1, 1, 1, 1, 1])
+    # (1 - q^2) q / ((1 - q)(1 - q^2)) = q / (1 - q); the shift by q moved
+    # the window's start from q^0 to q^1
+    assert _link_sum(short, 2, 5, True) == (1, [1, 1, 1, 1, 1])
     with pytest.raises(AssertionError, match="short of 6"):
         _link_sum(short, 2, 6, True)
     with pytest.raises(AssertionError):
@@ -455,3 +456,19 @@ def test_runaway_spec_hits_the_valuation_floor():
     with pytest.raises(RunawayValuationError,
                        match="exponent -600 below valuation floor -500"):
         eval_multisum(spec, 40)
+
+
+def test_a_carry_below_its_proved_valuation_names_the_cell():
+    # IN[L][v] bounds every carry's valuation from below; tables that
+    # claim one more than the truth must be caught at the first kept cell
+    real = lattice._tables
+
+    def raised(*args):
+        IN, LOW, feas, own = real(*args)
+        return [[e + 1 for e in row] for row in IN], LOW, feas, own
+
+    spec = build_multisum_spec(Schedule("lim1", 1, 0, 1))
+    with mock.patch.object(lattice, "_tables", raised):
+        with pytest.raises(AssertionError, match="carry at level 0, j=0 starts "
+                           "at q\\^0, below its proved valuation q\\^1"):
+            eval_multisum(spec, 20)

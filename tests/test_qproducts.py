@@ -2,24 +2,31 @@
 
 import pytest
 
-from qbailey.laurent import LaurentSeries, one
+import random
+
+from qbailey.laurent import InversionError, LaurentSeries, one
 from qbailey.qproducts import (
     DivergentProductError,
     PochFactor,
     Q_FACTOR,
     _product_of_binomials,
+    apply_poch_units,
     euler_inf,
     inv_euler,
+    inv_poch_finite,
     inv_poch_inf,
     partition_numbers,
     poch_finite,
     poch_inf,
     qtpi_product,
     qtpi_sum,
+    running_chain,
 )
 from qbailey.characters import schedule_module
 from qbailey.records import catalog_cells
 from reference_products import (
+    ref_inv_poch_finite,
+    ref_inv_poch_inf,
     ref_poch_finite,
     ref_poch_inf,
     ref_qtpi_product,
@@ -228,3 +235,61 @@ def test_catalog_products_match_schoolbook():
         assert qtpi_product(*key, 30).to_text() == \
             ref_qtpi_product(*key, 30).to_text(), key
     assert len(seen) > 100
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+def test_euler_inverse_matches_inversion(b, d):
+    # 1/(-q^b; q^d)_inf = (q^b; q^d)_inf / (q^{2b}; q^{2d})_inf, with and
+    # without cancelling factors (d | b or not), and 1/(q^b; q^d)_inf
+    for sign in (-1, 1):
+        f = PochFactor(sign, b, d)
+        for order in (-1, 0, 7, 200):
+            assert inv_poch_inf(f, order).to_text() == \
+                ref_inv_poch_inf(f, order).to_text(), (f, order)
+
+
+def test_euler_inverse_rejects_what_has_no_integral_inverse():
+    with pytest.raises(InversionError):
+        inv_poch_inf(PochFactor(-1, 0, 2), 10)
+    with pytest.raises(DivergentProductError):
+        inv_poch_inf(PochFactor(1, 0, 1), 10)
+
+
+@pytest.mark.parametrize("f", [f for f in FACTORS if f.base_exp > 0])
+def test_inv_poch_finite_matches_inversion(f):
+    for order in (-2, 0, 1, 10, 33, 70):
+        for n in (0, 1, 2, 5, 12, 40):
+            assert inv_poch_finite(f, n, order).to_text() == \
+                ref_inv_poch_finite(f, n, order).to_text()
+
+
+def test_running_chain_matches_each_index_from_scratch():
+    # rising t at tops that shrink, grow (a restart) and skip an index
+    chain = ((PochFactor(-1, 1, 1), 1, 1), (PochFactor(-1, 3, 1), 1, -1),
+             (PochFactor(1, 2, 2), 2, -1))
+    window = running_chain(chain)
+    rng = random.Random(5)
+    handed = []
+    for t in (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 12):
+        for top in sorted(rng.sample(range(-2, 60), 3)):
+            a = window(t, top)
+            want = [1] + [0] * max(top, 0)
+            apply_poch_units(want, [(f, mult * t, p) for f, mult, p in chain])
+            assert a[:top + 1] == (want if top >= 0 else []), (t, top)
+            handed.append((list(a), a))
+    # no window changed after it was handed out
+    assert all(copy == a for copy, a in handed)
+
+
+
+def test_running_chain_begins_index_1_from_the_symbols():
+    # (-1; q)_t has the constant factor 2 from t = 1 on: its product is
+    # stepped from 2 (-q; q)_0, and its inverse has no integral expansion
+    up = running_chain(((PochFactor(-1, 0, 1), 1, 1),))
+    for t in range(6):
+        want = [1] + [0] * 30
+        apply_poch_units(want, [(PochFactor(-1, 0, 1), t, 1)])
+        assert up(t, 30) == want
+    with pytest.raises(InversionError, match="not unit-leading"):
+        running_chain(((PochFactor(-1, 0, 1), 1, -1),))(1, 5)
