@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bailey import compose_exact
-from .lattice import Schedule, SCHEDULE_TABLE, alpha_side, verify_limit_identity
+from .lattice import (MultisumSpec, Schedule, SCHEDULE_TABLE, alpha_side,
+                      verify_limit_identity)
 from .laurent import LaurentSeries
 from .qproducts import PochFactor, Q_FACTOR, inv_euler, poch_finite, poch_inf, qtpi_product
 
@@ -101,7 +102,8 @@ def normalization_poly(s: Schedule, order: int) -> LaurentSeries:
 
 
 def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
-                              order: int) -> bool:
+                              order: int, spec: MultisumSpec | None = None
+                              ) -> bool:
     """The full chain for one schedule cell:
 
       1. the unified alpha-side equals Q(q^{level+3}, q^{-s1-1});
@@ -111,7 +113,8 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
 
     together: sum_side = normalization * character.  The case form is a
     separate sum only for the second family at i <= 1; everywhere else it
-    is the unified form, built once, and link 3 holds by construction."""
+    is the unified form, built once, and link 3 holds by construction.
+    ``spec`` is the cell's multisum, when the caller has built it."""
     m = schedule_module(pair_id, kind, k, i)
     s = Schedule(kind, k, i, pair_id)
 
@@ -122,7 +125,7 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
 
     split = kind == "lim2" and i <= 1
     case = alpha_side(s, order) if split else unified
-    if not verify_limit_identity(s, order, case):
+    if not verify_limit_identity(s, order, case, spec):
         return False
     if not split:
         return True

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or range error,
 its valuation floor or did not stabilize).  The environment variables
 QBAILEY_ORDER and QBAILEY_REGISTRY supply a default truncation order and an
 alternate registry file, which every subcommand that reads the registry
-evaluates (see ``bailey.load_registry``).
+evaluates (see ``bailey.load_registry``).  ``catalog --jobs 1``, the
+default, neither imports nor starts a process pool.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import NoReturn
 
 from .bailey import RegistryError, load_registry, registry_pair, verify_pair
@@ -77,8 +77,12 @@ def _int_at_least(lo: int):
 
 
 def _jobs(text: str) -> int:
-    """An argparse type: a worker count of at least 1, clamped to the CPUs."""
-    return min(_int_at_least(1)(text), os.cpu_count() or 1)
+    """An argparse type: a worker count of at least 1, clamped to the CPUs
+    this process may run on (its affinity mask where the platform has one,
+    so that a pinned or cgroup-limited run counts only its own CPUs)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(_int_at_least(1)(text), cpus)
 
 
 def _cannot_write(path: str, exc: OSError) -> int:
@@ -127,6 +131,8 @@ def cmd_catalog(args) -> int:
     with sink as fh:
         work = [(c, args.order) for c in catalog_cells(args.max_level)]
         if args.jobs > 1:
+            # only a parallel run pays for importing multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 records = list(pool.map(_build_cell, work))
         else:

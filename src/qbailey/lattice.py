@@ -621,12 +621,17 @@ def alpha_side_lim1_i0_form(s: Schedule, order: int) -> LaurentSeries:
 
 
 def verify_limit_identity(s: Schedule, order: int,
-                          alpha: LaurentSeries | None = None) -> bool:
+                          alpha: LaurentSeries | None = None,
+                          spec: MultisumSpec | None = None) -> bool:
     """sum_side * (q^c; q)_inf == alpha_side (case forms), to order.
 
-    ``alpha`` is the case-form alpha side, when the caller has it already.
+    ``alpha`` is the case-form alpha side and ``spec`` the schedule's
+    multisum, when the caller has them already.
     (q^c; q)_inf = 1 + O(q) is exact to 0 even below a negative order."""
-    lhs = sum_side(s, order) * poch_inf(PochFactor(1, s.base_exp, 1), max(order, 0))
+    if spec is None:
+        spec = build_multisum_spec(s)
+    lhs = eval_multisum(spec, order) * poch_inf(PochFactor(1, s.base_exp, 1),
+                                                max(order, 0))
     rhs = alpha_side(s, order) if alpha is None else alpha
     return lhs.eq_to_order(rhs, order)
 

@@ -379,8 +379,10 @@ def _qtpi_factor_exponents(u: int, v: int, order: int) -> list[tuple[int, int]] 
             for n in range(1, (bound - b) // a + 1)]
 
 
+@lru_cache(maxsize=None)
 def qtpi_product(u: int, v: int, order: int) -> LaurentSeries:
-    """The quintuple product Q(q^u, q^v) in infinite-product form."""
+    """The quintuple product Q(q^u, q^v) in infinite-product form, built
+    once per argument triple (every cell of a module shares it)."""
     if u < 1:
         raise ValueError(f"the first argument must satisfy u >= 1, got {u}")
     exps = _qtpi_factor_exponents(u, v, order)

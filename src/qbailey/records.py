@@ -105,13 +105,14 @@ def build_record(pair_id: int, kind: str, k: int, i: int, order: int
     """Verify one catalog cell and package the result."""
     m = schedule_module(pair_id, kind, k, i)
     s = Schedule(kind, k, i, pair_id)
-    ok = verify_character_identity(pair_id, kind, k, i, order)
+    spec = build_multisum_spec(s)
+    ok = verify_character_identity(pair_id, kind, k, i, order, spec)
     norm = normalization_poly(s, order)
     return IdentityRecord(
         pair_id=pair_id, kind=kind, k=k, i=i,
         s0=m.s0, s1=m.s1, level=m.level, modulus=m.modulus,
         normalization=tuple(sorted(norm.terms.items())),
-        sum_spec=build_multisum_spec(s),
+        sum_spec=spec,
         beta=registry_entry(pair_id).beta,
         product_factors=tuple(char_product_factors(m)),
         order=order,

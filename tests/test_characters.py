@@ -191,3 +191,32 @@ def test_verify_character_identity_builds_each_alpha_side_once(monkeypatch):
         calls.clear()
         assert characters.verify_character_identity(*cell, 40), cell
         assert sorted(calls) == expected, cell
+
+
+def test_quintuple_product_is_built_once_per_module():
+    # the 30 cells of level <= 7 fall in 18 modules, one product each
+    from qbailey.records import catalog_cells
+
+    qtpi_product.cache_clear()
+    for cell in catalog_cells(7):
+        assert verify_character_identity(*cell, 120), cell
+    assert qtpi_product.cache_info().misses == 18
+
+
+def test_build_record_builds_the_multisum_spec_once(monkeypatch):
+    # the record's spec is the one the limit identity evaluates
+    import qbailey.lattice as lattice
+    import qbailey.records as records
+
+    calls, real = [], lattice.build_multisum_spec
+
+    def counting_build(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(records, "build_multisum_spec", counting_build)
+    monkeypatch.setattr(lattice, "build_multisum_spec", counting_build)
+    for cell in ((1, "lim1", 1, 0), (2, "lim2", 1, 0), (5, "lim1", 1, 3)):
+        calls.clear()
+        assert records.build_record(*cell, 40).status == "verified", cell
+        assert calls == [Schedule(cell[1], cell[2], cell[3], cell[0])], cell

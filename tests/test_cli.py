@@ -151,6 +151,32 @@ def test_catalog_jobs_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_serial_runs_never_import_the_process_pool():
+    # only `catalog --jobs N` with N > 1 may load multiprocessing
+    code = """
+import contextlib, io, sys
+import qbailey.cli
+pool = ("multiprocessing", "concurrent.futures.process")
+loaded = [sorted(set(pool) & set(sys.modules))]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qbailey.cli.main(["verify-identity", "--pair", "1", "--schedule",
+                             "lim1", "--k", "1", "--i", "0",
+                             "--order", "20"]) == 0
+    loaded.append(sorted(set(pool) & set(sys.modules)))
+    assert qbailey.cli.main(["catalog", "--max-level", "3",
+                             "--order", "20"]) == 0
+loaded.append(sorted(set(pool) & set(sys.modules)))
+print(loaded)
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QBAILEY_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[[], [], []]\n"
+
+
 def test_catalog_usage_error():
     proc = run_cli(["catalog", "--max-level", "1", "--order", "20"])
     assert proc.returncode == 2
@@ -231,8 +257,16 @@ def test_bad_env_order_is_reported(raw, message):
 
 def test_jobs_bounds(capsys, monkeypatch):
     monkeypatch.delenv("QBAILEY_ORDER", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # the CPUs this process may run on bound --jobs, not the host's count
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
     parse = build_parser().parse_args
+    assert parse(["catalog", "--max-level", "2", "--jobs", "2"]).jobs == 2
+    assert parse(["catalog", "--max-level", "2", "--jobs", "1000000"]).jobs == 3
+    # without affinity masks, the CPU count bounds it
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert parse(["catalog", "--max-level", "2", "--jobs", "2"]).jobs == 2
     assert parse(["catalog", "--max-level", "2", "--jobs", "1000000"]).jobs == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
