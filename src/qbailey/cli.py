@@ -120,33 +120,34 @@ def _build_cell(cell_order) -> IdentityRecord:
 
 
 def cmd_catalog(args) -> int:
-    # load the registry, then open the output, so that a bad registry file
-    # or an unwritable path fails before any cell is verified
+    # a bad registry file or an unwritable output fails before any cell is
+    # verified, and the output is truncated only when it is written
     load_registry()
-    try:
-        sink = (open(args.output, "w") if args.output
-                else contextlib.nullcontext(sys.stdout))
-    except OSError as exc:
-        return _cannot_write(args.output, exc)
-    with sink as fh:
-        work = [(c, args.order) for c in catalog_cells(args.max_level)]
-        if args.jobs > 1:
-            # only a parallel run pays for importing multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_build_cell, work))
-        else:
-            records = [_build_cell(w) for w in work]
-        if args.format == "json":
-            out = emit_json(records, args.max_level, args.order)
-        elif args.format == "latex":
-            out = emit_latex(records)
-        else:
-            out = emit_text(records)
+    if args.output:
         try:
-            fh.write(out)
+            open(args.output, "a").close()
         except OSError as exc:
-            return _cannot_write(args.output or "stdout", exc)
+            return _cannot_write(args.output, exc)
+    work = [(c, args.order) for c in catalog_cells(args.max_level)]
+    if args.jobs > 1:
+        # only a parallel run pays for importing multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            records = list(pool.map(_build_cell, work))
+    else:
+        records = [_build_cell(w) for w in work]
+    if args.format == "json":
+        out = emit_json(records, args.max_level, args.order)
+    elif args.format == "latex":
+        out = emit_latex(records)
+    else:
+        out = emit_text(records)
+    try:
+        with (open(args.output, "w") if args.output
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(out)
+    except OSError as exc:
+        return _cannot_write(args.output or "stdout", exc)
     failed = [r for r in records if r.status != "verified"]
     if failed:
         for r in failed:

@@ -39,24 +39,23 @@ linked level), divides by (1 - q^{v-w+1}) and adds g_w, each step a single
 pass (``qproducts.binomial_step``), so no series product, inversion or
 Pochhammer cache is involved; every carry is first checked to reach the
 sum's truncation.  The cell's own exponent then moves the window's
-valuation, its units apply on the same list and its sign negates it; the
-j_1-blocks add into one window.  The beta_v of the innermost level are read
-from the registry pair's stepped windows (``bailey.beta_chain``).  In the
-n -> oo limit the grid ends at a proved bound on j_1 (``_j1_bound``) when
-its P > 0, else at the heuristic cap 2 isqrt(order) + V + 14.  For the
-schedules with backward moves the summands are only conditionally
-summable: their exponents are unboundedly negative and cancel in blocks of
-fixed outermost index.  So the evaluator sums complete j_1-blocks and stops
-after three consecutive blocks vanish to the order (a margin against
-non-monotonic low-index behavior) or at the end of a proved grid; reaching
-the heuristic cap raises ArithmeticError.  ``extra_dead`` extends the
-margin; inside a proved grid it adds nothing.
+valuation, its units apply on the same list and its sign negates it.  The
+beta_v of the innermost level are read from the registry pair's stepped
+windows (``bailey.beta_chain``).  At finite n the j_1-blocks are divided by
+(q)_{n-j_1} in one more Horner chain.  In the n -> oo limit the grid ends
+at a proved bound on j_1 (``_j1_bound``) when its P > 0, else at the
+heuristic cap 2 isqrt(order) + V + 14.  For the schedules with backward
+moves the summands are only conditionally summable: their exponents are
+unboundedly negative and cancel in blocks of fixed outermost index.  So
+each complete j_1-block is one term of ``qproducts.vanishing_sum``, which
+stops after three dead blocks in a row; a block zero to the order, or
+past a proved grid, is dead, and one past the heuristic cap raises
+ArithmeticError.
 
 Valuations.  Every kept carry must start at or above IN[L][v]; one below
 it is an internal error (AssertionError naming the cell), whatever the
-order, so a proved grid (finite n, or a j_1 bound) has no order wall.  Only
-on a heuristic-cap grid is each carry also held to ``laurent``'s runaway
-floor, which raises ``RunawayValuationError``.
+order, so inner carries meet no order wall.  ``vanishing_sum`` holds each
+j_1-block to ``laurent``'s runaway floor (``RunawayValuationError``).
 
 Most printed simplified forms (``simplified_forms``) are signed sums of
 such chain specs, each shifted by a power of q, evaluated by the same DP.
@@ -69,8 +68,8 @@ window per sum (``qproducts.running_chain``): from t - 1 to t it is
 multiplied by (1 + q^t) / (1 + q^{c'+t-1}), three passes, and each term
 adds a slice of it.  The single sums apply their unit triples, finite
 Pochhammer symbols, in one pass per factor.  One loop,
-``qproducts.vanishing_sum``, sums every such series and holds their one
-stopping rule.
+``qproducts.vanishing_sum``, sums every such series and the multisum's
+j_1-blocks, and holds their one stopping rule and runaway guard.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from typing import Callable
 
 from .bailey import (_MOVE_TABLE, Move, RegistryEntry, _binom2, compose_exact,
                      entry_pair, ratio_bases, registry_entry)
-from .laurent import LaurentSeries, check_floor, monomial, zero
+from .laurent import LaurentSeries, monomial, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
@@ -448,15 +447,14 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
     return lo, a
 
 
-def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None,
-                  extra_dead: int = 0) -> LaurentSeries:
+def eval_multisum(spec: MultisumSpec, order: int, *,
+                  finite_n: int | None = None) -> LaurentSeries:
     """Evaluate the multisum exactly to ``order``.
 
     With ``finite_n`` the sum is the finite beta sequence member at n
     (outer factor 1/(q)_{n-j_1} and finite leading Pochhammers); without
     it, the n -> oo limit (outer factor -> 1, leading factors -> infinite
-    products), summed in j_1-blocks until three consecutive blocks (plus
-    ``extra_dead`` more) vanish to the order or a proved grid ends.
+    products), summed in j_1-blocks by ``qproducts.vanishing_sum``.
     """
     V = spec.nvars
     entry = registry_entry(spec.pair_id)
@@ -474,10 +472,9 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
 
     # nonzero[L]: the nonzero carries (v, lo, window) at level L, v ascending
     nonzero: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(V)]
-    need_dead = 3 + extra_dead
-    dead = 0
 
-    for v in range(cap + 1):
+    def add_carries(v: int) -> None:
+        """Append the nonzero carries at j = v, innermost level first."""
         for L in range(V - 1, -1, -1):
             if not feas[L][v]:
                 continue
@@ -497,46 +494,43 @@ def eval_multisum(spec: MultisumSpec, order: int, *, finite_n: int | None = None
                 raise AssertionError(
                     f"carry at level {L}, j={v} starts at q^{lo}, below its "
                     f"proved valuation q^{IN[L][v]}")
-            if not proved:
-                check_floor(lo, t_cap)
             del a[:k]
             if signed[L] and v % 2:
                 a[:] = map(neg, a)
             nonzero[L].append((v, lo, a))
-        if nonzero[0] and nonzero[0][-1][0] == v:
-            dead = 0
-        elif n is None:
-            dead += 1
-            if dead >= need_dead and v >= 4:
-                break
-    else:
-        if not proved:
-            raise ArithmeticError(
-                f"multisum did not stabilize within j_1 <= {cap}; "
-                "the summand family appears not to converge"
-            )
 
-    # the blocks, each exact to t_cap = order since LOW[0] is 0, added into
-    # one window; at finite n each is divided by (q)_{n-j_1} on the way
+    # at finite n each j_1-block is divided by (q)_{n-j_1} on the way
     if n is not None:
+        for v in range(n + 1):
+            add_carries(v)
         lo, a = _link_sum(nonzero[0], n, order, False)
         apply_poch_units(a, [(PochFactor(-1, b, 1), n, -1) for b in spec.prefactors])
         return LaurentSeries.from_window(lo, a, order)
-    lo = min((glo for _, glo, _ in nonzero[0]), default=order + 1)
-    a = [0] * (order - lo + 1)
-    for _, glo, g in nonzero[0]:
-        i = glo - lo
-        a[i:i + len(g)] = map(add, a[i:i + len(g)], g)
-    total = LaurentSeries.from_window(lo, a, order)
+
+    def block(v: int) -> list[SumTerm]:
+        # a live block's window ends at t_cap = order, since LOW[0] is 0;
+        # a block zero to the order, or past a proved grid, is a dead term
+        if v <= cap:
+            add_carries(v)
+            if nonzero[0] and nonzero[0][-1][0] == v:
+                _, lo, a = nonzero[0][-1]
+                return [(1, lo, a, ())]
+        elif not proved:
+            raise ArithmeticError(
+                f"multisum did not stabilize within j_1 <= {cap}; "
+                "the summand family appears not to converge")
+        return [(1, order + 1, None, ())]
+
+    total = vanishing_sum(block, order)
     # 1/(-q^b)_inf = 1 + O(q) is exact to 0 even below a negative order
     for b in spec.prefactors:
         total = total * inv_poch_inf(PochFactor(-1, b, 1), max(order, 0))
     return total.truncated(order)
 
 
-def sum_side(s: Schedule, order: int, *, extra_dead: int = 0) -> LaurentSeries:
+def sum_side(s: Schedule, order: int) -> LaurentSeries:
     """(q)_inf * beta^final_infinity, from the closed multisum."""
-    return eval_multisum(build_multisum_spec(s), order, extra_dead=extra_dead)
+    return eval_multisum(build_multisum_spec(s), order)
 
 
 def sum_side_finite(s: Schedule, n: int, order: int) -> LaurentSeries:

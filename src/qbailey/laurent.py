@@ -52,9 +52,9 @@ class RunawayValuationError(ArithmeticError):
 
 
 # Exponents below -RUNAWAY_FACTOR * max(|trunc|, RUNAWAY_BASE) abort: a
-# series, or a sum whose terms no proved bound covers, has run away.  The
-# multisum DP applies it only past a heuristic cap on j_1; on a proved grid
-# its carries may legitimately go lower before they cancel, and its IN table
+# series, or a sum whose terms keep falling, has run away.  Every term of
+# ``qproducts.vanishing_sum`` is held to it, the multisum's j_1-blocks too;
+# the DP's inner carries may go lower before they cancel, and its IN table
 # bounds them instead (see ``lattice``).
 RUNAWAY_FACTOR = 10
 RUNAWAY_BASE = 50

@@ -12,9 +12,10 @@ requested once at the order minus the shift, a dense window from q^0 that
 the sum only reads, or None for 1, and the units are finite Pochhammer
 symbols that ``apply_poch_units`` applies in one pass per factor on the
 parent's window.  Every series that is summed term by term "until it
-vanishes" (the alpha sides and reindexed single sums of ``lattice``, the
-two series forms of the quintuple product) goes through one loop,
-``vanishing_sum``, which hands its terms to ``term_sum``.
+vanishes" (the alpha sides, reindexed single sums and multisum j_1-blocks
+of ``lattice``, the two series forms of the quintuple product) goes through
+one loop, ``vanishing_sum``, which hands its terms to ``term_sum`` and
+holds each to ``laurent``'s runaway floor.
 
 Chains.  A product of symbols whose lengths grow with an index t, such as
 (-q; q)_t / (-q^c; q)_t or a registry beta's 1/(q^c; q)_{2n}, gains only a
@@ -37,7 +38,7 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Iterable
 
-from .laurent import InversionError, LaurentSeries, zero
+from .laurent import InversionError, LaurentSeries, check_floor, zero
 
 
 class DivergentProductError(ValueError):
@@ -436,15 +437,17 @@ def vanishing_sum(block: Callable[[int], list[SumTerm]],
     valuation zero, so a term's lowest exponent is at least its shift.
     The sum stops after three consecutive blocks that have terms but none
     at or below the order; a block with no terms (alpha~_t = 0 on one
-    residue class) does not count toward the three.
+    residue class) does not count toward the three.  A shift below
+    ``laurent``'s runaway floor raises ``RunawayValuationError``.
     """
     def terms():
         t = dead = 0
         while dead < 3:
             block_terms = block(t)
             if block_terms:
-                live = any(shift <= order for _, shift, _, _ in block_terms)
-                dead = 0 if live else dead + 1
+                low = min(shift for _, shift, _, _ in block_terms)
+                check_floor(low, order)
+                dead = 0 if low <= order else dead + 1
                 yield from block_terms
             t += 1
 

@@ -22,7 +22,7 @@ from qbailey.records import (
 GOLDEN_DIR = Path(__file__).parent.parent / "goldens"
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("QBAILEY_ORDER", None)
     env.pop("QBAILEY_REGISTRY", None)
@@ -30,7 +30,7 @@ def run_cli(args, env_extra=None):
         env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "qbailey.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     return proc
 
@@ -82,6 +82,45 @@ def test_evaluation_error_is_one_line_and_exit_4(tmp_path):
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def _pair1_registry(tmp_path, edit):
+    """QBAILEY_REGISTRY naming the bundled data with pair 1 changed by
+    ``edit``."""
+    data = json.loads(BUNDLED_REGISTRY.read_text())
+    edit(data["pairs"][0])
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    return {"QBAILEY_REGISTRY": str(reg)}
+
+
+def test_alpha_side_whose_shifts_keep_falling_exits_4(tmp_path):
+    # pair 1's alpha~_t on t = 2 mod 3 as q^{(-4t^2 - t)/3}: the alpha
+    # side's shifts fall without end, so no block is ever dead, and only the
+    # runaway floor of ``vanishing_sum`` stops the sum
+    env = _pair1_registry(
+        tmp_path, lambda p: p["alpha_tilde"]["2"].update(quad=-4, lin=-1))
+    proc = run_cli(["verify-identity", "--pair", "1", "--schedule", "lim1",
+                    "--k", "1", "--i", "0", "--order", "20"],
+                   env_extra=env, timeout=60)
+    assert proc.returncode == 4
+    assert proc.stderr == "error: exponent -533 below valuation floor -500\n"
+
+
+def test_failed_catalog_leaves_an_earlier_output_as_it_was(tmp_path):
+    out = tmp_path / "catalog.txt"
+    out.write_text("an earlier catalog\n")
+    argv = ["catalog", "--max-level", "4", "--order", "40", "--output", str(out)]
+    env = _pair1_registry(
+        tmp_path, lambda p: p["beta"].update(mono_quad=-1, mono_lin=-100))
+    proc = run_cli(argv, env_extra=env)
+    assert proc.returncode == 4
+    assert out.read_text() == "an earlier catalog\n"
+    # a run that succeeds replaces it whole
+    proc = run_cli(argv)
+    assert proc.returncode == 0
+    assert out.read_text().startswith("pair 3 lim3 k=1 i=0: ")
+    assert "earlier" not in out.read_text()
 
 
 def test_backward_move_cell_past_the_old_order_wall_verifies():

@@ -35,6 +35,7 @@ from qbailey.qproducts import (
     poch_finite,
     qtpi_product,
 )
+from test_multisum_dp import ref_eval_multisum
 
 _BUNDLED_REGISTRY = (Path(__file__).parent.parent / "src" / "qbailey" / "data"
                      / "bailey_pairs.json")
@@ -203,10 +204,14 @@ def test_multisum_negative_control():
 
 
 def test_multisum_stabilization_certificate():
-    # raising the block cap must not change the value (margin certificate)
+    # a margin of five dead blocks must not change the value; the four
+    # lim3 schedules have no proved j_1 bound, so only the margin stops them
     for s in (Schedule("lim3", 1, 1, 3), Schedule("lim1", 1, 3, 1),
-              Schedule("lim2", 1, 2, 2)):
-        assert sum_side(s, 50) == sum_side(s, 50, extra_dead=2)
+              Schedule("lim2", 1, 2, 2), Schedule("lim3", 1, 1, 1),
+              Schedule("lim3", 1, 1, 5), Schedule("lim3", 1, 2, 1)):
+        spec = build_multisum_spec(s)
+        assert eval_multisum(spec, 50) == ref_eval_multisum(spec, 50,
+                                                            dead_blocks=5)
 
 
 def test_multisum_spec_round_trip():

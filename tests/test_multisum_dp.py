@@ -87,7 +87,9 @@ def ref_tables(spec, order, cap):
     return IN, LOW, feas
 
 
-def ref_eval_multisum(spec, order, finite_n=None):
+def ref_eval_multisum(spec, order, finite_n=None, dead_blocks=3):
+    """The direct sum; in the limit it stops once ``dead_blocks`` j_1-blocks
+    in a row vanish to the order, from j_1 = 4 on, or at the heuristic cap."""
     V = spec.nvars
     beta = registry_entry(spec.pair_id).beta
     cap = finite_n if finite_n is not None else 2 * isqrt(max(order, 1)) + V + 14
@@ -124,7 +126,7 @@ def ref_eval_multisum(spec, order, finite_n=None):
         blocks.append(carries[0][v])
         if finite_n is None:
             dead = dead + 1 if blocks[-1].is_zero() else 0
-            if dead >= 3 and v >= 4:
+            if dead >= dead_blocks and v >= 4:
                 break
     total = zero(order)
     if finite_n is None:

@@ -4,7 +4,8 @@ import pytest
 
 import random
 
-from qbailey.laurent import InversionError, LaurentSeries, one
+from qbailey.laurent import (InversionError, LaurentSeries,
+                             RunawayValuationError, one)
 from qbailey.qproducts import (
     DivergentProductError,
     PochFactor,
@@ -21,6 +22,7 @@ from qbailey.qproducts import (
     qtpi_product,
     qtpi_sum,
     running_chain,
+    vanishing_sum,
 )
 from qbailey.characters import schedule_module
 from qbailey.records import catalog_cells
@@ -293,3 +295,17 @@ def test_running_chain_begins_index_1_from_the_symbols():
         assert up(t, 30) == want
     with pytest.raises(InversionError, match="not unit-leading"):
         running_chain(((PochFactor(-1, 0, 1), 1, -1),))(1, 5)
+
+
+def test_vanishing_sum_stops_when_its_shifts_keep_falling():
+    # no block ever lies past the order, so none is dead; the runaway floor
+    # -500 of order 20 ends the sum at t = 251, before the block function
+    # refuses to go on
+    def block(t):
+        if t > 500:
+            raise AssertionError(f"block {t} asked for past the floor")
+        return [(1, -2 * t, None, ()), (-1, 3, None, ())]
+
+    with pytest.raises(RunawayValuationError,
+                       match="exponent -502 below valuation floor -500"):
+        vanishing_sum(block, 20)
