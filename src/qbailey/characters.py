@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bailey import compose_exact
-from .lattice import (MultisumSpec, Schedule, SCHEDULE_TABLE, alpha_side,
-                      verify_limit_identity)
+from .lattice import MultisumSpec, Schedule, alpha_side, verify_limit_identity
 from .laurent import LaurentSeries
 from .qproducts import PochFactor, Q_FACTOR, inv_euler, poch_finite, poch_inf, qtpi_product
 
@@ -80,11 +79,9 @@ def char_qtpi(m: ModuleLabel, order: int) -> LaurentSeries:
 
 def schedule_module(pair_id: int, kind: str, k: int, i: int) -> ModuleLabel:
     """The module a schedule cell produces, per the identity table."""
-    s = Schedule(kind, k, i, pair_id)  # validates row and i-range
-    row = SCHEDULE_TABLE[(pair_id, kind)]
-    level = row.level(k)
+    row = Schedule(kind, k, i, pair_id).row  # validates row and i-range
     s1 = row.s1(k, i)
-    return ModuleLabel(level - 2 * s1, s1)
+    return ModuleLabel(row.level(k) - 2 * s1, s1)
 
 
 def normalization_poly(s: Schedule, order: int) -> LaurentSeries:

@@ -121,21 +121,28 @@ def _build_cell(cell_order) -> IdentityRecord:
 
 def cmd_catalog(args) -> int:
     # a bad registry file or an unwritable output fails before any cell is
-    # verified, and the output is truncated only when it is written
+    # verified, the output is truncated only when it is written, and a run
+    # that fails removes an output file that the check created
     load_registry()
+    created = bool(args.output) and not os.path.exists(args.output)
     if args.output:
         try:
             open(args.output, "a").close()
         except OSError as exc:
             return _cannot_write(args.output, exc)
     work = [(c, args.order) for c in catalog_cells(args.max_level)]
-    if args.jobs > 1:
-        # only a parallel run pays for importing multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_build_cell, work))
-    else:
-        records = [_build_cell(w) for w in work]
+    try:
+        if args.jobs > 1:
+            # only a parallel run pays for importing multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                records = list(pool.map(_build_cell, work))
+        else:
+            records = [_build_cell(w) for w in work]
+    except BaseException:
+        if created:
+            os.remove(args.output)
+        raise
     if args.format == "json":
         out = emit_json(records, args.max_level, args.order)
     elif args.format == "latex":

@@ -172,26 +172,20 @@ class Schedule:
 
 
 def expand_schedule(s: Schedule) -> list[Move]:
-    """The concrete move word a schedule applies to its registry pair."""
+    """The concrete move word a schedule applies to its registry pair.
+    lim1(k, i) walks from k to i with F1 or B1, then closes with BC1 and
+    i - 1 steps F1; lim3(k, i) is F2 then lim1(k - 1, i), and lim2(k, i)
+    is lim1(k - 1, max(i - 1, 0)) then BC2 if i = 1, else F2."""
+    def lim1(k: int, i: int) -> list[Move]:
+        word = [Move.F1] * (k - i) if k >= i else [Move.B1] * (i - k)
+        return word + ([Move.BC1] + [Move.F1] * (i - 1) if i else [])
+
     k, i = s.k, s.i
     if s.kind == "lim1":
-        word = [Move.F1] * (k - i) if k >= i else [Move.B1] * (i - k)
-        if i >= 1:
-            word += [Move.BC1] + [Move.F1] * (i - 1)
-        return word
+        return lim1(k, i)
     if s.kind == "lim2":
-        if i == 0:
-            return [Move.F1] * (k - 1) + [Move.F2]
-        if i == 1:
-            return [Move.F1] * (k - 1) + [Move.BC2]
-        word = [Move.F1] * (k - i) if k >= i else [Move.B1] * (i - k)
-        return word + [Move.BC1] + [Move.F1] * (i - 2) + [Move.F2]
-    # lim3
-    word = [Move.F2]
-    word += [Move.F1] * (k - i - 1) if k - i - 1 >= 0 else [Move.B1] * (i + 1 - k)
-    if i >= 1:
-        word += [Move.BC1] + [Move.F1] * (i - 1)
-    return word
+        return lim1(k - 1, max(i - 1, 0)) + [Move.BC2 if i == 1 else Move.F2]
+    return [Move.F2] + lim1(k - 1, i)
 
 
 # -- closed multisums ---------------------------------------------------------

@@ -1,10 +1,13 @@
 """q-Pochhammer symbols, Euler products, and the quintuple product identity.
 
 The symbol (sign*q^m; q^d)_n is represented by a ``PochFactor`` together with
-a length.  Infinite products are truncated exactly: every factor that can
-touch a coefficient at or below the requested order is included, with the
-bookkeeping done through valuations so Laurent factors (negative exponents)
-are handled exactly.
+a length, and one function walks the factors of a symbol:
+``apply_poch_units`` multiplies or divides a dense window by unit triples
+(f, length, power), one ``binomial_step`` per factor, skipping the factors
+past the window.  An infinite product is the unit of its factors at or
+below the order.  Only ``qtpi_product`` has Laurent factors (negative
+exponents); it writes them as a sign, a power of q and a unit, so every
+product here is one term of ``term_sum``.
 
 Every finite signed sum goes through one accumulator, ``term_sum``.  A
 term is (sign, q-shift, parent, unit triples): the parent is a series
@@ -59,9 +62,6 @@ class PochFactor:
         if self.step < 1:
             raise ValueError(f"step must be positive, got {self.step}")
 
-    def factor_exponent(self, t: int) -> int:
-        return self.base_exp + t * self.step
-
     def infinite_ok(self) -> bool:
         # (q^0; q^d)_inf has the factor (1 - 1) = 0 and is identically zero;
         # (-q^0; q^d)_inf = 2(-q^d; q^d)_inf is a perfectly good series.
@@ -100,46 +100,22 @@ def binomial_step(a: list[int], e: int, sign: int, power: int) -> None:
         a[r::e] = accumulate(a[r::e])
 
 
-def _product_of_binomials(exps_signs: list[tuple[int, int]], order: int) -> LaurentSeries:
-    """Exact product of factors (1 - sign*q^e), allowing negative e.
+# (f, length, power): the finite symbol (f; q^step)_length to the power +-1
+Unit = tuple[PochFactor, int, int]
 
-    A factor with e < 0 is rewritten as -sign q^e (1 - sign q^{-e}), and a
-    constant factor (1 - sign q^0) is 0 or 2, so the product is a scalar
-    times a power q^low times factors of positive exponent.  Those are
-    applied by one ``binomial_step`` each to the dense list of exponents
-    0..order - low, which the shift by q^low carries to exactly ``order``.
-    """
-    scale, low = 1, 0
-    positive = []
-    for e, sign in exps_signs:
-        if e == 0:
-            if sign == 1:
-                return zero(order)
-            scale *= 2
-            continue
-        if e < 0:
-            scale *= -sign
-            low += e
-            e = -e
-        positive.append((e, sign))
-    work = order - low
-    if work < 0:
-        return zero(order)  # the product starts at q^low, above the order
-    a = [scale] + [0] * work
-    for e, sign in positive:
-        binomial_step(a, e, sign, 1)
-    return LaurentSeries.from_window(low, a, order)
+# One term of a finite signed sum: (sign, shift, parent, units) stands for
+# sign * q^shift * parent * the product of the units, where the parent is a
+# callable of the order, a dense window of a series from q^0 (a list the
+# sum only reads), or None for 1.
+SumTerm = tuple[int, int, Callable[[int], LaurentSeries] | list[int] | None,
+                tuple[Unit, ...]]
 
 
 @lru_cache(maxsize=None)
 def poch_finite(f: PochFactor, n: int, order: int) -> LaurentSeries:
-    """(sign*q^m; q^d)_n = prod_{0<=t<n} (1 - sign*q^{m+t*d}), exact to order."""
-    if n < 0:
-        raise ValueError(f"Pochhammer length must be nonnegative, got {n}")
-    if order < 0:
-        return zero(order)
-    exps = [(f.factor_exponent(t), f.sign) for t in range(n)]
-    return _product_of_binomials(exps, order)
+    """(sign*q^m; q^d)_n = prod_{0<=t<n} (1 - sign*q^{m+t*d}), exact to
+    order: one unit of ``term_sum``, so m must be >= 0."""
+    return term_sum([(1, 0, None, ((f, n, 1),))], order)
 
 
 def _check_infinite(f: PochFactor) -> None:
@@ -150,15 +126,16 @@ def _check_infinite(f: PochFactor) -> None:
         )
 
 
+def _inf_unit(f: PochFactor, top: int, power: int = 1) -> Unit:
+    """(f; q^step)_inf^power as a unit: its factors at or below q^top."""
+    return (f, max((top - f.base_exp) // f.step + 1, 0), power)
+
+
 @lru_cache(maxsize=None)
 def poch_inf(f: PochFactor, order: int) -> LaurentSeries:
     """(sign*q^m; q^d)_inf, exact to order."""
     _check_infinite(f)
-    if order < 0:
-        return zero(order)
-    exps = [(f.factor_exponent(t), f.sign)
-            for t in range((order - f.base_exp) // f.step + 1)]
-    return _product_of_binomials(exps, order)
+    return term_sum([(1, 0, None, (_inf_unit(f, order),))], order)
 
 
 @lru_cache(maxsize=None)
@@ -170,12 +147,13 @@ def inv_poch_finite(f: PochFactor, n: int, order: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def inv_poch_inf(f: PochFactor, order: int) -> LaurentSeries:
-    """1 / (sign*q^m; q^d)_inf, exact to order, by binomial steps on one
-    window.  Sign +1 divides every factor out.  Sign -1 uses Euler's
-    (x; p)_inf (-x; p)_inf = (x^2; p^2)_inf at x = q^m, p = q^d: it
-    multiplies by (1 - q^e) over e = m + t d and divides by it over
-    e = 2m + 2t d, an e in both sets cancelling.  (-1; q^d)_inf has the
-    constant factor 2 and no integral inverse."""
+    """1 / (sign*q^m; q^d)_inf, exact to order, as units on one window.
+    Sign +1 divides every factor out.  Sign -1 is Euler's
+    (q^m; q^d)_inf / (q^{2m}; q^{2d})_inf, from (x; p)_inf (-x; p)_inf =
+    (x^2; p^2)_inf at x = q^m, p = q^d; when m = r d every factor of the
+    denominator is one of the numerator's, which leaves
+    (q^m; q^d)_r (q^{2m+d}; q^{2d})_inf.  (-1; q^d)_inf has the constant
+    factor 2 and no integral inverse."""
     _check_infinite(f)
     if order < 0:
         return zero(order)
@@ -183,28 +161,14 @@ def inv_poch_inf(f: PochFactor, order: int) -> LaurentSeries:
     if m == 0:
         raise InversionError(f"1/(-q^0; q^{d})_inf is not unit-leading")
     if f.sign == 1:
-        up, down = (), range(m, order + 1, d)
+        units = (_inf_unit(f, order, -1),)
+    elif m % d:
+        units = (_inf_unit(PochFactor(1, m, d), order),
+                 _inf_unit(PochFactor(1, 2 * m, 2 * d), order, -1))
     else:
-        up, down = range(m, order + 1, d), range(2 * m, order + 1, 2 * d)
-    a = [1] + [0] * order
-    for e in up:
-        if e not in down:
-            binomial_step(a, e, 1, 1)
-    for e in down:
-        if e not in up:
-            binomial_step(a, e, 1, -1)
-    return LaurentSeries.from_window(0, a, order)
-
-
-# (f, length, power): the finite symbol (f; q^step)_length to the power +-1
-Unit = tuple[PochFactor, int, int]
-
-# One term of a finite signed sum: (sign, shift, parent, units) stands for
-# sign * q^shift * parent * the product of the units, where the parent is a
-# callable of the order, a dense window of a series from q^0 (a list the
-# sum only reads), or None for 1.
-SumTerm = tuple[int, int, Callable[[int], LaurentSeries] | list[int] | None,
-                tuple[Unit, ...]]
+        units = ((PochFactor(1, m, d), m // d, 1),
+                 _inf_unit(PochFactor(1, 2 * m + d, 2 * d), order))
+    return term_sum([(1, 0, None, units)], order)
 
 
 def neg_ratio(up: int, down: int, j: int, n: int) -> tuple[Unit, Unit]:
@@ -353,43 +317,35 @@ def inv_euler(order: int) -> LaurentSeries:
 
 # -- quintuple product -------------------------------------------------------
 
-def _qtpi_factor_exponents(u: int, v: int, order: int) -> list[tuple[int, int]] | None:
-    """Exponents (with signs) of all quintuple-product factors that can
-    affect coefficients <= order, for s = q^u, t = q^v.  Returns None when
-    some factor is exactly (1 - q^0) = 0, i.e. the product vanishes.
-
-    Each family of factors (1 - q^{a n + b}), n >= 1, has a > 0, so its
-    factors with a n + b <= 0 are n = 1..m, m = floor(-b / a), and they
-    lower the valuation by the sum of their exponents.
-    """
-    families = (
-        (u, 0),              # (1 - s^n)
-        (u, v),              # (1 - s^n t)
-        (u, -u - v),         # (1 - s^(n-1) / t)
-        (2 * u, 2 * v - u),  # (1 - s^(2n-1) t^2)
-        (2 * u, -2 * v - u),  # (1 - s^(2n-1) / t^2)
-    )
-    neg = 0
-    for a, b in families:
-        m = max(-b // a, 0)
-        if m and a * m + b == 0:
-            return None
-        neg += a * m * (m + 1) // 2 + b * m
-    bound = order - neg
-    return [(a * n + b, 1) for a, b in families
-            for n in range(1, (bound - b) // a + 1)]
-
-
 @lru_cache(maxsize=None)
 def qtpi_product(u: int, v: int, order: int) -> LaurentSeries:
     """The quintuple product Q(q^u, q^v) in infinite-product form, built
-    once per argument triple (every cell of a module shares it)."""
+    once per argument triple (every cell of a module shares it).
+
+    Each of its five families of factors (1 - q^{a n + b}), n >= 1, has
+    a > 0.  The factors with a n + b < 0 are n = 1..m, m = floor(-b / a),
+    and each is -q^{a n + b} (1 - q^{-a n - b}): together a sign, a power
+    of q and the unit (q^{-(a m + b)}; q^a)_m.  The rest are the unit
+    (q^{a (m + 1) + b}; q^a)_inf.  A factor (1 - q^0) makes Q zero.
+    """
     if u < 1:
         raise ValueError(f"the first argument must satisfy u >= 1, got {u}")
-    exps = _qtpi_factor_exponents(u, v, order)
-    if exps is None:
-        return zero(order)
-    return _product_of_binomials(exps, order)
+    sign, low, heads = 1, 0, []
+    for a, b in ((u, 0),                # (1 - s^n)
+                 (u, v),                # (1 - s^n t)
+                 (u, -u - v),           # (1 - s^(n-1) / t)
+                 (2 * u, 2 * v - u),    # (1 - s^(2n-1) t^2)
+                 (2 * u, -2 * v - u)):  # (1 - s^(2n-1) / t^2)
+        m = max(-b // a, 0)
+        if m and a * m + b == 0:
+            return zero(order)
+        sign *= (-1) ** m
+        low += a * m * (m + 1) // 2 + b * m
+        heads.append((a, b, m))
+    units = tuple(unit for a, b, m in heads for unit in (
+        (PochFactor(1, -(a * m + b), a), m, 1),
+        _inf_unit(PochFactor(1, a * (m + 1) + b, a), order - low)))
+    return term_sum([(sign, low, None, units)], order)
 
 
 def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:

@@ -202,11 +202,7 @@ def record_latex(rec: IdentityRecord) -> str:
     """One compilable display for the record, sum side = product side."""
     spec = rec.sum_spec
     V = spec.nvars
-    if V == 1:
-        subscript = "j_1 \\geq 0"
-    else:
-        mid = " \\geq ".join(f"j_{r}" for r in range(1, V + 1))
-        subscript = f"{mid} \\geq 0"
+    subscript = " \\geq ".join([f"j_{r}" for r in range(1, V + 1)] + ["0"])
 
     inf = "\\infty"
     prefix = "".join(

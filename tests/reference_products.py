@@ -11,7 +11,7 @@ builds a registry beta the same way.
 """
 
 from qbailey.laurent import LaurentSeries, one, zero
-from qbailey.qproducts import PochFactor, _qtpi_factor_exponents
+from qbailey.qproducts import PochFactor
 
 
 def schoolbook_binomials(exps_signs, order):
@@ -63,8 +63,20 @@ def ref_inv_poch_inf(f, order):
 
 
 def ref_qtpi_product(u, v, order):
-    exps = _qtpi_factor_exponents(u, v, order)
-    return zero(order) if exps is None else schoolbook_binomials(exps, order)
+    """Q(q^u, q^v) as the product of its factors (1 - q^{a n + b}), n >= 1,
+    over its five families (a, b): every factor of exponent <= 0, then the
+    positive ones up to the order less the sum of those."""
+    families = ((u, 0), (u, v), (u, -u - v), (2 * u, 2 * v - u), (2 * u, -2 * v - u))
+    exps = []
+    for a, b in families:
+        n = 1
+        while a * n + b <= 0:
+            exps.append(a * n + b)
+            n += 1
+    top = order - sum(exps)
+    for a, b in families:
+        exps += [a * n + b for n in range(1, (top - b) // a + 1) if a * n + b > 0]
+    return schoolbook_binomials([(e, 1) for e in exps], order)
 
 
 def ref_compose(order, shift, parent_get, *units):

@@ -123,6 +123,17 @@ def test_failed_catalog_leaves_an_earlier_output_as_it_was(tmp_path):
     assert "earlier" not in out.read_text()
 
 
+def test_failed_catalog_removes_the_output_it_created(tmp_path):
+    out = tmp_path / "catalog.txt"
+    env = _pair1_registry(
+        tmp_path, lambda p: p["beta"].update(mono_quad=-1, mono_lin=-100))
+    proc = run_cli(["catalog", "--max-level", "4", "--order", "40",
+                    "--output", str(out)], env_extra=env)
+    assert proc.returncode == 4
+    assert proc.stderr == "error: exponent -510 below valuation floor -500\n"
+    assert not out.exists()
+
+
 def test_backward_move_cell_past_the_old_order_wall_verifies():
     # its carries go below the old runaway floor -520 of order 1748 before
     # they cancel; on the proved grid only IN bounds them

@@ -10,7 +10,6 @@ from qbailey.qproducts import (
     DivergentProductError,
     PochFactor,
     Q_FACTOR,
-    _product_of_binomials,
     apply_poch_units,
     euler_inf,
     inv_euler,
@@ -32,7 +31,6 @@ from reference_products import (
     ref_poch_finite,
     ref_poch_inf,
     ref_qtpi_product,
-    schoolbook_binomials,
 )
 
 
@@ -101,7 +99,7 @@ def test_inv_euler_matches_generic_inversion():
 def test_pochhammer_one_step_extension():
     f = PochFactor(1, 2, 3)
     for n in range(5):
-        step = LaurentSeries({0: 1, f.factor_exponent(n): -1}, 40)
+        step = LaurentSeries({0: 1, f.base_exp + n * f.step: -1}, 40)
         lhs = poch_finite(f, n + 1, 40)
         rhs = poch_finite(f, n, 40) * step
         assert lhs.eq_to_order(rhs, 40)
@@ -181,25 +179,11 @@ def test_qtpi_product_brute_force_low_terms():
 
 # -- the one-pass products against the schoolbook product -------------------
 
-BINOMIAL_LISTS = [
-    [],
-    [(1, 1), (2, 1), (3, 1)],
-    [(-3, 1), (2, -1), (-1, -1), (5, 1)],       # negative exponents
-    [(-7, -1), (-7, 1), (4, 1), (4, 1)],        # repeated factors
-    [(0, -1), (3, 1), (-2, 1)],                 # (1 + q^0) doubles
-    [(0, -1), (0, -1), (1, -1)],
-    [(2, 1), (0, 1), (-4, -1)],                 # (1 - q^0) is zero
-    [(1, -1), (45, 1), (60, -1), (-5, 1)],      # factors past the padded order
-    [(-30, 1), (1, 1)],                         # starts above small orders
-]
-
-
-@pytest.mark.parametrize("exps", BINOMIAL_LISTS)
-def test_product_of_binomials_matches_schoolbook(exps):
-    for order in (-40, -31, -30, -29, -5, 0, 3, 17, 40):
-        got = _product_of_binomials(exps, order)
-        assert got.trunc == order
-        assert got.to_text() == schoolbook_binomials(exps, order).to_text()
+def test_poch_finite_rejects_a_negative_base():
+    # a factor (1 - s q^e) with e < 0 is not a valuation-zero unit
+    for order in (-5, 0, 10):
+        with pytest.raises(ValueError, match="negative exponent"):
+            poch_finite(PochFactor(1, -2, 1), 3, order)
 
 
 FACTORS = [PochFactor(1, 1, 1), PochFactor(-1, 1, 1), PochFactor(1, 0, 1),
@@ -223,6 +207,17 @@ def test_qtpi_product_matches_schoolbook():
             for order in (0, 9, 40):
                 assert qtpi_product(u, v, order).to_text() == \
                     ref_qtpi_product(u, v, order).to_text(), (u, v, order)
+
+
+@pytest.mark.parametrize("order", [-40, -31, -30, -29, -5, 0, 3, 17, 40])
+def test_qtpi_product_laurent_factors_match_schoolbook(order):
+    # lowest exponents from 0 down to -222, each negative order among
+    # them, and products with a factor (1 - q^0)
+    for u in range(1, 7):
+        for v in range(-12, 13):
+            got = qtpi_product(u, v, order)
+            assert got.trunc == order
+            assert got.to_text() == ref_qtpi_product(u, v, order).to_text(), (u, v)
 
 
 def test_catalog_products_match_schoolbook():
@@ -309,3 +304,22 @@ def test_vanishing_sum_stops_when_its_shifts_keep_falling():
     with pytest.raises(RunawayValuationError,
                        match="exponent -502 below valuation floor -500"):
         vanishing_sum(block, 20)
+
+
+def _live_dead_sum(pattern, order=10):
+    """vanishing_sum over blocks t whose one term is q^t when pattern[t] is
+    "L" (live) and q^{order + 1} when it is "D" (dead), as is every block
+    past the pattern."""
+    def block(t):
+        live = t < len(pattern) and pattern[t] == "L"
+        return [(1, t if live else order + 1, None, ())]
+
+    return vanishing_sum(block, order)
+
+
+def test_vanishing_sum_sums_past_two_dead_blocks():
+    assert _live_dead_sum("LDDL") == LaurentSeries({0: 1, 3: 1}, 10)
+
+
+def test_vanishing_sum_ends_after_three_dead_blocks():
+    assert _live_dead_sum("LDDDL") == LaurentSeries({0: 1}, 10)
