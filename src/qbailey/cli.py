@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from typing import NoReturn
@@ -32,9 +31,10 @@ from .records import (
     IdentityRecord,
     build_record,
     catalog_cells,
-    emit_json,
-    emit_latex,
     emit_text,
+    json_chunks,
+    json_text,
+    latex_chunks,
     record_latex,
 )
 
@@ -106,7 +106,7 @@ def cmd_verify_pair(args) -> int:
 def cmd_verify_identity(args) -> int:
     rec = build_record(args.pair, args.schedule, args.k, args.i, args.order)
     if args.format == "json":
-        print(json.dumps(rec.to_json_dict(), indent=2))
+        print(json_text(rec.to_json_dict()))
     elif args.format == "latex":
         print(record_latex(rec))
     else:
@@ -144,16 +144,18 @@ def cmd_catalog(args) -> int:
             os.remove(args.output)
         raise
     if args.format == "json":
-        out = emit_json(records, args.max_level, args.order)
+        chunks = json_chunks(records, args.max_level, args.order)
     elif args.format == "latex":
-        out = emit_latex(records)
+        chunks = latex_chunks(records)
     else:
-        out = emit_text(records)
+        chunks = [emit_text(records)]
     try:
         with (open(args.output, "w") if args.output
               else contextlib.nullcontext(sys.stdout)) as fh:
-            fh.write(out)
+            fh.writelines(chunks)
     except OSError as exc:
+        if created:
+            os.remove(args.output)
         return _cannot_write(args.output or "stdout", exc)
     failed = [r for r in records if r.status != "verified"]
     if failed:

@@ -5,12 +5,16 @@ schedule cell, the module label it lands on, the sum-side multisum, the
 product side, the normalization constant tying them together, and the order
 to which the whole chain was checked.  The JSON form round-trips exactly;
 the LaTeX form renders the identity in standard Pochhammer notation.
+Catalogs are written one record at a time (``json_chunks``, ``latex_chunks``);
+``json_text`` gives ``json.dumps(doc, indent=2)``'s bytes by C-level joins.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .bailey import BetaSpec, registry_entry
 from .characters import (
@@ -243,25 +247,49 @@ def record_latex(rec: IdentityRecord) -> str:
             f"&= {rhs}\n\\end{{align*}}\n")
 
 
+def json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a ``to_json_dict`` value ``pad`` deep."""
+    if type(value) is dict:
+        items = (f"{_quote(k)}: {json_text(v, pad + '  ')}" for k, v in value.items())
+    elif type(value) is list:
+        # a list of ints, most of a record, is one C-level join
+        items = (map(str, value) if {*map(type, value)} == {int}
+                 else (json_text(v, pad + "  ") for v in value))
+    else:
+        return str(value) if type(value) is int else json.dumps(value)
+    first, last = "{}" if type(value) is dict else "[]"
+    inner = f"\n{pad}  "
+    body = inner + ("," + inner).join(items) + f"\n{pad}" if value else ""
+    return first + body + last
+
+
+def json_chunks(records: list[IdentityRecord], max_level: int, order: int
+                ) -> Iterator[str]:
+    """The catalog document ``emit_json`` returns, one record at a time."""
+    yield (f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "max_level": {max_level},'
+           f'\n  "order": {order},\n  "records": [')
+    for n, r in enumerate(records):
+        yield (",\n    " if n else "\n    ") + json_text(r.to_json_dict(), "    ")
+    yield ("\n  ]" if records else "]") + "\n}\n"
+
+
 def emit_json(records: list[IdentityRecord], max_level: int, order: int) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "max_level": max_level,
-        "order": order,
-        "records": [r.to_json_dict() for r in records],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return "".join(json_chunks(records, max_level, order))
+
+
+def latex_chunks(records: list[IdentityRecord]) -> Iterator[str]:
+    """The document ``emit_latex`` returns, one record at a time."""
+    yield ("% Catalog of verified sum-side/product-side identities.\n"
+           "% Each display gives the limiting multisum and the principal\n"
+           "% character product it equals, with its normalization constant.\n"
+           "\\documentclass{article}\n\\usepackage{amsmath}\n"
+           "\\allowdisplaybreaks\n\\begin{document}\n\n")
+    yield from (record_latex(r) + "\n" for r in records)
+    yield "\\end{document}\n"
 
 
 def emit_latex(records: list[IdentityRecord]) -> str:
-    header = (
-        "% Catalog of verified sum-side/product-side identities.\n"
-        "% Each display gives the limiting multisum and the principal\n"
-        "% character product it equals, with its normalization constant.\n"
-        "\\documentclass{article}\n\\usepackage{amsmath}\n"
-        "\\allowdisplaybreaks\n\\begin{document}\n\n"
-    )
-    return header + "\n".join(record_latex(r) for r in records) + "\n\\end{document}\n"
+    return "".join(latex_chunks(records))
 
 
 def emit_text(records: list[IdentityRecord]) -> str:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, formats, round trips, and the golden catalog."""
 
+import errno
 import importlib.util
 import json
 import os
@@ -150,6 +151,17 @@ def test_verify_identity_json_round_trip():
     parsed = IdentityRecord.from_json_dict(json.loads(proc.stdout))
     direct = build_record(1, "lim1", 1, 2, 40)
     assert parsed == direct
+
+
+@pytest.mark.parametrize("cell", [(2, "lim2", 1, 0), (5, "lim3", 1, 0)])
+def test_verify_identity_json_is_the_stdlib_rendering(cell, capsys, monkeypatch):
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    pid, kind, k, i = cell
+    assert main(["verify-identity", "--pair", str(pid), "--schedule", kind,
+                 "--k", str(k), "--i", str(i), "--order", "30",
+                 "--format", "json"]) == 0
+    rec = build_record(pid, kind, k, i, 30)
+    assert capsys.readouterr().out == json.dumps(rec.to_json_dict(), indent=2) + "\n"
 
 
 def test_record_round_trip_in_process():
@@ -355,6 +367,29 @@ def test_catalog_unwritable_output_fails_before_verifying(tmp_path, capsys,
     assert captured.err == (f"error: cannot write {target}: "
                             "No such file or directory\n")
     assert captured.out == ""
+
+
+def test_catalog_write_that_fails_removes_the_output_it_created(
+        tmp_path, capsys, monkeypatch):
+    from qbailey import cli
+
+    def full_disk(path, mode="r"):
+        fh = open(path, mode)
+        if "w" in mode:
+            def no_space(*args):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = fh.writelines = no_space
+        return fh
+
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    target = tmp_path / "catalog.json"
+    code = main(["catalog", "--max-level", "3", "--order", "10",
+                 "--format", "json", "--output", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: cannot write {target}: "
+                                       "No space left on device\n")
+    assert not target.exists()
 
 
 def test_catalog_unwritable_output_from_the_shell(tmp_path):
