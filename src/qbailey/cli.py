@@ -19,8 +19,8 @@ default, neither imports nor starts a process pool.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
+import stat
 import sys
 from typing import NoReturn
 
@@ -90,6 +90,29 @@ def _cannot_write(path: str, exc: OSError) -> int:
     return EXIT_USAGE
 
 
+def _write_whole(path: str, chunks) -> None:
+    """Write ``chunks`` to ``path`` whole or not at all: a regular file, or
+    none, is replaced after the last chunk from a temporary file beside it
+    with the mode ``open(path, "w")`` keeps, removed on any failure.
+    Anything else, such as /dev/stdout, is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+        return
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.getpid()}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            if os.path.exists(real):
+                os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
+            fh.writelines(chunks)
+        os.replace(tmp, real)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def cmd_verify_pair(args) -> int:
     results = verify_pair(registry_pair(args.pair), args.n_max, args.order)
     for n, ok in enumerate(results):
@@ -121,28 +144,25 @@ def _build_cell(cell_order) -> IdentityRecord:
 
 def cmd_catalog(args) -> int:
     # a bad registry file or an unwritable output fails before any cell is
-    # verified, the output is truncated only when it is written, and a run
-    # that fails removes an output file that the check created
+    # verified, and the output is replaced only once it is written whole: a
+    # run that fails leaves an earlier output as it was, and no new one
     load_registry()
-    created = bool(args.output) and not os.path.exists(args.output)
     if args.output:
+        created = not os.path.lexists(args.output)
         try:
             open(args.output, "a").close()
         except OSError as exc:
             return _cannot_write(args.output, exc)
-    work = [(c, args.order) for c in catalog_cells(args.max_level)]
-    try:
-        if args.jobs > 1:
-            # only a parallel run pays for importing multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_build_cell, work))
-        else:
-            records = [_build_cell(w) for w in work]
-    except BaseException:
         if created:
             os.remove(args.output)
-        raise
+    work = [(c, args.order) for c in catalog_cells(args.max_level)]
+    if args.jobs > 1:
+        # only a parallel run pays for importing multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            records = list(pool.map(_build_cell, work))
+    else:
+        records = [_build_cell(w) for w in work]
     if args.format == "json":
         chunks = json_chunks(records, args.max_level, args.order)
     elif args.format == "latex":
@@ -150,12 +170,11 @@ def cmd_catalog(args) -> int:
     else:
         chunks = [emit_text(records)]
     try:
-        with (open(args.output, "w") if args.output
-              else contextlib.nullcontext(sys.stdout)) as fh:
-            fh.writelines(chunks)
+        if args.output:
+            _write_whole(args.output, chunks)
+        else:
+            sys.stdout.writelines(chunks)
     except OSError as exc:
-        if created:
-            os.remove(args.output)
         return _cannot_write(args.output or "stdout", exc)
     failed = [r for r in records if r.status != "verified"]
     if failed:

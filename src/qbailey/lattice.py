@@ -92,7 +92,7 @@ from .qproducts import (
     binomial_step,
     inv_poch_finite,
     inv_poch_inf,
-    poch_finite,  # noqa: F401  unused here; the benchmark tracer wraps this binding
+    poch_finite,  # noqa: F401  unused; perfbench/selftest.py reads lattice.poch_finite
     poch_inf,
     running_chain,
     term_sum,
@@ -305,17 +305,37 @@ _NEG_Q = PochFactor(-1, 1, 1)  # the base of (-q; q)_n
 _INF = 1 << 60
 
 
+def _min_plus(x: list[int], linked: bool, b2: list[int]) -> list[int]:
+    """m[v] = min over w <= v of x[w], plus binom(v - w, 2) if ``linked``:
+    the prefix minimum, or a scan down from w = v that stops once prefix[w]
+    plus the binomial, which never decreases, cannot win.  m[v] is ``_INF``
+    exactly when every x[w], w <= v, is."""
+    prefix = list(accumulate(x, min))
+    if not linked:
+        return prefix
+    out = []
+    for v in range(len(x)):
+        best = _INF
+        for w in range(v, -1, -1):
+            d = b2[v - w]
+            if prefix[w] + d >= best:
+                break
+            if x[w] + d < best:
+                best = x[w] + d
+        out.append(best)
+    return out
+
+
 def _tables(spec: MultisumSpec, order: int, cap: int, entry: RegistryEntry):
     """IN, LOW and feasibility tables on the (level, value) grid, for the
     spec's registry ``entry``.
 
     Returns ``(IN, LOW, feas, own)``, where ``own[L][v]`` is the exponent
     quad[L] v^2 + lin[L] v (+ binom(v, 2) on a self-binomial level) that
-    variable L contributes at j_L = v.  A level without a link binomial is a
-    running minimum: a prefix minimum for IN, a suffix minimum for LOW.  A
-    linked level adds binomials from one table; IN scans w = v, v-1, ...
-    and stops once the prefix minimum plus the binomial cannot win, and
-    LOW minimizes over the feasible outer values only.
+    variable L contributes at j_L = v.  Both tables are one min-plus pass
+    of ``_min_plus`` per level, adding binomials only on a linked level:
+    IN from the inside out over the inner values w <= v, LOW from the
+    outside in over the outer values u >= v, on the reversed cost row.
     """
     V = spec.nvars
     bq, bl = entry.beta.mono_quad, entry.beta.mono_lin
@@ -330,38 +350,17 @@ def _tables(spec: MultisumSpec, order: int, cap: int, entry: RegistryEntry):
     IN: list[list[int]] = [[]] * V
     IN[V - 1] = [e + bq * v * v + bl * v for v, e in enumerate(own[V - 1])]
     for L in range(V - 2, -1, -1):
-        inner = IN[L + 1]
-        prefix_min = list(accumulate(inner, min))
-        if L not in spec.link_binoms:
-            IN[L] = list(map(add, own[L], prefix_min))
-            continue
-        row = []
-        for v in values:
-            # b2 never decreases, so no w' <= w beats prefix_min[w] + b2[v-w]
-            best = _INF
-            for w in range(v, -1, -1):
-                d = b2[v - w]
-                if prefix_min[w] + d >= best:
-                    break
-                if inner[w] + d < best:
-                    best = inner[w] + d
-            row.append(own[L][v] + best)
-        IN[L] = row
+        IN[L] = list(map(add, own[L],
+                         _min_plus(IN[L + 1], L in spec.link_binoms, b2)))
 
     LOW = [[0] * (cap + 1)]
     feas = [[e <= order for e in IN[0]]]
     for L in range(1, V):
-        # cost[u]: least outer exponent through a feasible j_{L-1} = u
-        cost = [lo + e if ok else _INF
-                for lo, e, ok in zip(LOW[L - 1], own[L - 1], feas[L - 1])]
-        if (L - 1) in spec.link_binoms:
-            live = [(u, c) for u, c in enumerate(cost) if c < _INF]
-            row = [min([c + b2[u - v] for u, c in live if u >= v], default=_INF)
-                   for v in values]
-        else:
-            row = list(accumulate(reversed(cost), min))[::-1]
-        LOW.append(row)
-        feas.append([lo < _INF and lo + e <= order for lo, e in zip(row, IN[L])])
+        # cost[cap - u]: least outer exponent through a feasible j_{L-1} = u
+        cost = [lo + e if ok else _INF for lo, e, ok in
+                zip(reversed(LOW[L - 1]), reversed(own[L - 1]), reversed(feas[L - 1]))]
+        LOW.append(_min_plus(cost, (L - 1) in spec.link_binoms, b2)[::-1])
+        feas.append([lo < _INF and lo + e <= order for lo, e in zip(LOW[L], IN[L])])
     return IN, LOW, feas, own
 
 

@@ -7,20 +7,18 @@ ints, so arithmetic is exact at arbitrary precision.  Truncation is
 propagated conservatively through multiplication (via valuations), so a
 result never reports a coefficient it does not actually know.
 
-A product of two series takes one of two exact paths, chosen by the
-operands' term counts.  Short operands use the schoolbook double loop over
-the stored terms.  When both operands have at least ``KRONECKER_MIN_TERMS``
-terms, the product goes by Kronecker substitution: each operand, clipped to
-the exponents that can reach the result's truncation, is written as a dense
-coefficient list and packed into one Python int, one fixed-width digit per
-exponent, and a single big-int multiply (Karatsuba inside CPython) gives
-every coefficient at once.  The digit width comes from a proved bound on
-the product's coefficients, so digits never overflow into each other.
+Every product of two nonempty series goes by Kronecker substitution: each
+operand, clipped to the exponents that can reach the result's truncation,
+is written as a dense coefficient list and packed into one Python int, one
+fixed-width digit per exponent, and a single big-int multiply (Karatsuba
+inside CPython) gives every coefficient at once.  The digit width comes
+from a proved bound on the product's coefficients, so digits never
+overflow into each other.
 
-Both paths live in ``__mul__``, which is the only product of two series.
-The Pochhammer symbols of the Bailey moves, the registry betas, the
-multisum's inner sum and the hand-summed series of ``lattice`` do not come
-here: their factors (1 - s q^e) are applied one at a time on a window
+``__mul__`` is the only product of two series.  The Pochhammer symbols of
+the Bailey moves, the registry betas, the multisum's inner sum and the
+hand-summed series of ``lattice`` do not come here: their factors
+(1 - s q^e) are applied one at a time on a window
 (``qproducts.binomial_step``).  A window ``(lo, a)`` is the dense
 coefficient list a[i] of q^{lo+i}, from the valuation up to a known top
 lo + len(a) - 1.  ``window`` and ``from_window`` are the only conversions
@@ -69,12 +67,6 @@ def check_floor(lo: int, trunc: int) -> None:
     if lo < _floor_for(trunc):
         raise RunawayValuationError(
             f"exponent {lo} below valuation floor {_floor_for(trunc)}")
-
-
-# Products where both operands have at least this many terms go through
-# Kronecker substitution; below it the schoolbook loop is faster, because
-# packing and unpacking cost a few microseconds per product whatever its size.
-KRONECKER_MIN_TERMS = 24
 
 
 def _kronecker_mul(xs: dict[int, int], ys: dict[int, int], trunc: int) -> dict[int, int]:
@@ -233,18 +225,7 @@ class LaurentSeries:
             return NotImplemented
         trunc = min(self.trunc + other._effval(), other.trunc + self._effval())
         xs, ys = self.terms, other.terms
-        if min(len(xs), len(ys)) >= KRONECKER_MIN_TERMS:
-            return LaurentSeries(_kronecker_mul(xs, ys, trunc), trunc)
-        out: dict[int, int] = {}
-        get = out.get
-        ys_sorted = sorted(ys.items())
-        for e1, c1 in xs.items():
-            for e2, c2 in ys_sorted:
-                e = e1 + e2
-                if e > trunc:
-                    break
-                out[e] = get(e, 0) + c1 * c2
-        return LaurentSeries(out, trunc)
+        return LaurentSeries(_kronecker_mul(xs, ys, trunc) if xs and ys else {}, trunc)
 
     __rmul__ = __mul__
 

@@ -369,20 +369,22 @@ def test_catalog_unwritable_output_fails_before_verifying(tmp_path, capsys,
     assert captured.out == ""
 
 
+def _full_disk(path, mode="r"):
+    """``open`` whose handles opened for writing raise ENOSPC on write."""
+    fh = open(path, mode)
+    if "w" in mode:
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        fh.write = fh.writelines = no_space
+    return fh
+
+
 def test_catalog_write_that_fails_removes_the_output_it_created(
         tmp_path, capsys, monkeypatch):
     from qbailey import cli
 
-    def full_disk(path, mode="r"):
-        fh = open(path, mode)
-        if "w" in mode:
-            def no_space(*args):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            fh.write = fh.writelines = no_space
-        return fh
-
     monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
-    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    monkeypatch.setattr(cli, "open", _full_disk, raising=False)
     target = tmp_path / "catalog.json"
     code = main(["catalog", "--max-level", "3", "--order", "10",
                  "--format", "json", "--output", str(target)])
@@ -390,6 +392,48 @@ def test_catalog_write_that_fails_removes_the_output_it_created(
     assert capsys.readouterr().err == (f"error: cannot write {target}: "
                                        "No space left on device\n")
     assert not target.exists()
+
+
+def test_catalog_write_that_fails_leaves_an_earlier_output_as_it_was(
+        tmp_path, capsys, monkeypatch):
+    from qbailey import cli
+
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    monkeypatch.setattr(cli, "open", _full_disk, raising=False)
+    target = tmp_path / "catalog.json"
+    target.write_text("an earlier catalog\n")
+    code = main(["catalog", "--max-level", "3", "--order", "10",
+                 "--format", "json", "--output", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: cannot write {target}: "
+                                       "No space left on device\n")
+    assert target.read_text() == "an earlier catalog\n"
+    assert os.listdir(tmp_path) == ["catalog.json"]
+
+
+def test_catalog_output_gets_the_mode_open_would_give(tmp_path, monkeypatch):
+    # an earlier file keeps its mode, a new one gets the umask's
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    earlier, new = tmp_path / "earlier.txt", tmp_path / "new.txt"
+    earlier.write_text("an earlier catalog\n")
+    earlier.chmod(0o640)
+    umask = os.umask(0o022)
+    os.umask(umask)
+    for target, mode in ((earlier, 0o640), (new, 0o666 & ~umask)):
+        assert main(["catalog", "--max-level", "2", "--order", "10",
+                     "--output", str(target)]) == 0
+        assert target.read_text().startswith("pair ")
+        assert target.stat().st_mode & 0o777 == mode
+    assert sorted(os.listdir(tmp_path)) == ["earlier.txt", "new.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_catalog_output_to_a_pipe_is_written_in_place():
+    # run_cli's stdout is a pipe: there is no file beside it to replace
+    proc = run_cli(["catalog", "--max-level", "2", "--order", "10",
+                    "--output", "/dev/stdout"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("pair 3 lim3 k=1 i=0: ")
 
 
 def test_catalog_unwritable_output_from_the_shell(tmp_path):

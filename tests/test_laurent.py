@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbailey.laurent import (
-    KRONECKER_MIN_TERMS,
     InversionError,
     LaurentSeries,
     TruncationError,
@@ -252,8 +251,8 @@ def assert_mul_matches(x, y):
     assert y * x == ref
 
 
-SIZES = [KRONECKER_MIN_TERMS - 1, KRONECKER_MIN_TERMS, KRONECKER_MIN_TERMS + 1,
-         3 * KRONECKER_MIN_TERMS, 200]
+# from one term up; 23-25 sat on either side of a former schoolbook cutoff
+SIZES = [1, 2, 23, 24, 25, 72, 200]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -269,7 +268,7 @@ def test_mul_kernel_matches_schoolbook(n, bits):
 @pytest.mark.parametrize("n", SIZES)
 def test_mul_kernel_mixed_sizes_and_sparsity(n):
     rng = random.Random(n)
-    short = random_series(rng, KRONECKER_MIN_TERMS - 1, -3, 100)
+    short = random_series(rng, 23, -3, 100)
     long = random_series(rng, n, 2, 100)
     assert_mul_matches(short, long)
     # sparse operand spread far beyond its term count
@@ -277,6 +276,13 @@ def test_mul_kernel_mixed_sizes_and_sparsity(n):
                             for j in range(n)}, 7 * n)
     assert_mul_matches(sparse, long)
     assert_mul_matches(sparse, sparse)
+    # a 1-term operand (1 x 200 at n = 200), and an empty one, whose product
+    # is zero with the conservative truncation
+    assert_mul_matches(random_series(rng, 1, 5, 100), long)
+    empty = LaurentSeries({}, n)
+    assert_mul_matches(empty, long)
+    assert_mul_matches(empty, empty)
+    assert (empty * long).trunc == min(n + long.val(), long.trunc + n + 1)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -320,8 +326,7 @@ def test_mul_kernel_cancellation_and_zero(n):
     assert_mul_matches(x, zero(x.trunc))
 
 
-@given(st.integers(KRONECKER_MIN_TERMS - 4, 3 * KRONECKER_MIN_TERMS),
-       st.integers(KRONECKER_MIN_TERMS - 4, 3 * KRONECKER_MIN_TERMS),
+@given(st.integers(1, 72), st.integers(1, 72),
        st.integers(-30, 30), st.integers(-30, 30),
        st.integers(0, 140), st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)

@@ -237,13 +237,36 @@ def concave_specs():
             for links in ((0,), (1,), (0, 1))]
 
 
+def gapped_link_specs():
+    """A linked level 0 whose outer cost row, at order 0, is feasible at
+    j_0 = 0, infeasible just above it and feasible again further out.  In
+    the first the nearest value is the least, so LOW's scan stops with
+    feasible values still beyond it; in the second the least is past the
+    gap."""
+    return [MultisumSpec(1, 3, (0, -1, 1), (9, -1, -5), (2,), (0,),
+                         (), (), (), ()),
+            MultisumSpec(1, 2, (-2, -1), (3, 1), (), (0,), (), (), (), ())]
+
+
 def test_tables_match_reference_on_concave_links():
     # the minimum over w can sit far below v behind larger values, so a
     # scan may stop only on the prefix minimum
-    for spec in concave_specs():
+    for spec in concave_specs() + gapped_link_specs():
         for order in (-20, 0, 30):
             IN, LOW, feas, _ = _tables(spec, order, 25, registry_entry(1))
             assert (IN, LOW, feas) == ref_tables(spec, order, 25)
+    stops, past = gapped_link_specs()
+    for spec in (stops, past):
+        _, LOW, feas, own = _tables(spec, 0, 25, registry_entry(1))
+        cost = [lo + e if ok else _INF
+                for lo, e, ok in zip(LOW[0], own[0], feas[0])]
+        assert cost[0] < _INF == cost[1] and cost[-1] < _INF
+        if spec is stops:
+            # from u = 1 on nothing can beat u = 0
+            assert min(cost[1:]) + _binom2(1) >= cost[0] == LOW[1][0]
+        else:
+            # u = 1 is infeasible, so the least lies past the gap
+            assert LOW[1][0] < cost[0]
 
 
 @st.composite
