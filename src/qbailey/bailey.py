@@ -45,9 +45,12 @@ its j-pieces.  ``lattice.build_multisum_spec`` reads
 the same table to write a move word as one closed multisum.
 
 A registry pair's beta_n = q^{mono(n)} (symbols of length n or 2n) is
-stepped from beta_{n-1} (``beta_chain``): the pair keeps the valuation-zero
+stepped from beta_{n-1} (``beta_chain``): a chain keeps the valuation-zero
 part of each beta_n as a window and multiplies in only the factors the
-symbol lengths gain, so an index costs O(1) passes, not O(n).
+symbol lengths gain, so an index costs O(1) passes, not O(n).  Each
+registry pair reads its own chain, and ``lattice``'s multisum DP reads
+another, one per ``BetaSpec``: the move engine and the closed multisums it
+is checked against share the move table and the registry data, no cache.
 
 Pairs form a shared trie.  ``registry_pair`` makes each registry pair once
 per registry entry, and ``apply_move`` memoizes each child on its parent,
@@ -83,8 +86,6 @@ from .qproducts import (
 _DEFAULT_REGISTRY = Path(__file__).parent / "data" / "bailey_pairs.json"
 
 SeqFn = Callable[[int, int], LaurentSeries]
-# (n, top) -> the window (lo, a) of a sequence's n-th member up to q^top
-WindowFn = Callable[[int, int], tuple[int, list[int]]]
 
 
 class RegistryError(ValueError):
@@ -109,29 +110,25 @@ class BaileyPair:
     """A Bailey pair with lazily evaluated, memoized sequences.
 
     Exactly one of ``alpha`` / ``alpha_tilde`` is supplied; the other is
-    derived.  Each sequence function takes (n, order) and must return a
-    series exact at least to ``order``.  Memoization keeps the deepest
-    (highest-order) evaluation per index, and every value handed out ends
-    at exactly the requested order, so what a caller sees does not depend
-    on which deeper request came first.  ``apply_move`` keeps the pair's
+    derived.  Each sequence function, ``beta`` too, takes (n, order) and
+    must return a series exact at least to ``order``.  Memoization keeps
+    the deepest (highest-order) evaluation per index, and every value
+    handed out ends at exactly the requested order, so what a caller sees
+    does not depend on which deeper request came first.  ``apply_move`` keeps the pair's
     children here too.  Instances are immutable apart from these caches,
     so sharing across threads is safe under the GIL.
     """
 
     def __init__(self, base_exp: int, *, alpha: SeqFn | None = None,
-                 alpha_tilde: SeqFn | None = None, beta: SeqFn | None = None,
-                 beta_window: WindowFn | None = None,
+                 alpha_tilde: SeqFn | None = None, beta: SeqFn,
                  provenance: tuple[str, ...] = ()):
         if (alpha is None) == (alpha_tilde is None):
             raise ValueError("supply exactly one of alpha / alpha_tilde")
-        if (beta is None) == (beta_window is None):
-            raise ValueError("supply exactly one of beta / beta_window")
         self.base_exp = base_exp
         self.provenance = provenance
         self._alpha_fn = alpha
         self._tilde_fn = alpha_tilde
         self._beta_fn = beta
-        self._window_fn = beta_window
         self._alpha_cache: dict[int, LaurentSeries] = {}
         self._tilde_cache: dict[int, LaurentSeries] = {}
         self._beta_cache: dict[int, LaurentSeries] = {}
@@ -155,16 +152,7 @@ class BaileyPair:
         return self._deepest(self._tilde_cache, fn, n, order).truncated(order)
 
     def beta(self, n: int, order: int) -> LaurentSeries:
-        if self._window_fn is not None:
-            return LaurentSeries.from_window(*self._window_fn(n, order), order)
         return self._deepest(self._beta_cache, self._beta_fn, n, order).truncated(order)
-
-    def beta_window(self, n: int, top: int) -> tuple[int, list[int]]:
-        """beta_n's coefficients up to ``top`` as a fresh window ``(lo, a)``
-        ending at top, which the caller may change."""
-        if self._window_fn is not None:
-            return self._window_fn(n, top)
-        return self._deepest(self._beta_cache, self._beta_fn, n, top).window(top)
 
     def _alpha_from_tilde(self, n: int, order: int) -> LaurentSeries:
         # alpha_n = (1 - q^{c+2n}) / (1 - q^c) * alpha~_n, needs c >= 1
@@ -416,7 +404,7 @@ def beta_from_spec(spec: BetaSpec, n: int, order: int) -> LaurentSeries:
     return term_sum([(scalar, spec.mono(n), None, units)], order)
 
 
-def beta_chain(spec: BetaSpec) -> WindowFn:
+def beta_chain(spec: BetaSpec) -> Callable[[int, int], tuple[int, list[int]]]:
     """``window(n, top)``: beta_n of a registry pair as a fresh window
     ending at top.  beta_n is q^{mono(n)} times u_n, the valuation-zero
     product of the symbols, which ``qproducts.running_chain`` steps from
@@ -520,13 +508,12 @@ def _parse_entry(obj) -> RegistryEntry:
     return entry
 
 
-def load_registry(path: str | None = None) -> dict[int, RegistryEntry]:
-    """The Table-of-pairs data file, loaded and validated: ``path``, else
-    the file QBAILEY_REGISTRY names, else the bundled one.  The file is
-    chosen on every call and read once, so a changed environment is never
-    served another file's entries."""
-    return _read_registry(path or os.environ.get("QBAILEY_REGISTRY")
-                          or _DEFAULT_REGISTRY)
+def load_registry() -> dict[int, RegistryEntry]:
+    """The Table-of-pairs data file, loaded and validated: the file
+    QBAILEY_REGISTRY names, else the bundled one.  The file is chosen on
+    every call and read once, so a changed environment is never served
+    another file's entries."""
+    return _read_registry(os.environ.get("QBAILEY_REGISTRY") or _DEFAULT_REGISTRY)
 
 
 @lru_cache(maxsize=None)
@@ -571,11 +558,7 @@ def registry_pair(pair_id: int) -> BaileyPair:
     move chain that starts from it shares its caches and its children
     (see ``apply_move``); two registries share it only if the entries
     are equal."""
-    return entry_pair(registry_entry(pair_id))
-
-
-def entry_pair(entry: RegistryEntry) -> BaileyPair:
-    """The shared BaileyPair of a resolved registry entry."""
+    entry = registry_entry(pair_id)
     pair = _REGISTRY_PAIRS.get(entry)
     if pair is None:
         pair = _REGISTRY_PAIRS[entry] = _new_registry_pair(entry)
@@ -590,8 +573,12 @@ def _new_registry_pair(entry: RegistryEntry) -> BaileyPair:
         sign, exp = mono
         return monomial(sign, exp, max(order, exp))
 
-    return BaileyPair(entry.base_exp, alpha_tilde=tilde,
-                      beta_window=beta_chain(entry.beta),
+    window = beta_chain(entry.beta)
+
+    def beta(n: int, order: int) -> LaurentSeries:
+        return LaurentSeries.from_window(*window(n, order), order)
+
+    return BaileyPair(entry.base_exp, alpha_tilde=tilde, beta=beta,
                       provenance=(f"pair{entry.id}",))
 
 

@@ -13,16 +13,21 @@ its valuation floor or did not stabilize).  The environment variables
 QBAILEY_ORDER and QBAILEY_REGISTRY supply a default truncation order and an
 alternate registry file, which every subcommand that reads the registry
 evaluates (see ``bailey.load_registry``).  ``catalog --jobs 1``, the
-default, neither imports nor starts a process pool.
+default, neither imports nor starts a process pool.  ``catalog`` opens its
+destination once, before any cell is verified (``_open_output``): a
+regular ``--output`` is replaced only once it is written whole, and
+anything else, such as a named pipe, is written in place.  An unwritable
+destination, like a bad QBAILEY_ORDER, is one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import stat
 import sys
-from typing import NoReturn
+from contextlib import suppress
 
 from .bailey import RegistryError, load_registry, registry_pair, verify_pair
 from .characters import ModuleLabel, char_product, char_qtpi
@@ -45,11 +50,6 @@ EXIT_DATA = 3
 EXIT_EVAL = 4
 
 
-def _usage_exit(message: str) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
-
-
 def _default_order() -> int:
     raw = os.environ.get("QBAILEY_ORDER")
     if raw is None:
@@ -57,9 +57,9 @@ def _default_order() -> int:
     try:
         order = int(raw)
     except ValueError:
-        _usage_exit(f"QBAILEY_ORDER must be an integer, got {raw!r}")
+        raise ValueError(f"QBAILEY_ORDER must be an integer, got {raw!r}") from None
     if order < 1:
-        _usage_exit(f"QBAILEY_ORDER must be at least 1, got {order}")
+        raise ValueError(f"QBAILEY_ORDER must be at least 1, got {order}")
     return order
 
 
@@ -85,32 +85,22 @@ def _jobs(text: str) -> int:
     return min(_int_at_least(1)(text), cpus)
 
 
-def _cannot_write(path: str, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _write_whole(path: str, chunks) -> None:
-    """Write ``chunks`` to ``path`` whole or not at all: a regular file, or
-    none, is replaced after the last chunk from a temporary file beside it
-    with the mode ``open(path, "w")`` keeps, removed on any failure.
-    Anything else, such as /dev/stdout, is written in place."""
+def _open_output(path: str):
+    """``catalog --output``, opened once, and the name it replaces once
+    written whole.  A regular output, or a new one, is a temporary file
+    beside it with the mode ``open(path, "w")`` would give.  Anything else,
+    such as a named pipe, /dev/null or /dev/stdout, is opened in place and
+    replaces nothing."""
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
-        return
+        return open(path, "w"), None
     real = os.path.realpath(path)
-    tmp = f"{real}.{os.getpid()}.tmp"
-    fh = open(tmp, "w")
-    try:
-        with fh:
-            if os.path.exists(real):
-                os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
-            fh.writelines(chunks)
-        os.replace(tmp, real)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    earlier = os.path.exists(real)
+    if earlier and not os.access(real, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    fh = open(f"{real}.{os.getpid()}.tmp", "w")
+    if earlier:
+        os.chmod(fh.name, stat.S_IMODE(os.stat(real).st_mode))
+    return fh, real
 
 
 def cmd_verify_pair(args) -> int:
@@ -144,38 +134,44 @@ def _build_cell(cell_order) -> IdentityRecord:
 
 def cmd_catalog(args) -> int:
     # a bad registry file or an unwritable output fails before any cell is
-    # verified, and the output is replaced only once it is written whole: a
-    # run that fails leaves an earlier output as it was, and no new one
+    # verified, and a regular output is replaced only once it is written
+    # whole: a run that fails leaves an earlier output as it was, and no new one
     load_registry()
-    if args.output:
-        created = not os.path.lexists(args.output)
-        try:
-            open(args.output, "a").close()
-        except OSError as exc:
-            return _cannot_write(args.output, exc)
-        if created:
-            os.remove(args.output)
-    work = [(c, args.order) for c in catalog_cells(args.max_level)]
-    if args.jobs > 1:
-        # only a parallel run pays for importing multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_build_cell, work))
-    else:
-        records = [_build_cell(w) for w in work]
-    if args.format == "json":
-        chunks = json_chunks(records, args.max_level, args.order)
-    elif args.format == "latex":
-        chunks = latex_chunks(records)
-    else:
-        chunks = [emit_text(records)]
+    dest = args.output or "stdout"
     try:
-        if args.output:
-            _write_whole(args.output, chunks)
-        else:
-            sys.stdout.writelines(chunks)
+        fh, real = _open_output(args.output) if args.output else (sys.stdout, None)
     except OSError as exc:
-        return _cannot_write(args.output or "stdout", exc)
+        raise ValueError(f"cannot write {dest}: {exc.strerror or exc}") from None
+    try:
+        work = [(c, args.order) for c in catalog_cells(args.max_level)]
+        if args.jobs > 1:
+            # only a parallel run pays for importing multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                records = list(pool.map(_build_cell, work))
+        else:
+            records = [_build_cell(w) for w in work]
+        if args.format == "json":
+            chunks = json_chunks(records, args.max_level, args.order)
+        elif args.format == "latex":
+            chunks = latex_chunks(records)
+        else:
+            chunks = [emit_text(records)]
+        try:
+            fh.writelines(chunks)
+            if fh is not sys.stdout:
+                fh.close()
+            if real:
+                os.replace(fh.name, real)
+        except OSError as exc:
+            raise ValueError(f"cannot write {dest}: {exc.strerror or exc}") from None
+    except BaseException:
+        if fh is not sys.stdout:
+            with suppress(OSError):  # what a failed write left buffered
+                fh.close()
+        if real:
+            os.remove(fh.name)
+        raise
     failed = [r for r in records if r.status != "verified"]
     if failed:
         for r in failed:
@@ -247,15 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.order is None:
-        args.order = _default_order()
     # any subcommand may read the registry, and only when it first needs it
     try:
+        if args.order is None:
+            args.order = _default_order()
         return args.func(args)
     except RegistryError as exc:
         print(f"registry error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # a pair, cell or module out of range
+    except ValueError as exc:  # a bad order, output, pair, cell or module
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # a runaway or unstable sum

@@ -40,17 +40,17 @@ pass (``qproducts.binomial_step``), so no series product, inversion or
 Pochhammer cache is involved; every carry is first checked to reach the
 sum's truncation.  The cell's own exponent then moves the window's
 valuation, its units apply on the same list and its sign negates it.  The
-beta_v of the innermost level are read from the registry pair's stepped
-windows (``bailey.beta_chain``).  At finite n the j_1-blocks are divided by
-(q)_{n-j_1} in one more Horner chain.  In the n -> oo limit the grid ends
-at a proved bound on j_1 (``_j1_bound``) when its P > 0, else at the
-heuristic cap 2 isqrt(order) + V + 14.  For the schedules with backward
-moves the summands are only conditionally summable: their exponents are
-unboundedly negative and cancel in blocks of fixed outermost index.  So
-each complete j_1-block is one term of ``qproducts.vanishing_sum``, which
-stops after three dead blocks in a row; a block zero to the order, or
-past a proved grid, is dead, and one past the heuristic cap raises
-ArithmeticError.
+beta_v of the innermost level are read from one stepped chain per registry
+``BetaSpec`` (``bailey.beta_chain``), held here and by no Bailey pair.  At
+finite n the j_1-blocks are divided by (q)_{n-j_1} in one more Horner
+chain.  In the n -> oo limit the grid ends at a proved bound on j_1
+(``_j1_bound``) when its P > 0, else at the heuristic cap
+2 isqrt(order) + V + 14.  For the schedules with backward moves the
+summands are only conditionally summable: their exponents are unboundedly
+negative and cancel in blocks of fixed outermost index.  So each complete
+j_1-block is one term of ``qproducts.vanishing_sum``, which stops after
+three dead blocks in a row; a block zero to the order, or past a proved
+grid, is dead, and one past the heuristic cap raises ArithmeticError.
 
 Valuations.  Every kept carry must start at or above IN[L][v]; one below
 it is an internal error (AssertionError naming the cell), whatever the
@@ -81,8 +81,8 @@ from math import isqrt
 from operator import add, neg
 from typing import Callable
 
-from .bailey import (_MOVE_TABLE, Move, RegistryEntry, _binom2, compose_exact,
-                     entry_pair, ratio_bases, registry_entry)
+from .bailey import (_MOVE_TABLE, Move, RegistryEntry, _binom2, beta_chain,
+                     compose_exact, ratio_bases, registry_entry)
 from .laurent import LaurentSeries, monomial, zero
 from .qproducts import (
     PochFactor,
@@ -440,6 +440,10 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
     return lo, a
 
 
+# the DP's innermost betas: one stepped chain per registry BetaSpec
+_beta_chain = lru_cache(maxsize=None)(beta_chain)
+
+
 def eval_multisum(spec: MultisumSpec, order: int, *,
                   finite_n: int | None = None) -> LaurentSeries:
     """Evaluate the multisum exactly to ``order``.
@@ -451,7 +455,7 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     """
     V = spec.nvars
     entry = registry_entry(spec.pair_id)
-    pair = entry_pair(entry)
+    beta = _beta_chain(entry.beta)
     n = finite_n
     proved = n is not None
     cap = n if proved else 2 * isqrt(max(order, 1)) + V + 14
@@ -474,7 +478,7 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
             t_cap = order - LOW[L][v]
             top = t_cap - own[L][v]
             if L == V - 1:
-                lo, a = pair.beta_window(v, top)
+                lo, a = beta(v, top)
             else:
                 lo, a = _link_sum(nonzero[L + 1], v, top, linked[L])
             if units[L]:

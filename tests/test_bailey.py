@@ -176,15 +176,16 @@ def test_beta_with_a_non_integral_scalar_is_a_registry_error():
     ("numerator", {"sign": 1, "base_exp": 1, "step": 1, "length": "3n"},
      "unknown Pochhammer length kind '3n'"),
 ])
-def test_registry_rejects_a_beta_factor_it_cannot_evaluate(tmp_path, side, factor,
-                                                           message):
+def test_registry_rejects_a_beta_factor_it_cannot_evaluate(tmp_path, monkeypatch,
+                                                           side, factor, message):
     raw = json.loads(_DEFAULT_REGISTRY.read_text())
     bad = copy.deepcopy(raw)
     bad["pairs"][0]["beta"][side].append(factor)
     path = tmp_path / "reg.json"
     path.write_text(json.dumps(bad))
+    monkeypatch.setenv("QBAILEY_REGISTRY", str(path))
     with pytest.raises(RegistryError, match=message):
-        load_registry(str(path))
+        load_registry()
 
 
 def test_alpha_from_tilde():
@@ -326,14 +327,18 @@ def test_provenance_records_each_move_once():
         "pair1", "F1", "BaseShift", "BC1")
 
 
-def test_registry_errors(tmp_path):
+def test_registry_errors(tmp_path, monkeypatch):
     bad = tmp_path / "reg.json"
     bad.write_text("{not json")
+    monkeypatch.setenv("QBAILEY_REGISTRY", str(bad))
     with pytest.raises(RegistryError):
-        load_registry(str(bad))
+        load_registry()
     bad2 = tmp_path / "reg2.json"
     bad2.write_text('{"schema_version": 2, "pairs": []}')
+    monkeypatch.setenv("QBAILEY_REGISTRY", str(bad2))
     with pytest.raises(RegistryError):
-        load_registry(str(bad2))
+        load_registry()
+    # an unknown id of the bundled registry, not a registry error
+    monkeypatch.delenv("QBAILEY_REGISTRY")
     with pytest.raises(ValueError):
         registry_entry(9)

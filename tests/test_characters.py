@@ -1,5 +1,7 @@
 """Module labels, principal characters, and the full verification chain."""
 
+from itertools import combinations
+
 import pytest
 
 from qbailey.characters import (
@@ -117,6 +119,84 @@ def test_table2_rows_enumerate_modules_once(k):
         assert len(labels) == row.imax(k) + 1
         assert sorted((m.s0, m.s1) for m in labels) == sorted(
             (m.s0, m.s1) for m in labels_at_level(level))
+
+
+def _s1_range(row):
+    """(lo, hi) with the row's s1 running over [lo, 3k + hi] at k: i runs
+    over [0, 3k + imax_off], and s1 is i or 3k + flip - i."""
+    if row.flip is None:
+        return 0, row.imax_off
+    return row.flip - row.imax_off, row.flip
+
+
+def _covers_every_level(pids):
+    """Whether the rows of ``pids`` give every label of every level >= 2.
+
+    Level 6k + off has the labels s1 in [0, 3k + off // 2], whose top has
+    the rows' slope 3.  Within one level_off, ranges with min lo = 0 and
+    max hi = off // 2 that cover [0, 3 + off // 2] at k = 1 cover it at
+    every k >= 1: from k to k + 1 every top rises by 3, and a range with
+    the largest hi, which reached the old top, covers the three new
+    labels.  Each failed condition misses a label at k = 1 or at every k.
+    """
+    families = {}
+    for (pid, _), row in SCHEDULE_TABLE.items():
+        if pid in pids:
+            families.setdefault(row.level_off, []).append(_s1_range(row))
+    if sorted(off % 6 for off in families) != list(range(6)):
+        return False
+    for off, ranges in families.items():
+        half = off // 2
+        covered = {s1 for lo, hi in ranges for s1 in range(lo, 3 + hi + 1)}
+        if (min(lo for lo, _ in ranges) != 0 or max(hi for _, hi in ranges) != half
+                or covered != set(range(3 + half + 1))):
+            return False
+    return True
+
+
+def _labels_by_level(pids, max_level):
+    """level -> the labels that the rows of ``pids`` produce, through
+    ``schedule_module``, for every level up to ``max_level``."""
+    out = {}
+    for (pid, kind), row in SCHEDULE_TABLE.items():
+        if pid not in pids:
+            continue
+        for k in range(1, max_level // 6 + 2):
+            if row.level(k) <= max_level:
+                out.setdefault(row.level(k), set()).update(
+                    (m.s0, m.s1) for m in (schedule_module(pid, kind, k, i)
+                                           for i in range(row.imax(k) + 1)))
+    return out
+
+
+def _label_set(level):
+    return {(m.s0, m.s1) for m in labels_at_level(level)}
+
+
+def test_six_families_cover_every_label_of_every_level():
+    # the abstract's six families: one level_off per residue of level mod 6
+    offsets = {row.level_off for row in SCHEDULE_TABLE.values()}
+    assert sorted(off % 6 for off in offsets) == list(range(6))
+    for (pid, kind), row in SCHEDULE_TABLE.items():
+        lo, hi = _s1_range(row)
+        for k in (1, 2, 7):
+            assert {row.s1(k, 0), row.s1(k, row.imax(k))} == {lo, 3 * k + hi}
+    assert _covers_every_level({1, 2, 3, 4, 5})
+    got = _labels_by_level({1, 2, 3, 4, 5}, 400)
+    assert got == {level: _label_set(level) for level in range(2, 401)}
+    # level 1, whose only label is (1, 0), comes from no row
+    assert _label_set(1) == {(1, 0)}
+    assert min(row.level(1) for row in SCHEDULE_TABLE.values()) == 2
+
+
+def test_three_pairs_suffice_in_exactly_four_ways():
+    # "three of these are sufficient": these four 3-sets, and no other
+    covering = {(1, 3, 5), (1, 4, 5), (2, 3, 5), (2, 4, 5)}
+    for pids in combinations(range(1, 6), 3):
+        assert _covers_every_level(set(pids)) == (pids in covering), pids
+        got = _labels_by_level(set(pids), 199)
+        full = all(got.get(level) == _label_set(level) for level in range(2, 200))
+        assert full == (pids in covering), pids
 
 
 def test_verify_character_identity_spot():

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,30 @@ def test_catalog_unwritable_output_fails_before_verifying(tmp_path, capsys,
     assert captured.out == ""
 
 
+def test_catalog_read_only_output_fails_before_verifying(tmp_path, capsys,
+                                                        monkeypatch):
+    from qbailey import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a cell was verified before the output was opened")
+
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    monkeypatch.setattr(cli, "build_record", no_work)
+    target = tmp_path / "catalog.txt"
+    target.write_text("an earlier catalog\n")
+    target.chmod(0o444)
+    # what access(2) says for a user without root's override
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: mode != os.W_OK
+                        and access(path, mode))
+    assert main(["catalog", "--max-level", "2", "--order", "10",
+                 "--output", str(target)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {target}: "
+                                       "Permission denied\n")
+    assert target.read_text() == "an earlier catalog\n"
+    assert os.listdir(tmp_path) == ["catalog.txt"]
+
+
 def _full_disk(path, mode="r"):
     """``open`` whose handles opened for writing raise ENOSPC on write."""
     fh = open(path, mode)
@@ -434,6 +459,23 @@ def test_catalog_output_to_a_pipe_is_written_in_place():
                     "--output", "/dev/stdout"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("pair 3 lim3 k=1 i=0: ")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_catalog_output_to_a_named_pipe(tmp_path):
+    # the pipe is opened once, so a reader waiting on it gets the whole
+    # catalog, and the writer does not block on a second open
+    fifo = tmp_path / "catalog.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    argv = ["catalog", "--max-level", "2", "--order", "10"]
+    proc = run_cli([*argv, "--output", str(fifo)], timeout=60)
+    reader.join(timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert got == [run_cli(argv).stdout.encode()]
 
 
 def test_catalog_unwritable_output_from_the_shell(tmp_path):

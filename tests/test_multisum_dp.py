@@ -37,6 +37,8 @@ from qbailey.lattice import (
     _units,
     build_multisum_spec,
     eval_multisum,
+    sum_side,
+    sum_side_finite,
 )
 from qbailey.laurent import LaurentSeries, RunawayValuationError, zero
 from qbailey.qproducts import Q_FACTOR, PochFactor
@@ -366,6 +368,23 @@ def test_eval_multisum_finite_matches_reference():
         for n in range(4):
             assert (eval_multisum(spec, 20, finite_n=n)
                     == ref_eval_multisum(spec, 20, finite_n=n))
+
+
+def test_the_dp_shares_no_state_with_the_move_engine(monkeypatch):
+    # the multisums are the move engine's oracle (criterion 9): they read
+    # registry betas from their own chains and never make a Bailey pair
+    from qbailey import bailey
+    from qbailey.records import build_record
+
+    pairs = {}
+    monkeypatch.setattr(bailey, "_REGISTRY_PAIRS", pairs)
+    for s in (Schedule("lim1", 1, 0, 1), Schedule("lim2", 2, 1, 4),
+              Schedule("lim3", 1, 1, 5)):
+        sum_side(s, 20)
+        for n in range(3):
+            sum_side_finite(s, n, 20)
+        build_record(s.pair_id, s.kind, s.k, s.i, 20)
+    assert pairs == {}
 
 
 def link_sum_series(carries, v, top, linked):
