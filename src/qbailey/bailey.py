@@ -65,11 +65,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
 from functools import lru_cache, partial
-from pathlib import Path
-from typing import Callable, NamedTuple
 
 from .laurent import LaurentSeries, monomial, one, zero
 from .qproducts import (
@@ -83,7 +82,8 @@ from .qproducts import (
     term_sum,
 )
 
-_DEFAULT_REGISTRY = Path(__file__).parent / "data" / "bailey_pairs.json"
+_DEFAULT_REGISTRY = os.path.join(os.path.dirname(__file__), "data",
+                                 "bailey_pairs.json")
 
 SeqFn = Callable[[int, int], LaurentSeries]
 
@@ -195,16 +195,15 @@ def apply_move(pair: BaileyPair, move: Move) -> BaileyPair:
     return child
 
 
-class _MoveRule(NamedTuple):
-    """One row of the move table; see the module docstring."""
+class _MoveRule(namedtuple("_MoveRule", "quad binom lin bases backward "
+                           "bracket base_change",
+                           defaults=(None, False, False, 0))):
+    """One row of the move table; see the module docstring.  The ints quad,
+    binom and lin give f(n, c) = quad n^2 + binom binom(n, 2) + (c + lin) n;
+    bases is (a, b - c) or None, backward and bracket are flags, and
+    base_change is the int added to the base exponent."""
 
-    quad: int
-    binom: int
-    lin: int  # f(n, c) = quad n^2 + binom binom(n, 2) + (c + lin) n
-    bases: tuple[int, int] | None = None  # (a, b - c)
-    backward: bool = False
-    bracket: bool = False
-    base_change: int = 0
+    __slots__ = ()
 
     def f(self, n: int, c: int) -> int:
         return self.quad * n * n + self.binom * _binom2(n) + (c + self.lin) * n
@@ -316,14 +315,11 @@ def verify_pair(pair: BaileyPair, n_max: int, order: int) -> list[bool]:
 
 # -- registry ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TildeCase:
-    """alpha~_m = sign * q^{(quad*m^2 + lin*m)/den} on one residue class mod 3."""
+class TildeCase(namedtuple("TildeCase", "sign quad lin den")):
+    """alpha~_m = sign * q^{(quad*m^2 + lin*m)/den} on one residue class mod 3,
+    with int fields sign, quad, lin and den."""
 
-    sign: int
-    quad: int
-    lin: int
-    den: int
+    __slots__ = ()
 
     def exponent(self, m: int) -> int:
         num = self.quad * m * m + self.lin * m
@@ -335,28 +331,27 @@ class TildeCase:
         return num // self.den
 
 
-@dataclass(frozen=True)
-class BetaSpec:
+class BetaSpec(namedtuple("BetaSpec",
+                          "mono_quad mono_lin numerator denominator")):
     """beta_n = q^{mono_quad*n^2 + mono_lin*n} * prod(numerator) / prod(denominator),
-    with Pochhammer lengths given per factor as a multiple of n."""
+    with Pochhammer lengths given per factor as a multiple of n.
 
-    mono_quad: int
-    mono_lin: int
-    numerator: tuple[tuple[PochFactor, str], ...]
-    denominator: tuple[tuple[PochFactor, str], ...]
+    mono_quad and mono_lin are ints; numerator and denominator are tuples
+    of (PochFactor, length kind "n" or "2n") pairs."""
+
+    __slots__ = ()
 
     def mono(self, n: int) -> int:
         return self.mono_quad * n * n + self.mono_lin * n
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    id: int
-    base_exp: int
-    source: str
-    moduli: tuple[str, str]
-    alpha_cases: tuple[TildeCase | None, TildeCase | None, TildeCase | None]
-    beta: BetaSpec
+class RegistryEntry(namedtuple("RegistryEntry",
+                               "id base_exp source moduli alpha_cases beta")):
+    """One pair of the registry: int id and base_exp, str source, moduli a
+    tuple of two strs, alpha_cases a TildeCase or None per residue class
+    mod 3, and beta a BetaSpec."""
+
+    __slots__ = ()
 
     def alpha_tilde_monomial(self, m: int) -> tuple[int, int] | None:
         """(sign, exponent) of alpha~_m, or None when alpha~_m = 0."""
@@ -517,20 +512,20 @@ def load_registry() -> dict[int, RegistryEntry]:
 
 
 @lru_cache(maxsize=None)
-def _read_registry(path: str | Path) -> dict[int, RegistryEntry]:
-    p = Path(path)
+def _read_registry(path: str) -> dict[int, RegistryEntry]:
     try:
-        raw = json.loads(p.read_text())
+        with open(path) as fh:
+            raw = json.load(fh)
     except OSError as exc:
-        raise RegistryError(f"cannot read registry {p}: {exc}") from exc
+        raise RegistryError(f"cannot read registry {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise RegistryError(f"registry {p} is not valid JSON: {exc}") from exc
+        raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or raw.get("schema_version") != 1:
-        raise RegistryError(f"registry {p}: unsupported or missing schema_version")
+        raise RegistryError(f"registry {path}: unsupported or missing schema_version")
     entries = {}
     pairs = raw.get("pairs", [])
     if not isinstance(pairs, list):
-        raise RegistryError(f"registry {p}: pairs must be a list")
+        raise RegistryError(f"registry {path}: pairs must be a list")
     for obj in pairs:
         entry = _parse_entry(obj)
         if entry.id in entries:

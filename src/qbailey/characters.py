@@ -13,7 +13,7 @@ sides of the identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bailey import compose_exact
 from .lattice import MultisumSpec, Schedule, alpha_side, verify_limit_identity
@@ -24,16 +24,23 @@ from .qproducts import PochFactor, Q_FACTOR, inv_euler, poch_finite, poch_inf, q
 _ONE_PLUS_Q = (PochFactor(-1, 1, 1), 1, 1)
 
 
-@dataclass(frozen=True)
-class ModuleLabel:
-    s0: int
-    s1: int
+class ModuleLabel(namedtuple("ModuleLabel", "s0 s1")):
+    """The label (s0, s1) of a standard module: two ints, both >= 0, of
+    level s0 + 2 s1 >= 1."""
 
-    def __post_init__(self):
-        if self.s0 < 0 or self.s1 < 0:
-            raise ValueError(f"labels need s0, s1 >= 0, got ({self.s0}, {self.s1})")
-        if self.level < 1:
+    __slots__ = ()
+
+    def __new__(cls, s0: int, s1: int):
+        if s0 < 0 or s1 < 0:
+            raise ValueError(f"labels need s0, s1 >= 0, got ({s0}, {s1})")
+        if s0 + 2 * s1 < 1:
             raise ValueError("level must be at least 1")
+        return tuple.__new__(cls, (s0, s1))
+
+    @classmethod
+    def _make(cls, fields) -> ModuleLabel:
+        # ``_replace`` builds through ``_make``: validate it too
+        return cls(*fields)
 
     @property
     def level(self) -> int:

@@ -74,12 +74,12 @@ j_1-blocks, and holds their one stopping rule and runaway guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache, partial
 from itertools import accumulate
 from math import isqrt
 from operator import add, neg
-from typing import Callable
 
 from .bailey import (_MOVE_TABLE, Move, RegistryEntry, _binom2, beta_chain,
                      compose_exact, ratio_bases, registry_entry)
@@ -102,17 +102,15 @@ from .qproducts import (
 KINDS = ("lim1", "lim2", "lim3")
 
 
-@dataclass(frozen=True)
-class ScheduleRow:
-    """One (pair, family) row of the identity table.
+class ScheduleRow(namedtuple("ScheduleRow", "level_off imax_off flip")):
+    """One (pair, family) row of the identity table, with int level_off and
+    imax_off and flip an int or None.
 
     level = 6k + level_off; valid i are 0..3k + imax_off; the module label
     has s1 = i when flip is None, else s1 = 3k + flip - i.
     """
 
-    level_off: int
-    imax_off: int
-    flip: int | None
+    __slots__ = ()
 
     def level(self, k: int) -> int:
         return 6 * k + self.level_off
@@ -138,29 +136,34 @@ SCHEDULE_TABLE: dict[tuple[int, str], ScheduleRow] = {
 }
 
 
-@dataclass(frozen=True)
-class Schedule:
-    kind: str
-    k: int
-    i: int
-    pair_id: int
+class Schedule(namedtuple("Schedule", "kind k i pair_id")):
+    """One cell of the identity table: the family kind (a str of KINDS),
+    the ints k and i, and the registry pair_id it starts from."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown schedule family {self.kind!r}")
-        row = SCHEDULE_TABLE.get((self.pair_id, self.kind))
+    __slots__ = ()
+
+    def __new__(cls, kind: str, k: int, i: int, pair_id: int):
+        if kind not in KINDS:
+            raise ValueError(f"unknown schedule family {kind!r}")
+        row = SCHEDULE_TABLE.get((pair_id, kind))
         if row is None:
             raise ValueError(
-                f"pair {self.pair_id} is not used with {self.kind} in the "
+                f"pair {pair_id} is not used with {kind} in the "
                 "identity table"
             )
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0 <= self.i <= row.imax(self.k):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not 0 <= i <= row.imax(k):
             raise ValueError(
-                f"i={self.i} out of range 0..{row.imax(self.k)} for "
-                f"pair {self.pair_id}, {self.kind}, k={self.k}"
+                f"i={i} out of range 0..{row.imax(k)} for "
+                f"pair {pair_id}, {kind}, k={k}"
             )
+        return tuple.__new__(cls, (kind, k, i, pair_id))
+
+    @classmethod
+    def _make(cls, fields) -> Schedule:
+        # ``_replace`` builds through ``_make``: validate it too
+        return cls(*fields)
 
     @property
     def row(self) -> ScheduleRow:
@@ -190,8 +193,9 @@ def expand_schedule(s: Schedule) -> list[Move]:
 
 # -- closed multisums ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultisumSpec:
+class MultisumSpec(namedtuple("MultisumSpec",
+                              "pair_id nvars quad lin self_binoms link_binoms "
+                              "signs numer denom prefactors")):
     """A chain multisum over j_1 >= j_2 >= ... >= j_V >= 0 (0-indexed vars).
 
     The summand is
@@ -205,18 +209,13 @@ class MultisumSpec:
     factors 1/(-q^b; q)_n, which become infinite products in the n -> oo
     limit.  beta is the registry pair's beta sequence, and the base-power
     contributions a^{...} = q^{c ...} are folded into lin.
+
+    pair_id and nvars are ints; quad, lin, self_binoms, link_binoms, signs
+    and prefactors are tuples of ints; numer and denom are tuples of
+    (r, b) int pairs.
     """
 
-    pair_id: int
-    nvars: int
-    quad: tuple[int, ...]
-    lin: tuple[int, ...]
-    self_binoms: tuple[int, ...]
-    link_binoms: tuple[int, ...]
-    signs: tuple[int, ...]
-    numer: tuple[tuple[int, int], ...]
-    denom: tuple[tuple[int, int], ...]
-    prefactors: tuple[int, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

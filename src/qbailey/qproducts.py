@@ -35,11 +35,11 @@ again one pass per factor, so no series is inverted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable, Iterable
 
 from .laurent import InversionError, LaurentSeries, check_floor, zero
 
@@ -48,19 +48,23 @@ class DivergentProductError(ValueError):
     """An infinite product whose factors do not tend to 1."""
 
 
-@dataclass(frozen=True)
-class PochFactor:
-    """The base of a q-Pochhammer symbol: (sign * q^base_exp ; q^step)."""
+class PochFactor(namedtuple("PochFactor", "sign base_exp step")):
+    """The base of a q-Pochhammer symbol: (sign * q^base_exp ; q^step),
+    with int fields sign (+1 or -1), base_exp and step (at least 1)."""
 
-    sign: int = 1
-    base_exp: int = 1
-    step: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.step < 1:
-            raise ValueError(f"step must be positive, got {self.step}")
+    def __new__(cls, sign: int = 1, base_exp: int = 1, step: int = 1):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if step < 1:
+            raise ValueError(f"step must be positive, got {step}")
+        return tuple.__new__(cls, (sign, base_exp, step))
+
+    @classmethod
+    def _make(cls, fields) -> PochFactor:
+        # ``_replace`` builds through ``_make``: validate it too
+        return cls(*fields)
 
     def infinite_ok(self) -> bool:
         # (q^0; q^d)_inf has the factor (1 - 1) = 0 and is identically zero;

@@ -12,8 +12,8 @@ Catalogs are written one record at a time (``json_chunks``, ``latex_chunks``);
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 from .bailey import BetaSpec, registry_entry
@@ -29,22 +29,16 @@ from .qproducts import PochFactor
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    pair_id: int
-    kind: str
-    k: int
-    i: int
-    s0: int
-    s1: int
-    level: int
-    modulus: int
-    normalization: tuple[tuple[int, int], ...]  # (exponent, coefficient)
-    sum_spec: MultisumSpec
-    beta: BetaSpec
-    product_factors: tuple[PochFactor, ...]
-    order: int
-    status: str
+class IdentityRecord(namedtuple(
+        "IdentityRecord", "pair_id kind k i s0 s1 level modulus normalization "
+        "sum_spec beta product_factors order status")):
+    """One verified catalog cell.  The ints pair_id, k, i and the str kind
+    name the schedule; the ints s0, s1, level and modulus the module;
+    normalization is a tuple of (exponent, coefficient) int pairs, sum_spec
+    a MultisumSpec, beta a BetaSpec, product_factors a tuple of PochFactor,
+    order an int and status a str."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,8 +5,6 @@ lines as they complete.  Every tolerance here is a truncation order for
 exact coefficientwise equality; nothing is approximate.
 """
 
-from dataclasses import replace
-
 from qbailey.bailey import (
     BaileyPair,
     Move,
@@ -236,7 +234,7 @@ def test_criterion_11_negative_controls():
     # a perturbed multisum exponent fails the limit identity
     s = Schedule("lim1", 1, 1, 3)
     spec = build_multisum_spec(s)
-    bad = replace(spec, lin=(spec.lin[0] + 1,) + spec.lin[1:])
+    bad = spec._replace(lin=(spec.lin[0] + 1,) + spec.lin[1:])
     lhs = eval_multisum(bad, 40) * poch_inf(PochFactor(1, 1, 1), 40)
     ok &= not lhs.eq_to_order(alpha_side(s, 40), 40)
     # and a wrong module label fails the character identity

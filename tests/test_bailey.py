@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -178,7 +179,7 @@ def test_beta_with_a_non_integral_scalar_is_a_registry_error():
 ])
 def test_registry_rejects_a_beta_factor_it_cannot_evaluate(tmp_path, monkeypatch,
                                                            side, factor, message):
-    raw = json.loads(_DEFAULT_REGISTRY.read_text())
+    raw = json.loads(Path(_DEFAULT_REGISTRY).read_text())
     bad = copy.deepcopy(raw)
     bad["pairs"][0]["beta"][side].append(factor)
     path = tmp_path / "reg.json"

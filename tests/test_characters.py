@@ -25,6 +25,19 @@ from qbailey.qproducts import (
 from qbailey.records import build_record
 
 
+@pytest.mark.parametrize("record, change, message", [
+    (PochFactor(), {"sign": 2}, "sign must be"),
+    (PochFactor(), {"step": 0}, "step must be positive"),
+    (Schedule("lim1", 1, 0, 1), {"i": 5}, "i=5 out of range"),
+    (ModuleLabel(1, 1), {"s0": -1}, "labels need s0, s1 >= 0"),
+])
+def test_replace_validates_like_the_constructor(record, change, message):
+    with pytest.raises(ValueError, match=message):
+        type(record)(**{**record._asdict(), **change})
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+
+
 def test_module_label_derived_fields():
     m = ModuleLabel(1, 1)
     assert m.level == 3 and m.modulus == 12

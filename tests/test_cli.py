@@ -4,6 +4,7 @@ import errno
 import importlib.util
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from qbailey.bailey import BetaSpec
 from qbailey.cli import build_parser, main
+from qbailey.lattice import MultisumSpec
+from qbailey.qproducts import PochFactor
 from qbailey.records import (
     IdentityRecord,
     build_record,
@@ -166,9 +170,19 @@ def test_verify_identity_json_is_the_stdlib_rendering(cell, capsys, monkeypatch)
 
 
 def test_record_round_trip_in_process():
+    # --jobs sends records between processes by pickle.  A named tuple
+    # equals any tuple of its fields, so the nested types are checked too
     for cell in [(3, "lim3", 1, 1), (2, "lim2", 1, 0), (5, "lim1", 1, 3)]:
         rec = build_record(*cell, order=30)
-        assert IdentityRecord.from_json_dict(rec.to_json_dict()) == rec
+        for back in (IdentityRecord.from_json_dict(rec.to_json_dict()),
+                     pickle.loads(pickle.dumps(rec))):
+            assert back == rec
+            assert type(back) is IdentityRecord
+            assert type(back.sum_spec) is MultisumSpec
+            assert type(back.beta) is BetaSpec
+            assert all(type(f) is PochFactor for f in back.product_factors
+                       + tuple(f for f, _ in back.beta.numerator
+                               + back.beta.denominator))
 
 
 def test_env_var_default_order():
@@ -238,6 +252,30 @@ print(loaded)
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[[], [], []]\n"
+
+
+def test_cli_imports_no_stdlib_module_beyond_what_it_names():
+    # in a bare interpreter (no site), importing the CLI and loading the
+    # registry adds only qbailey's own modules: no dataclasses, typing or
+    # pathlib, nor what they import
+    code = """
+import sys
+import argparse, errno, os, stat, contextlib, json, collections.abc
+import enum, functools, itertools, math, operator
+before = set(sys.modules)
+import qbailey.cli
+from qbailey.bailey import load_registry
+load_registry()
+print(sorted(name for name in set(sys.modules) - before
+             if name != "__future__" and name.split(".")[0] != "qbailey"))
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QBAILEY_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_catalog_usage_error():

@@ -10,6 +10,7 @@ hands out must be the one a fresh, unshared chain computes.
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -258,7 +259,7 @@ def test_shared_chains_match_fresh_chains_in_any_order(monkeypatch):
 def test_pairs_are_never_shared_across_registries(tmp_path, monkeypatch):
     monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
     bundled = {pid: registry_pair(pid) for pid in (1, 3)}
-    data = json.loads(bailey._DEFAULT_REGISTRY.read_text())
+    data = json.loads(Path(bailey._DEFAULT_REGISTRY).read_text())
     data["pairs"][2]["beta"]["mono_lin"] += 1  # pair 3's beta_n times q^n
     reg = tmp_path / "reg.json"
     reg.write_text(json.dumps(data))

@@ -1,7 +1,6 @@
 """Schedules, closed multisums, alpha-side sums, lemmas, simplified forms."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -174,7 +173,7 @@ def test_multisum_fold_follows_a_changed_registry(tmp_path, monkeypatch):
     reg.write_text(json.dumps(data))
     monkeypatch.setenv("QBAILEY_REGISTRY", str(reg))
     changed = build_multisum_spec(s)
-    assert changed == replace(bundled, lin=(bundled.lin[0] + 1,))
+    assert changed == bundled._replace(lin=(bundled.lin[0] + 1,))
     monkeypatch.delenv("QBAILEY_REGISTRY")
     assert build_multisum_spec(s) == bundled
 
@@ -195,7 +194,7 @@ def test_multisum_negative_control():
     s = Schedule("lim1", 1, 1, 1)
     spec = build_multisum_spec(s)
     good = eval_multisum(spec, 40)
-    bad_spec = replace(spec, lin=(spec.lin[0] + 1,) + spec.lin[1:])
+    bad_spec = spec._replace(lin=(spec.lin[0] + 1,) + spec.lin[1:])
     bad = eval_multisum(bad_spec, 40)
     assert not good.eq_to_order(bad, 40)
     lhs = bad * __import__("qbailey.qproducts", fromlist=["poch_inf"]).poch_inf(
