@@ -115,9 +115,9 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
       3. the case form is the unified form times its (1+q) factor when
          the second family is used at i = 0 (and equals it otherwise);
 
-    together: sum_side = normalization * character.  The case form is a
-    separate sum only for the second family at i <= 1; everywhere else it
-    is the unified form, built once, and link 3 holds by construction.
+    together: sum_side = normalization * character.  Link 3 is the one
+    check of the second family's i <= 1 displays against the unified form;
+    everywhere else the case form is the unified one, built once.
     ``spec`` is the cell's multisum, when the caller has built it."""
     m = schedule_module(pair_id, kind, k, i)
     s = Schedule(kind, k, i, pair_id)

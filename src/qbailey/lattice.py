@@ -48,9 +48,9 @@ chain.  In the n -> oo limit the grid ends at a proved bound on j_1
 2 isqrt(order) + V + 14.  For the schedules with backward moves the
 summands are only conditionally summable: their exponents are unboundedly
 negative and cancel in blocks of fixed outermost index.  So each complete
-j_1-block is one term of ``qproducts.vanishing_sum``, which stops after
-three dead blocks in a row; a block zero to the order, or past a proved
-grid, is dead, and one past the heuristic cap raises ArithmeticError.
+j_1-block is one term of ``qproducts.vanishing_sum``.  A proved grid is
+summed to its end; elsewhere three blocks in a row zero to the order stop
+the sum, and a block past the heuristic cap raises ArithmeticError.
 
 Valuations.  Every kept carry must start at or above IN[L][v]; one below
 it is an internal error (AssertionError naming the cell), whatever the
@@ -82,7 +82,7 @@ from math import isqrt
 from operator import add, neg
 
 from .bailey import (_MOVE_TABLE, Move, RegistryEntry, _binom2, beta_chain,
-                     compose_exact, ratio_bases, registry_entry)
+                     ratio_bases, registry_entry)
 from .laurent import LaurentSeries, monomial, zero
 from .qproducts import (
     PochFactor,
@@ -456,11 +456,10 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     entry = registry_entry(spec.pair_id)
     beta = _beta_chain(entry.beta)
     n = finite_n
-    proved = n is not None
-    cap = n if proved else 2 * isqrt(max(order, 1)) + V + 14
-    bound = None if proved else _j1_bound(spec, order, entry)
-    if bound is not None and bound < cap:
-        cap, proved = bound, True
+    cap = n if n is not None else _j1_bound(spec, order, entry)
+    proved = cap is not None
+    if not proved:
+        cap = 2 * isqrt(max(order, 1)) + V + 14
     IN, LOW, feas, own = _tables(spec, order, cap, entry)
     linked = [L in spec.link_binoms for L in range(V)]
     signed = [L in spec.signs for L in range(V)]
@@ -504,13 +503,15 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
         return LaurentSeries.from_window(lo, a, order)
 
     def block(v: int) -> list[SumTerm]:
-        # a live block's window ends at t_cap = order, since LOW[0] is 0;
-        # a block zero to the order, or past a proved grid, is a dead term
+        # a live block's window ends at t_cap = order, since LOW[0] is 0; a
+        # zero block is empty on a proved grid and dead on a heuristic one
         if v <= cap:
             add_carries(v)
             if nonzero[0] and nonzero[0][-1][0] == v:
                 _, lo, a = nonzero[0][-1]
                 return [(1, lo, a, ())]
+            if proved:
+                return []
         elif not proved:
             raise ArithmeticError(
                 f"multisum did not stabilize within j_1 <= {cap}; "
@@ -593,23 +594,6 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
     return vanishing_sum(block, order)
 
 
-def alpha_side_lim1_i0_form(s: Schedule, order: int) -> LaurentSeries:
-    """The separately displayed i = 0 limit sum for the first family:
-    sum_t a^{kt} q^{kt^2} (1 - a q^{2t}) alpha~_t."""
-    c, k = s.base_exp, s.k
-    tilde = registry_entry(s.pair_id).alpha_tilde_monomial
-
-    def block(t: int) -> list[SumTerm]:
-        mono = tilde(t)
-        if mono is None:
-            return []
-        sign, te = mono
-        e = c * k * t + k * t * t + te
-        return [(sign, e, None, ()), (-sign, e + c + 2 * t, None, ())]
-
-    return vanishing_sum(block, order)
-
-
 def verify_limit_identity(s: Schedule, order: int,
                           alpha: LaurentSeries | None = None,
                           spec: MultisumSpec | None = None) -> bool:
@@ -624,28 +608,6 @@ def verify_limit_identity(s: Schedule, order: int,
                                                 max(order, 0))
     rhs = alpha_side(s, order) if alpha is None else alpha
     return lhs.eq_to_order(rhs, order)
-
-
-def verify_remark_relations(k: int, order: int) -> bool:
-    """The consistency relations tying the case-split alpha forms to the
-    unified ones: at base q^2, unified|_{i=1} equals the i = 1 display and
-    (1+q) * unified|_{i=0} equals the i = 0 display; and for every pair the
-    first-family unified form at i = 0 equals its separate i = 0 display."""
-    ok = True
-    for pid in (2, 4):
-        s1 = Schedule("lim2", k, 1, pid)
-        ok &= alpha_side(s1, order).eq_to_order(
-            alpha_side(s1, order, unified=True), order)
-        s0 = Schedule("lim2", k, 0, pid)
-        case = alpha_side(s0, order)
-        unified = compose_exact(order, 0, partial(alpha_side, s0, unified=True),
-                                (_NEG_Q, 1, 1))
-        ok &= case.eq_to_order(unified, order)
-    for pid in (1, 2, 3, 4, 5):
-        s0 = Schedule("lim1", k, 0, pid)
-        ok &= alpha_side(s0, order).eq_to_order(
-            alpha_side_lim1_i0_form(s0, order), order)
-    return ok
 
 
 # -- the two collapse lemmas --------------------------------------------------

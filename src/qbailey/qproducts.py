@@ -18,7 +18,8 @@ parent's window.  Every series that is summed term by term "until it
 vanishes" (the alpha sides, reindexed single sums and multisum j_1-blocks
 of ``lattice``, the two series forms of the quintuple product) goes through
 one loop, ``vanishing_sum``, which hands its terms to ``term_sum`` and
-holds each to ``laurent``'s runaway floor.
+holds each to ``laurent``'s runaway floor; a multisum's proved j_1 grid
+is summed to its end before the loop's stopping rule can end it.
 
 Chains.  A product of symbols whose lengths grow with an index t, such as
 (-q; q)_t / (-q^c; q)_t or a registry beta's 1/(q^c; q)_{2n}, gains only a
@@ -397,7 +398,8 @@ def vanishing_sum(block: Callable[[int], list[SumTerm]],
     valuation zero, so a term's lowest exponent is at least its shift.
     The sum stops after three consecutive blocks that have terms but none
     at or below the order; a block with no terms (alpha~_t = 0 on one
-    residue class) does not count toward the three.  A shift below
+    residue class, a zero j_1-block inside a proved multisum grid) does
+    not count toward the three.  A shift below
     ``laurent``'s runaway floor raises ``RunawayValuationError``.
     """
     def terms():

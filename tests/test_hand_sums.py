@@ -19,7 +19,6 @@ from qbailey.lattice import (
     _level3_rewritten,
     _tail_single,
     alpha_side,
-    alpha_side_lim1_i0_form,
 )
 from qbailey.laurent import monomial, one, zero
 from qbailey.qproducts import PochFactor, Q_FACTOR, vanishing_sum
@@ -102,6 +101,8 @@ def ref_alpha_block(s, unified):
 
 
 def ref_lim1_i0_block(s):
+    """The first family's separate i = 0 display,
+    sum_t a^{kt} q^{kt^2} (1 - a q^{2t}) alpha~_t."""
     c, k = s.base_exp, s.k
     tilde = registry_entry(s.pair_id).alpha_tilde_monomial
 
@@ -168,7 +169,7 @@ def test_alpha_sides_match_oracle(order):
             assert got.to_text() == want.to_text(), (s, unified)
         if s.kind == "lim1" and s.i == 0:
             want = ref_sum(ref_lim1_i0_block(s), order)
-            got = alpha_side_lim1_i0_form(s, order)
+            got = alpha_side(s, order)
             assert got.to_text() == want.to_text(), s
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from qbailey.bailey import Move, apply_moves, registry_pair
+from qbailey.characters import verify_character_identity
 from qbailey.lattice import (
     MultisumSpec,
     Schedule,
@@ -23,7 +24,6 @@ from qbailey.lattice import (
     sum_side,
     sum_side_finite,
     verify_limit_identity,
-    verify_remark_relations,
 )
 from qbailey.laurent import LaurentSeries, zero
 from qbailey.qproducts import (
@@ -257,8 +257,13 @@ def test_f2b1_recurrence(c):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_remark_relations(k):
-    assert verify_remark_relations(k, 50)
-    assert verify_remark_relations(k, 0)  # the (1 + q) factor is a unit
+    # the cell chain's link 3 ties each base q^2 case display to the
+    # unified form
+    for pid in (2, 4):
+        for i in (0, 1):
+            assert verify_character_identity(pid, "lim2", k, i, 50)
+            # the (1 + q) factor is a unit
+            assert verify_character_identity(pid, "lim2", k, i, 0)
 
 
 def test_simplified_forms_match_sum_side():

@@ -332,6 +332,17 @@ def test_sum_without_a_bound_that_never_vanishes_does_not_stabilize():
         eval_multisum(spec, 10)
 
 
+@pytest.mark.parametrize("order,bound", [(-20, 7), (-22, 6)])
+def test_a_proved_grid_is_summed_past_three_zero_blocks(order, bound):
+    # blocks j_1 = 0, 1, 2 start at q^0, q^-9 and q^-16, above the order,
+    # but the grid runs to j_1 = 7 and its last blocks start at q^-25
+    spec = MultisumSpec(1, 1, (1,), (-10,), (), (), (), (), (), ())
+    assert _j1_bound(spec, order, registry_entry(1)) == bound
+    want = ref_eval_multisum(spec, order, dead_blocks=50)
+    assert not want.is_zero()
+    assert eval_multisum(spec, order) == want
+
+
 @pytest.mark.parametrize("max_level,order", [(13, 30), (7, 120)])
 def test_eval_multisum_matches_reference(max_level, order):
     for spec in catalog_specs(max_level) + form_specs():
