@@ -11,11 +11,13 @@ Pairs are carried around with the normalized sequence
 
 which is how the registry states its five pairs and what the base-change
 moves consume.  The six moves (two forward, two backward, two base changes)
-and the base shift each produce a new pair whose sequences are evaluated on
-demand and memoized.
+each produce a new pair whose sequences are evaluated on demand and
+memoized.  The base shift (``base_shift``), used only to obtain the
+registry pairs from unshifted ones, is not a move.
 
-The six moves are rows of one table, ``_MOVE_TABLE``.  A row holds three
-integers (quad, binom, lin) for the exponent
+The six moves, the members of ``Move``, are the rows of one table,
+``_MOVE_TABLE``.  A row holds three integers (quad, binom, lin) for the
+exponent
 
     f(n, c) = quad n^2 + binom binom(n, 2) + (c + lin) n
 
@@ -99,7 +101,6 @@ class Move(Enum):
     B2 = "B2"
     BC1 = "BC1"
     BC2 = "BC2"
-    BASE_SHIFT = "BaseShift"
 
 
 def _binom2(x: int) -> int:
@@ -185,7 +186,7 @@ def compose_exact(order: int, shift: int, parent_get: Callable[[int], LaurentSer
 
 
 def apply_move(pair: BaileyPair, move: Move) -> BaileyPair:
-    """Apply one of the six moves (or the base shift) to a Bailey pair.
+    """Apply one of the six moves to a Bailey pair.
 
     The child is memoized on its parent, so move words that share a prefix
     share the pairs along it, and with them their sequence caches."""
@@ -233,9 +234,6 @@ def ratio_bases(move: Move, c: int) -> tuple[int, int] | None:
 
 
 def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
-    if move is Move.BASE_SHIFT:
-        return base_shift(pair.alpha, pair.beta, pair.base_exp,
-                          provenance=pair.provenance)
     rule = _MOVE_TABLE[move]
     c = pair.base_exp
     bases = ratio_bases(move, c)
@@ -287,16 +285,8 @@ def base_shift(alpha_prime: SeqFn, beta: SeqFn, base_exp: int, *,
         return shifted.alpha_tilde(n - 1, order - s).shift(s) + alpha_prime(n, order)
 
     shifted = BaileyPair(c + 1, alpha_tilde=tilde, beta=beta,
-                         provenance=provenance + (Move.BASE_SHIFT.value,))
+                         provenance=provenance + ("BaseShift",))
     return shifted
-
-
-def base_shift_closed_tilde(alpha_prime: SeqFn, base_exp: int, n: int,
-                            order: int) -> LaurentSeries:
-    """Closed-sum form of the shifted alpha~:
-    alpha~_n = sum_{r=0..n} q^{c(n-r) + n^2 - r^2} alpha'_r."""
-    return term_sum([(1, base_exp * (n - r) + n * n - r * r, partial(alpha_prime, r), ())
-                     for r in range(n + 1)], order)
 
 
 def verify_pair(pair: BaileyPair, n_max: int, order: int) -> list[bool]:

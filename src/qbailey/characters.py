@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bailey import compose_exact
-from .lattice import MultisumSpec, Schedule, alpha_side, verify_limit_identity
+from .lattice import Schedule, alpha_side, verify_limit_identity
 from .laurent import LaurentSeries
 from .qproducts import PochFactor, Q_FACTOR, inv_euler, poch_finite, poch_inf, qtpi_product
 
@@ -106,8 +106,7 @@ def normalization_poly(s: Schedule, order: int) -> LaurentSeries:
 
 
 def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
-                              order: int, spec: MultisumSpec | None = None
-                              ) -> bool:
+                              order: int) -> bool:
     """The full chain for one schedule cell:
 
       1. the unified alpha-side equals Q(q^{level+3}, q^{-s1-1});
@@ -117,8 +116,8 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
 
     together: sum_side = normalization * character.  Link 3 is the one
     check of the second family's i <= 1 displays against the unified form;
-    everywhere else the case form is the unified one, built once.
-    ``spec`` is the cell's multisum, when the caller has built it."""
+    everywhere else the case form is the unified one, built once.  Link 2
+    reads the cell's memoized multisum, the one its record prints."""
     m = schedule_module(pair_id, kind, k, i)
     s = Schedule(kind, k, i, pair_id)
 
@@ -129,7 +128,7 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
 
     split = kind == "lim2" and i <= 1
     case = alpha_side(s, order) if split else unified
-    if not verify_limit_identity(s, order, case, spec):
+    if not verify_limit_identity(s, order, case):
         return False
     if not split:
         return True

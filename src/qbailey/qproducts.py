@@ -303,11 +303,6 @@ def partition_numbers(n_max: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def euler_inf(order: int) -> LaurentSeries:
-    """(q; q)_inf."""
-    return poch_inf(Q_FACTOR, order)
-
-
 @lru_cache(maxsize=None)
 def inv_euler(order: int) -> LaurentSeries:
     """1/(q;q)_inf, i.e. the partition generating function.
@@ -376,7 +371,7 @@ def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:
             if len(parent) <= top:
                 raise AssertionError(
                     f"window known to q^{len(parent) - 1}, short of q^{top}")
-            lo, a = 0, parent[:top + 1]
+            lo, a = 0, parent[:max(top + 1, 0)]  # top < 0 must not slice from the end
         else:
             p = parent(top)
             if p.trunc < top:

@@ -104,7 +104,7 @@ def build_record(pair_id: int, kind: str, k: int, i: int, order: int
     m = schedule_module(pair_id, kind, k, i)
     s = Schedule(kind, k, i, pair_id)
     spec = build_multisum_spec(s)
-    ok = verify_character_identity(pair_id, kind, k, i, order, spec)
+    ok = verify_character_identity(pair_id, kind, k, i, order)
     norm = normalization_poly(s, order)
     return IdentityRecord(
         pair_id=pair_id, kind=kind, k=k, i=i,

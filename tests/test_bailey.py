@@ -4,12 +4,14 @@ import copy
 import itertools
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from qbailey.bailey import (
     _DEFAULT_REGISTRY,
+    _MOVE_TABLE,
     BetaSpec,
     Move,
     RegistryError,
@@ -17,7 +19,6 @@ from qbailey.bailey import (
     apply_move,
     apply_moves,
     base_shift,
-    base_shift_closed_tilde,
     beta_chain,
     beta_from_spec,
     load_registry,
@@ -27,7 +28,7 @@ from qbailey.bailey import (
     verify_pair,
 )
 from qbailey.laurent import LaurentSeries, monomial, one, zero
-from qbailey.qproducts import Q_FACTOR, PochFactor, inv_poch_finite
+from qbailey.qproducts import Q_FACTOR, PochFactor, inv_poch_finite, term_sum
 from reference_products import ref_beta_from_spec
 
 
@@ -244,6 +245,14 @@ def test_slater_pair_and_base_shift_reconstruction():
         assert got.eq_to_order(expected, N), f"alpha~_{n} mismatch"
 
 
+def base_shift_closed_tilde(alpha_prime, base_exp, n, order):
+    """Closed-sum form of the shifted alpha~:
+    alpha~_n = sum_{r=0..n} q^{c(n-r) + n^2 - r^2} alpha'_r."""
+    return term_sum([(1, base_exp * (n - r) + n * n - r * r,
+                      partial(alpha_prime, r), ())
+                     for r in range(n + 1)], order)
+
+
 def test_base_shift_closed_form_equals_recurrence():
     a1 = slater_a1_pair()
     shifted = base_shift(a1.alpha, a1.beta, 0)
@@ -318,14 +327,24 @@ def test_base_change_lowers_base():
     pair = registry_pair(2)
     assert apply_move(pair, Move.BC1).base_exp == 1
     assert apply_move(pair, Move.BC2).base_exp == 1
-    assert apply_move(pair, Move.BASE_SHIFT).base_exp == 3
+    assert base_shift(pair.alpha, pair.beta, pair.base_exp,
+                      provenance=pair.provenance).base_exp == 3
 
 
 def test_provenance_records_each_move_once():
     pair = registry_pair(1)
-    assert apply_move(pair, Move.BASE_SHIFT).provenance == ("pair1", "BaseShift")
-    assert apply_moves(pair, (Move.F1, Move.BASE_SHIFT, Move.BC1)).provenance == (
+    assert base_shift(pair.alpha, pair.beta, pair.base_exp,
+                      provenance=pair.provenance).provenance == ("pair1", "BaseShift")
+    f1 = apply_move(pair, Move.F1)
+    shifted = base_shift(f1.alpha, f1.beta, f1.base_exp, provenance=f1.provenance)
+    assert apply_move(shifted, Move.BC1).provenance == (
         "pair1", "F1", "BaseShift", "BC1")
+
+
+def test_moves_are_exactly_the_move_table():
+    # the base shift is base_shift alone, not a seventh move
+    assert set(Move) == set(_MOVE_TABLE)
+    assert len(Move) == 6
 
 
 def test_registry_errors(tmp_path, monkeypatch):

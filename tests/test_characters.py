@@ -296,20 +296,17 @@ def test_quintuple_product_is_built_once_per_module():
     assert qtpi_product.cache_info().misses == 18
 
 
-def test_build_record_builds_the_multisum_spec_once(monkeypatch):
-    # the record's spec is the one the limit identity evaluates
+def test_build_record_builds_the_multisum_spec_once():
+    # the record's spec is the one the limit identity evaluates: the
+    # memoized fold builds it once, and every later request is a hit
     import qbailey.lattice as lattice
     import qbailey.records as records
 
-    calls, real = [], lattice.build_multisum_spec
-
-    def counting_build(s):
-        calls.append(s)
-        return real(s)
-
-    monkeypatch.setattr(records, "build_multisum_spec", counting_build)
-    monkeypatch.setattr(lattice, "build_multisum_spec", counting_build)
+    lattice._fold.cache_clear()
     for cell in ((1, "lim1", 1, 0), (2, "lim2", 1, 0), (5, "lim1", 1, 3)):
-        calls.clear()
-        assert records.build_record(*cell, 40).status == "verified", cell
-        assert calls == [Schedule(cell[1], cell[2], cell[3], cell[0])], cell
+        before = lattice._fold.cache_info().misses
+        record = records.build_record(*cell, 40)
+        assert record.status == "verified", cell
+        assert lattice._fold.cache_info().misses == before + 1, cell
+        s = Schedule(cell[1], cell[2], cell[3], cell[0])
+        assert record.sum_spec is lattice.build_multisum_spec(s), cell

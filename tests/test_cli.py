@@ -90,6 +90,22 @@ def test_evaluation_error_is_one_line_and_exit_4(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_alpha_side_ratio_below_q_is_one_line_naming_the_cell(tmp_path):
+    # pair 2 at base q^1: the second family's unified alpha side would
+    # divide by (-1; q)_t, which is not unit-leading
+    data = json.loads(BUNDLED_REGISTRY.read_text())
+    data["pairs"][1]["base_exp"] = 1
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    proc = run_cli(["verify-identity", "--pair", "2", "--schedule", "lim2",
+                    "--k", "1", "--i", "0", "--order", "20"],
+                   env_extra={"QBAILEY_REGISTRY": str(reg)})
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: Schedule(kind='lim2', k=1, i=0, pair_id=2): the alpha side's "
+        "ratio base q^0 is below q^1\n")
+
+
 def _pair1_registry(tmp_path, edit):
     """QBAILEY_REGISTRY naming the bundled data with pair 1 changed by
     ``edit``."""

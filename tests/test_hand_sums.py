@@ -100,22 +100,6 @@ def ref_alpha_block(s, unified):
     return block
 
 
-def ref_lim1_i0_block(s):
-    """The first family's separate i = 0 display,
-    sum_t a^{kt} q^{kt^2} (1 - a q^{2t}) alpha~_t."""
-    c, k = s.base_exp, s.k
-    tilde = registry_entry(s.pair_id).alpha_tilde_monomial
-
-    def block(t):
-        mono = tilde(t)
-        if mono is None:
-            return []
-        e = c * k * t + k * t * t + mono[1]
-        return [(mono[0], e, []), (-mono[0], e + c + 2 * t, [])]
-
-    return block
-
-
 def ref_tail_block(pair_id):
     def block(j):
         if pair_id in (4, 2):
@@ -167,10 +151,6 @@ def test_alpha_sides_match_oracle(order):
             want = ref_sum(ref_alpha_block(s, unified), order)
             got = alpha_side(s, order, unified=unified)
             assert got.to_text() == want.to_text(), (s, unified)
-        if s.kind == "lim1" and s.i == 0:
-            want = ref_sum(ref_lim1_i0_block(s), order)
-            got = alpha_side(s, order)
-            assert got.to_text() == want.to_text(), s
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -1,13 +1,18 @@
 """Schedules, closed multisums, alpha-side sums, lemmas, simplified forms."""
 
+import inspect
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from qbailey.bailey import Move, apply_moves, registry_pair
+from qbailey.bailey import Move, _binom2, apply_moves, registry_pair
 from qbailey.characters import verify_character_identity
 from qbailey.lattice import (
+    _SIMPLIFIED,
+    _f2b1_lhs,
+    _f2b1_rhs,
     MultisumSpec,
     Schedule,
     SCHEDULE_TABLE,
@@ -16,7 +21,6 @@ from qbailey.lattice import (
     eval_multisum,
     expand_schedule,
     f2b1_recurrence,
-    has_simplified_form,
     lemma_b1bc1,
     lemma_f2b1,
     simplified_forms,
@@ -33,6 +37,7 @@ from qbailey.qproducts import (
     inv_poch_inf,
     poch_finite,
     qtpi_product,
+    term_sum,
 )
 from test_multisum_dp import ref_eval_multisum
 
@@ -249,6 +254,38 @@ def test_lemma_f2b1(c):
 
 
 @pytest.mark.parametrize("c", [1, 2])
+def test_lemma_f2b1_sides_are_the_finite_evaluation_times_a_unit(c):
+    # the paper's two sides, summed as stated, are (-1)^{j1} / (q)_N times
+    # the finite-sum evaluation's two sides at N = j1 - j3, t = j3
+    order = 30
+    for j1 in range(8):
+        for j3 in range(j1 + 1):
+            nn = j1 - j3
+            unit = ((Q_FACTOR, nn, -1),)
+            sign = -1 if j1 % 2 else 1
+            lhs = term_sum(
+                [(-1 if j2 % 2 else 1, _binom2(j1 - j2), None,
+                  ((Q_FACTOR, j1 - j2, -1), (Q_FACTOR, j2 - j3, -1),
+                   (PochFactor(-1, c, 1), j2, -1)))
+                 for j2 in range(j3, j1 + 1)], order)
+            rhs = term_sum(
+                [(-1 if j3 % 2 else 1,
+                  c * nn + _binom2(nn) + _binom2(j1) - _binom2(j3), None,
+                  ((PochFactor(-1, c, 1), j1, -1), (Q_FACTOR, nn, -1)))], order)
+            for stated, g in ((lhs, _f2b1_lhs), (rhs, _f2b1_rhs)):
+                side = term_sum([(sign, 0, partial(g, nn, j3, c), unit)], order)
+                assert stated == side, (j1, j3, g.__name__)
+    with pytest.raises(ValueError, match="j1 >= j3"):
+        lemma_f2b1(2, 3, c, order)
+
+
+def test_verify_functions_take_no_spec():
+    # each cell's multisum is the memoized fold's, so no caller passes one
+    for fn in (verify_limit_identity, verify_character_identity):
+        assert "spec" not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("c", [1, 2])
 def test_f2b1_recurrence(c):
     for nn in (0, 1, 3, 5):
         for t in (0, 2, 4):
@@ -283,7 +320,7 @@ def test_simplified_forms_below_order_one(order):
     for (pid, kind), row in SCHEDULE_TABLE.items():
         for i in range(row.imax(1) + 1):
             s = Schedule(kind, 1, i, pid)
-            if has_simplified_form(s):
+            if (pid, kind, 1, i) in _SIMPLIFIED:
                 ref = sum_side(s, order)
                 assert all(f == ref for f in simplified_forms(s, order)), s
 
@@ -312,7 +349,7 @@ def test_simplified_examples_from_reduced_displays():
 
 def test_simplified_catalog_misses_raise():
     s = Schedule("lim1", 1, 0, 1)
-    assert not has_simplified_form(s)
+    assert (1, "lim1", 1, 0) not in _SIMPLIFIED
     with pytest.raises(KeyError):
         simplified_sum_side(s, 40)
 

@@ -11,7 +11,6 @@ from qbailey.qproducts import (
     PochFactor,
     Q_FACTOR,
     apply_poch_units,
-    euler_inf,
     inv_euler,
     inv_poch_finite,
     inv_poch_inf,
@@ -60,7 +59,7 @@ def test_poch_finite_minus_one_base():
 
 def test_poch_inf_pentagonal():
     # Euler: (q;q)_inf = sum (-1)^k q^{k(3k+-1)/2}
-    out = euler_inf(30)
+    out = poch_inf(Q_FACTOR, 30)
     expected = {0: 1}
     k = 1
     while k * (3 * k - 1) // 2 <= 30:
@@ -93,7 +92,7 @@ def test_inv_euler_first_values():
 
 def test_inv_euler_matches_generic_inversion():
     N = 60
-    assert inv_euler(N).eq_to_order(euler_inf(N).invert(), N)
+    assert inv_euler(N).eq_to_order(poch_inf(Q_FACTOR, N).invert(), N)
 
 
 def test_pochhammer_one_step_extension():
