@@ -12,11 +12,13 @@ it; ``alpha_side`` evaluates the limiting alpha-series; and
 
 exactly, coefficientwise, to the requested order.
 
-Multisum evaluation.  Every closed sum here is a chain: the summand factors
-into per-variable monomials and Pochhammer pieces plus adjacent-difference
-pieces 1/(q)_{j_r - j_{r+1}} and q^{binom(j_r - j_{r+1}, 2)}.  The evaluator
-runs a dynamic program from the innermost variable outward, keeping one
-partial sum (a carry) per feasible (level, value) as a coefficient window,
+Multisum evaluation.  Every closed sum here is a chain: the summand is
+one ``Level`` row per variable (monomial, Pochhammer units, sign and link
+binomial q^{binom(j_r - j_{r+1}, 2)}) times the pieces 1/(q)_{j_r - j_{r+1}}.
+The fold writes a ``MultisumSpec``'s rows outermost first, the order of the
+DP's level index L, and the DP reads them as they are.  The evaluator runs
+a dynamic program from the innermost variable outward, keeping one partial
+sum (a carry) per feasible (level, value) as a coefficient window,
 ``laurent``'s dense format.  Two integer tables drive exactness and pruning:
 
   * IN[L][v]  - minimal exponent contributed by levels L..inner given
@@ -193,80 +195,82 @@ def expand_schedule(s: Schedule) -> list[Move]:
 
 # -- closed multisums ---------------------------------------------------------
 
-class MultisumSpec(namedtuple("MultisumSpec",
-                              "pair_id nvars quad lin self_binoms link_binoms "
-                              "signs numer denom prefactors")):
-    """A chain multisum over j_1 >= j_2 >= ... >= j_V >= 0 (0-indexed vars).
+class Level(namedtuple("Level", "quad lin self_binom link sign numer denom")):
+    """One variable j of a chain, its factor of the summand: q^{quad j^2 +
+    lin j}, times q^{binom(j, 2)} if ``self_binom``, q^{binom(j - j', 2)}
+    (j' the next inner variable) if ``link`` and (-1)^j if ``sign``, times
+    (-q^b; q)_j for each int b in ``numer``, over the same for ``denom``."""
 
-    The summand is
+    __slots__ = ()
 
-        (-1)^{sum of j_r over signs} * q^E * prod(numer) / prod(denom)
-        * beta_{j_{V-1}} / ((q)_{n-j_0} (q)_{j_0-j_1} ... (q)_{j_{V-2}-j_{V-1}})
 
-    with E = sum quad[r] j_r^2 + lin[r] j_r + binom(j_r, 2) over self_binoms
-    + binom(j_r - j_{r+1}, 2) over link_binoms.  numer/denom entries (r, b)
-    mean a factor (-q^b; q)_{j_r}; prefactors hold exponents b of leading
-    factors 1/(-q^b; q)_n, which become infinite products in the n -> oo
-    limit.  beta is the registry pair's beta sequence, and the base-power
-    contributions a^{...} = q^{c ...} are folded into lin.
+class MultisumSpec(namedtuple("MultisumSpec", "pair_id levels prefactors")):
+    """A chain multisum over j_1 >= j_2 >= ... >= j_V >= 0: the product of
+    its ``levels``, one ``Level`` per variable, outermost first, times
 
-    pair_id and nvars are ints; quad, lin, self_binoms, link_binoms, signs
-    and prefactors are tuples of ints; numer and denom are tuples of
-    (r, b) int pairs.
+        beta_{j_V} / ((q)_{n-j_1} (q)_{j_1-j_2} ... (q)_{j_{V-1}-j_V})
+
+    with beta the registry pair's, and the base powers a^{...} = q^{c ...}
+    folded into each lin.  ``prefactors``, int bases b, are leading factors
+    1/(-q^b; q)_n, infinite products in the n -> oo limit.  ``to_dict`` and
+    ``from_dict`` alone know the record layout: per-variable quad and lin,
+    the 0-indexed variables with a self-binomial, link or sign, and the
+    units as [r, b] pairs, innermost first.
     """
 
     __slots__ = ()
 
     def to_dict(self) -> dict:
+        levels = self.levels
+        inner_first = range(len(levels) - 1, -1, -1)
         return {
             "pair": self.pair_id,
-            "nvars": self.nvars,
-            "quad": list(self.quad),
-            "lin": list(self.lin),
-            "self_binoms": list(self.self_binoms),
-            "link_binoms": list(self.link_binoms),
-            "signs": list(self.signs),
-            "numer": [list(x) for x in self.numer],
-            "denom": [list(x) for x in self.denom],
+            "nvars": len(levels),
+            "quad": [lv.quad for lv in levels],
+            "lin": [lv.lin for lv in levels],
+            "self_binoms": [r for r, lv in enumerate(levels) if lv.self_binom],
+            "link_binoms": [r for r, lv in enumerate(levels) if lv.link],
+            "signs": [r for r, lv in enumerate(levels) if lv.sign],
+            "numer": [[r, b] for r in inner_first for b in levels[r].numer],
+            "denom": [[r, b] for r in inner_first for b in levels[r].denom],
             "prefactors": list(self.prefactors),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultisumSpec":
-        return cls(
-            pair_id=d["pair"],
-            nvars=d["nvars"],
-            quad=tuple(d["quad"]),
-            lin=tuple(d["lin"]),
-            self_binoms=tuple(d["self_binoms"]),
-            link_binoms=tuple(d["link_binoms"]),
-            signs=tuple(d["signs"]),
-            numer=tuple((x[0], x[1]) for x in d["numer"]),
-            denom=tuple((x[0], x[1]) for x in d["denom"]),
-            prefactors=tuple(d["prefactors"]),
-        )
+        return cls(d["pair"], tuple(
+            Level(d["quad"][r], d["lin"][r], r in d["self_binoms"],
+                  r in d["link_binoms"], r in d["signs"],
+                  *(tuple(b for at, b in d[key] if at == r)
+                    for key in ("numer", "denom")))
+            for r in range(d["nvars"])), tuple(d["prefactors"]))
 
 
 def build_multisum_spec(s: Schedule) -> MultisumSpec:
     """The closed sum-side multisum for a schedule: its move word folded
     over the move table, one variable per move.  The move applied first is
-    the innermost variable, r = V - 1, and the base starts at the
-    registry's c and changes by each row's ``base_change``.
+    the innermost variable, r = V - 1, so a word's first d moves determine
+    ``levels[V - d:]``; the base starts at the registry's c and changes by
+    each row's ``base_change``.
 
-    A forward move puts its exponent f(j_r, c) and its (-q^a)_{j_r} on r,
-    and its 1/(-q^b)_n on r - 1 (a prefactor when r = 0).  A backward move
-    puts -f(j_{r-1}, c), the link binomial binom(j_{r-1} - j_r, 2) and the
-    sign (-1)^{j_{r-1} + j_r} on the pair (r - 1, r), and its ratio the
-    other way round.  Memoized on the schedule, its word and registry entry.
+    A forward move puts its exponent f(j_r, c) and its (-q^a)_{j_r} on
+    level r, and its 1/(-q^b)_n on level r - 1 (a prefactor when r = 0).
+    A backward move puts -f(j_{r-1}, c) and the link binomial
+    binom(j_{r-1} - j_r, 2) on level r - 1, the sign (-1)^{j_{r-1} + j_r}
+    on both, and its ratio the other way round.  Memoized on the schedule,
+    its word and registry entry.
     """
     return _fold(s, tuple(expand_schedule(s)), registry_entry(s.pair_id))
 
 
 @lru_cache(maxsize=None)
 def _fold(s: Schedule, word: tuple[Move, ...], entry: RegistryEntry) -> MultisumSpec:
+    """The word's spec: one list per ``Level`` field, indexed by variable,
+    zipped into rows at the end.  Each ``ValueError`` names the schedule."""
     V = len(word)
-    quad, lin, self_binom, sign = [0] * V, [0] * V, [0] * V, [0] * V
-    links, numer, denom, prefactors = [], [], [], []
+    quad, lin, self_binom = [0] * V, [0] * V, [0] * V
+    link, sign, numer, denom = [False] * V, [False] * V, [()] * V, [()] * V
+    prefactors = ()
     c = entry.base_exp
     for r, move in zip(range(V - 1, -1, -1), word):
         rule = _MOVE_TABLE[move]
@@ -277,26 +281,27 @@ def _fold(s: Schedule, word: tuple[Move, ...], entry: RegistryEntry) -> Multisum
         self_binom[at] += sgn * rule.binom
         lin[at] += sgn * (c + rule.lin)
         if rule.backward:
-            links.append(r - 1)
-            sign[r - 1] ^= 1
-            sign[r] ^= 1
-        bases = ratio_bases(move, c)
+            link[at] = True
+            sign[at] ^= True
+            sign[r] ^= True
+        try:
+            bases = ratio_bases(move, c)
+        except ValueError as e:
+            raise ValueError(f"{s}: {e}") from None
         if bases is not None:
             up, down = bases
-            numer.append((r, up))
+            numer[r] = (up,)
             if r:
-                denom.append((r - 1, down))
+                denom[r - 1] = (down,)
             else:
-                prefactors.append(down)
+                prefactors = (down,)
         c += rule.base_change
     if any(b not in (0, 1) for b in self_binom):
         raise ValueError(f"{s}: self-binomial coefficients {self_binom} "
                          "are not all 0 or 1")
-    return MultisumSpec(
-        s.pair_id, V, tuple(quad), tuple(lin),
-        tuple(r for r in range(V) if self_binom[r]), tuple(sorted(links)),
-        tuple(r for r in range(V) if sign[r]), tuple(numer), tuple(denom),
-        tuple(prefactors))
+    return MultisumSpec(s.pair_id, tuple(map(
+        Level, quad, lin, map(bool, self_binom), link, sign, numer, denom)),
+        prefactors)
 
 
 _NEG_Q = PochFactor(-1, 1, 1)  # the base of (-q; q)_n
@@ -330,27 +335,27 @@ def _tables(spec: MultisumSpec, order: int, cap: int, entry: RegistryEntry):
     spec's registry ``entry``.
 
     Returns ``(IN, LOW, feas, own)``, where ``own[L][v]`` is the exponent
-    quad[L] v^2 + lin[L] v (+ binom(v, 2) on a self-binomial level) that
-    variable L contributes at j_L = v.  Both tables are one min-plus pass
+    quad v^2 + lin v (+ binom(v, 2) on a self-binomial level) that level L
+    contributes at j_L = v.  Both tables are one min-plus pass
     of ``_min_plus`` per level, adding binomials only on a linked level:
     IN from the inside out over the inner values w <= v, LOW from the
     outside in over the outer values u >= v, on the reversed cost row.
     """
-    V = spec.nvars
+    levels = spec.levels
+    V = len(levels)
     bq, bl = entry.beta.mono_quad, entry.beta.mono_lin
     values = range(cap + 1)
     b2 = [_binom2(d) for d in values]
     own = []
-    for L in range(V):
-        a, b = spec.quad[L], spec.lin[L]
-        row = [a * v * v + b * v for v in values]
-        own.append(list(map(add, row, b2)) if L in spec.self_binoms else row)
+    for lv in levels:
+        row = [lv.quad * v * v + lv.lin * v for v in values]
+        own.append(list(map(add, row, b2)) if lv.self_binom else row)
 
     IN: list[list[int]] = [[]] * V
     IN[V - 1] = [e + bq * v * v + bl * v for v, e in enumerate(own[V - 1])]
     for L in range(V - 2, -1, -1):
         IN[L] = list(map(add, own[L],
-                         _min_plus(IN[L + 1], L in spec.link_binoms, b2)))
+                         _min_plus(IN[L + 1], levels[L].link, b2)))
 
     LOW = [[0] * (cap + 1)]
     feas = [[e <= order for e in IN[0]]]
@@ -358,7 +363,7 @@ def _tables(spec: MultisumSpec, order: int, cap: int, entry: RegistryEntry):
         # cost[cap - u]: least outer exponent through a feasible j_{L-1} = u
         cost = [lo + e if ok else _INF for lo, e, ok in
                 zip(reversed(LOW[L - 1]), reversed(own[L - 1]), reversed(feas[L - 1]))]
-        LOW.append(_min_plus(cost, (L - 1) in spec.link_binoms, b2)[::-1])
+        LOW.append(_min_plus(cost, levels[L - 1].link, b2)[::-1])
         feas.append([lo < _INF and lo + e <= order for lo, e in zip(LOW[L], IN[L])])
     return IN, LOW, feas, own
 
@@ -372,8 +377,8 @@ def _j1_bound(spec: MultisumSpec, order: int, entry: RegistryEntry) -> int | Non
     prefix sums of A and B.  If P > 0, no block past the largest v with
     P v^2 + S v <= 2 order reaches the order."""
     beta = entry.beta  # its monomial joins l = V - 1
-    A = [2 * a + (L in spec.self_binoms) for L, a in enumerate(spec.quad)]
-    B = [2 * b - (L in spec.self_binoms) for L, b in enumerate(spec.lin)]
+    A = [2 * lv.quad + lv.self_binom for lv in spec.levels]
+    B = [2 * lv.lin - lv.self_binom for lv in spec.levels]
     A[-1] += 2 * beta.mono_quad
     B[-1] += 2 * beta.mono_lin
     P, S = min(accumulate(A)), min(accumulate(B))
@@ -381,12 +386,6 @@ def _j1_bound(spec: MultisumSpec, order: int, entry: RegistryEntry) -> int | Non
         return None
     # floor of the larger root of P v^2 + S v - 2 order (the vertex if none)
     return (isqrt(max(S * S + 8 * P * order, 0)) - S) // (2 * P)
-
-
-def _units(spec: MultisumSpec, level: int, v: int) -> list:
-    """The unit triples (-q^b; q)_v^{+-1} that variable ``level`` carries."""
-    return ([(PochFactor(-1, b, 1), v, 1) for r, b in spec.numer if r == level]
-            + [(PochFactor(-1, b, 1), v, -1) for r, b in spec.denom if r == level])
 
 
 def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
@@ -452,7 +451,8 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     it, the n -> oo limit (outer factor -> 1, leading factors -> infinite
     products), summed in j_1-blocks by ``qproducts.vanishing_sum``.
     """
-    V = spec.nvars
+    levels = spec.levels
+    V = len(levels)
     entry = registry_entry(spec.pair_id)
     beta = _beta_chain(entry.beta)
     n = finite_n
@@ -461,9 +461,6 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     if not proved:
         cap = 2 * isqrt(max(order, 1)) + V + 14
     IN, LOW, feas, own = _tables(spec, order, cap, entry)
-    linked = [L in spec.link_binoms for L in range(V)]
-    signed = [L in spec.signs for L in range(V)]
-    units = [_units(spec, L, 0) for L in range(V)]
 
     # nonzero[L]: the nonzero carries (v, lo, window) at level L, v ascending
     nonzero: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(V)]
@@ -473,14 +470,17 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
         for L in range(V - 1, -1, -1):
             if not feas[L][v]:
                 continue
+            lv = levels[L]
             t_cap = order - LOW[L][v]
             top = t_cap - own[L][v]
             if L == V - 1:
                 lo, a = beta(v, top)
             else:
-                lo, a = _link_sum(nonzero[L + 1], v, top, linked[L])
-            if units[L]:
-                apply_poch_units(a, [(f, v, power) for f, _, power in units[L]])
+                lo, a = _link_sum(nonzero[L + 1], v, top, lv.link)
+            if lv.numer or lv.denom:
+                apply_poch_units(a, [(PochFactor(-1, b, 1), v, power)
+                                     for bases, power in ((lv.numer, 1), (lv.denom, -1))
+                                     for b in bases])
             k = next((k for k, c in enumerate(a) if c), None)
             if k is None:
                 continue  # zero to t_cap
@@ -490,7 +490,7 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
                     f"carry at level {L}, j={v} starts at q^{lo}, below its "
                     f"proved valuation q^{IN[L][v]}")
             del a[:k]
-            if signed[L] and v % 2:
+            if lv.sign and v % 2:
                 a[:] = map(neg, a)
             nonzero[L].append((v, lo, a))
 
@@ -682,10 +682,12 @@ Term = tuple[int, int, MultisumSpec]
 
 def _spec(pair_id: int, quad: tuple[int, ...], lin: tuple[int, ...],
           **factors) -> MultisumSpec:
-    """A spec with nvars = len(quad) and every factor not given empty."""
-    fields = dict(self_binoms=(), link_binoms=(), signs=(), numer=(), denom=(),
-                  prefactors=())
-    return MultisumSpec(pair_id, len(quad), quad, lin, **{**fields, **factors})
+    """A display's spec in ``to_dict``'s layout, with nvars = len(quad)
+    and every factor not given empty."""
+    return MultisumSpec.from_dict({
+        "pair": pair_id, "nvars": len(quad), "quad": quad, "lin": lin,
+        "self_binoms": (), "link_binoms": (), "signs": (), "numer": (),
+        "denom": (), "prefactors": (), **factors})
 
 
 def _spec_form(terms_of: Callable[[int], list[Term]], pair_id: int,

@@ -164,16 +164,17 @@ def _poly_latex(terms: dict[str, int]) -> str:
     return out
 
 
-def _sum_exponent_latex(spec: MultisumSpec) -> str:
+def _sum_exponent_latex(d: dict) -> str:
+    """The exponent of a ``MultisumSpec.to_dict`` layout ``d``."""
     terms: dict[str, int] = {}
-    for r in range(spec.nvars):
-        if spec.quad[r]:
-            terms[f"j_{r+1}^2"] = spec.quad[r]
-        if spec.lin[r]:
-            terms[f"j_{r+1}"] = spec.lin[r]
-    for r in spec.self_binoms:
-        terms[f"\\binom{{j_{r+1}}}{{2}}"] = terms.get(f"\\binom{{j_{r+1}}}{{2}}", 0) + 1
-    for r in spec.link_binoms:
+    for r, (a, b) in enumerate(zip(d["quad"], d["lin"])):
+        if a:
+            terms[f"j_{r+1}^2"] = a
+        if b:
+            terms[f"j_{r+1}"] = b
+    for r in d["self_binoms"]:
+        terms[f"\\binom{{j_{r+1}}}{{2}}"] = 1
+    for r in d["link_binoms"]:
         terms[f"\\binom{{j_{r+1}-j_{r+2}}}{{2}}"] = 1
     return _poly_latex(terms)
 
@@ -184,43 +185,32 @@ def _beta_latex(beta: BetaSpec, var: str) -> str:
         terms[f"{var}^2"] = beta.mono_quad
     if beta.mono_lin:
         terms[var] = beta.mono_lin
-    num = [f"q^{{{_poly_latex(terms)}}}"] if terms else []
-    for f, kind in beta.numerator:
-        length = var if kind == "n" else f"2{var}"
-        num.append(_poch_latex(f.sign, f.base_exp, f.step, length))
-    den = []
-    for f, kind in beta.denominator:
-        length = var if kind == "n" else f"2{var}"
-        den.append(_poch_latex(f.sign, f.base_exp, f.step, length))
-    nums = "".join(num) if num else "1"
-    return f"\\frac{{{nums}}}{{{''.join(den)}}}"
+    num, den = ["".join([_poch_latex(f.sign, f.base_exp, f.step,
+                                     var if kind == "n" else f"2{var}")
+                         for f, kind in factors])
+                for factors in (beta.numerator, beta.denominator)]
+    nums = (f"q^{{{_poly_latex(terms)}}}" if terms else "") + num or "1"
+    return f"\\frac{{{nums}}}{{{den}}}"
 
 
 def record_latex(rec: IdentityRecord) -> str:
     """One compilable display for the record, sum side = product side."""
-    spec = rec.sum_spec
-    V = spec.nvars
+    spec = rec.sum_spec.to_dict()
+    V = spec["nvars"]
     subscript = " \\geq ".join([f"j_{r}" for r in range(1, V + 1)] + ["0"])
 
     inf = "\\infty"
     prefix = "".join(
-        "\\frac{1}{%s}" % _poch_latex(-1, b, 1, inf) for b in spec.prefactors
+        "\\frac{1}{%s}" % _poch_latex(-1, b, 1, inf) for b in spec["prefactors"]
     )
-    sign = ""
-    if spec.signs:
-        sign = "(-1)^{" + "+".join(f"j_{r+1}" for r in spec.signs) + "}"
-    numer = [f"q^{{{_sum_exponent_latex(spec)}}}"]
-    for r, b in spec.numer:
-        numer.append(_poch_latex(-1, b, 1, f"j_{r+1}"))
-    denom = []
-    for r in range(V - 1):
-        denom.append(_poch_latex(1, 1, 1, f"j_{r+1}-j_{r+2}"))
-    for r, b in spec.denom:
-        denom.append(_poch_latex(-1, b, 1, f"j_{r+1}"))
-    if denom:
-        core = f"\\frac{{{''.join(numer)}}}{{{''.join(denom)}}}"
-    else:
-        core = "".join(numer)
+    sign = ("(-1)^{" + "+".join(f"j_{r+1}" for r in spec["signs"]) + "}"
+            if spec["signs"] else "")
+    numer = f"q^{{{_sum_exponent_latex(spec)}}}" + "".join(
+        _poch_latex(-1, b, 1, f"j_{r+1}") for r, b in spec["numer"])
+    denom = "".join(
+        [_poch_latex(1, 1, 1, f"j_{r+1}-j_{r+2}") for r in range(V - 1)]
+        + [_poch_latex(-1, b, 1, f"j_{r+1}") for r, b in spec["denom"]])
+    core = f"\\frac{{{numer}}}{{{denom}}}" if denom else numer
     beta = _beta_latex(rec.beta, f"j_{V}")
 
     norm_terms = {("" if e == 0 else "q" if e == 1 else f"q^{_exp_str(e)}"): c

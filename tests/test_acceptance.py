@@ -236,7 +236,9 @@ def test_criterion_11_negative_controls():
     # a perturbed multisum exponent fails the limit identity
     s = Schedule("lim1", 1, 1, 3)
     spec = build_multisum_spec(s)
-    bad = spec._replace(lin=(spec.lin[0] + 1,) + spec.lin[1:])
+    outer = spec.levels[0]
+    bad = spec._replace(
+        levels=(outer._replace(lin=outer.lin + 1),) + spec.levels[1:])
     lhs = eval_multisum(bad, 40) * poch_inf(PochFactor(1, 1, 1), 40)
     ok &= not lhs.eq_to_order(alpha_side(s, 40), 40)
     # and a wrong module label fails the character identity

@@ -106,6 +106,23 @@ def test_alpha_side_ratio_below_q_is_one_line_naming_the_cell(tmp_path):
         "ratio base q^0 is below q^1\n")
 
 
+@pytest.mark.parametrize("i,move,base", [(1, "BC2", 1), (2, "F2", 0)])
+def test_move_ratio_below_q_is_one_line_naming_the_cell(tmp_path, i, move,
+                                                        base):
+    # pair 2 at base q^1: the fold's last move needs the ratio base q^0
+    data = json.loads(BUNDLED_REGISTRY.read_text())
+    data["pairs"][1]["base_exp"] = 1
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    proc = run_cli(["verify-identity", "--pair", "2", "--schedule", "lim2",
+                    "--k", "1", "--i", str(i), "--order", "20"],
+                   env_extra={"QBAILEY_REGISTRY": str(reg)})
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: Schedule(kind='lim2', k=1, i={i}, pair_id=2): move {move} "
+        f"at base q^{base} needs the ratio base q^0, below q^1\n")
+
+
 def _pair1_registry(tmp_path, edit):
     """QBAILEY_REGISTRY naming the bundled data with pair 1 changed by
     ``edit``."""

@@ -13,6 +13,7 @@ from qbailey.lattice import (
     _SIMPLIFIED,
     _f2b1_lhs,
     _f2b1_rhs,
+    Level,
     MultisumSpec,
     Schedule,
     SCHEDULE_TABLE,
@@ -39,7 +40,7 @@ from qbailey.qproducts import (
     qtpi_product,
     term_sum,
 )
-from test_multisum_dp import ref_eval_multisum
+from test_multisum_dp import catalog_specs, form_specs, ref_eval_multisum
 
 _BUNDLED_REGISTRY = (Path(__file__).parent.parent / "src" / "qbailey" / "data"
                      / "bailey_pairs.json")
@@ -178,7 +179,8 @@ def test_multisum_fold_follows_a_changed_registry(tmp_path, monkeypatch):
     reg.write_text(json.dumps(data))
     monkeypatch.setenv("QBAILEY_REGISTRY", str(reg))
     changed = build_multisum_spec(s)
-    assert changed == bundled._replace(lin=(bundled.lin[0] + 1,))
+    lone = bundled.levels[0]
+    assert changed == bundled._replace(levels=(lone._replace(lin=lone.lin + 1),))
     monkeypatch.delenv("QBAILEY_REGISTRY")
     assert build_multisum_spec(s) == bundled
 
@@ -199,7 +201,9 @@ def test_multisum_negative_control():
     s = Schedule("lim1", 1, 1, 1)
     spec = build_multisum_spec(s)
     good = eval_multisum(spec, 40)
-    bad_spec = spec._replace(lin=(spec.lin[0] + 1,) + spec.lin[1:])
+    outer = spec.levels[0]
+    bad_spec = spec._replace(
+        levels=(outer._replace(lin=outer.lin + 1),) + spec.levels[1:])
     bad = eval_multisum(bad_spec, 40)
     assert not good.eq_to_order(bad, 40)
     lhs = bad * __import__("qbailey.qproducts", fromlist=["poch_inf"]).poch_inf(
@@ -219,9 +223,11 @@ def test_multisum_stabilization_certificate():
 
 
 def test_multisum_spec_round_trip():
-    for s in (Schedule("lim1", 2, 5, 1), Schedule("lim3", 1, 1, 5),
-              Schedule("lim2", 2, 3, 4)):
-        spec = build_multisum_spec(s)
+    # every catalog cell up to level 31 and every printed form's spec
+    specs = catalog_specs(31) + form_specs()
+    assert len(specs) == 450 + 25
+    for spec in specs:
+        assert all(type(lv) is Level for lv in spec.levels)
         assert MultisumSpec.from_dict(spec.to_dict()) == spec
 
 

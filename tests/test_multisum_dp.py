@@ -25,16 +25,15 @@ import qbailey.lattice as lattice
 from qbailey.bailey import registry_entry
 from qbailey.lattice import (
     SCHEDULE_TABLE,
-    MultisumSpec,
     Schedule,
     _INF,
     _SIMPLIFIED,
     _binom2,
     _j1_bound,
     _link_sum,
+    _spec,
     _spec_form,
     _tables,
-    _units,
     build_multisum_spec,
     eval_multisum,
     sum_side,
@@ -51,24 +50,35 @@ from reference_products import (
 )
 
 
-def _own_exponent(spec, level, v):
-    e = spec.quad[level] * v * v + spec.lin[level] * v
-    if level in spec.self_binoms:
+# The references read a spec only through ``MultisumSpec.to_dict``, the
+# record layout, so the DP and that layout are checked against each other.
+
+def _own_exponent(d, level, v):
+    e = d["quad"][level] * v * v + d["lin"][level] * v
+    if level in d["self_binoms"]:
         e += _binom2(v)
     return e
 
 
+def _units(d, level, v):
+    """The unit triples (-q^b; q)_v^{+-1} that variable ``level`` carries."""
+    return [(PochFactor(-1, b, 1), v, power)
+            for key, power in (("numer", 1), ("denom", -1))
+            for r, b in d[key] if r == level]
+
+
 def ref_tables(spec, order, cap):
-    V = spec.nvars
+    d = spec.to_dict()
+    V = d["nvars"]
     entry = registry_entry(spec.pair_id)
     bq, bl = entry.beta.mono_quad, entry.beta.mono_lin
     IN = [[0] * (cap + 1) for _ in range(V)]
     for v in range(cap + 1):
-        IN[V - 1][v] = _own_exponent(spec, V - 1, v) + bq * v * v + bl * v
+        IN[V - 1][v] = _own_exponent(d, V - 1, v) + bq * v * v + bl * v
     for L in range(V - 2, -1, -1):
-        linked = L in spec.link_binoms
+        linked = L in d["link_binoms"]
         for v in range(cap + 1):
-            IN[L][v] = _own_exponent(spec, L, v) + min(
+            IN[L][v] = _own_exponent(d, L, v) + min(
                 IN[L + 1][w] + (_binom2(v - w) if linked else 0)
                 for w in range(v + 1))
     LOW = [[_INF] * (cap + 1) for _ in range(V)]
@@ -77,12 +87,12 @@ def ref_tables(spec, order, cap):
         LOW[0][v] = 0
         feas[0][v] = IN[0][v] <= order
     for L in range(1, V):
-        linked = (L - 1) in spec.link_binoms
+        linked = (L - 1) in d["link_binoms"]
         for v in range(cap + 1):
             best = _INF
             for u in range(v, cap + 1):
                 if feas[L - 1][u]:
-                    x = LOW[L - 1][u] + _own_exponent(spec, L - 1, u)
+                    x = LOW[L - 1][u] + _own_exponent(d, L - 1, u)
                     best = min(best, x + (_binom2(u - v) if linked else 0))
             LOW[L][v] = best
             feas[L][v] = best < _INF and best + IN[L][v] <= order
@@ -92,7 +102,8 @@ def ref_tables(spec, order, cap):
 def ref_eval_multisum(spec, order, finite_n=None, dead_blocks=3):
     """The direct sum; in the limit it stops once ``dead_blocks`` j_1-blocks
     in a row vanish to the order, from j_1 = 4 on, or at the heuristic cap."""
-    V = spec.nvars
+    d = spec.to_dict()
+    V = d["nvars"]
     beta = registry_entry(spec.pair_id).beta
     cap = finite_n if finite_n is not None else 2 * isqrt(max(order, 1)) + V + 14
     _, LOW, feas = ref_tables(spec, order, cap)
@@ -105,14 +116,14 @@ def ref_eval_multisum(spec, order, finite_n=None, dead_blocks=3):
                 carries[L][v] = zero(order)
                 continue
             t_cap = order - LOW[L][v]
-            own = _own_exponent(spec, L, v)
+            own = _own_exponent(d, L, v)
             if L == V - 1:
                 inner = ref_compose(t_cap, own,
                                     lambda o: ref_beta_from_spec(beta, v, o),
-                                    *_units(spec, L, v))
+                                    *_units(d, L, v))
             else:
                 t_in = t_cap - own
-                linked = L in spec.link_binoms
+                linked = L in d["link_binoms"]
                 acc = zero(t_in)
                 for w in range(v + 1):
                     g = carries[L + 1][w]
@@ -121,8 +132,8 @@ def ref_eval_multisum(spec, order, finite_n=None, dead_blocks=3):
                     acc = acc + ref_compose(
                         t_in, _binom2(v - w) if linked else 0, lambda o, g=g: g,
                         (Q_FACTOR, v - w, -1))
-                inner = ref_compose(t_cap, own, lambda o: acc, *_units(spec, L, v))
-            if L in spec.signs and v % 2:
+                inner = ref_compose(t_cap, own, lambda o: acc, *_units(d, L, v))
+            if L in d["signs"] and v % 2:
                 inner = -inner
             carries[L][v] = inner.truncated(t_cap)
         blocks.append(carries[0][v])
@@ -134,13 +145,13 @@ def ref_eval_multisum(spec, order, finite_n=None, dead_blocks=3):
     if finite_n is None:
         for blk in blocks:
             total = total + blk.truncated(order)
-        for b in spec.prefactors:
+        for b in d["prefactors"]:
             total = total * ref_inv_poch_inf(PochFactor(-1, b, 1), order)
         return total.truncated(order)
     for v, blk in enumerate(blocks):
         total = total + ref_compose(order, 0, lambda o, blk=blk: blk,
                                     (Q_FACTOR, finite_n - v, -1))
-    for b in spec.prefactors:
+    for b in d["prefactors"]:
         total = total * ref_inv_poch_finite(PochFactor(-1, b, 1), finite_n, order)
     return total.truncated(order)
 
@@ -164,7 +175,8 @@ def brute_chain_sum(spec, order):
     valuation zero, so a chain whose E plus beta's monomial exponent is
     above the order adds nothing; the sum stops once three successive J
     (from J = 4 on) have no chain at or below the order."""
-    V = spec.nvars
+    d = spec.to_dict()
+    V = d["nvars"]
     beta = registry_entry(spec.pair_id).beta
     total = zero(order)
     quiet = 0
@@ -173,21 +185,21 @@ def brute_chain_sum(spec, order):
         quiet += 1
         for js in _chains(J, V - 1):
             js = (J,) + js
-            e = sum(_own_exponent(spec, r, j) for r, j in enumerate(js))
-            e += sum(_binom2(js[r] - js[r + 1]) for r in spec.link_binoms)
+            e = sum(_own_exponent(d, r, j) for r, j in enumerate(js))
+            e += sum(_binom2(js[r] - js[r + 1]) for r in d["link_binoms"])
             last = js[-1]
             if e + beta.mono_quad * last * last + beta.mono_lin * last > order:
                 continue
             quiet = 0
             units = [(PochFactor(-1, b, 1), js[r], p)
-                     for factors, p in ((spec.numer, 1), (spec.denom, -1))
-                     for r, b in factors]
+                     for key, p in (("numer", 1), ("denom", -1))
+                     for r, b in d[key]]
             units += [(Q_FACTOR, js[r] - js[r + 1], -1) for r in range(V - 1)]
-            sign = (-1) ** sum(js[r] for r in spec.signs)
+            sign = (-1) ** sum(js[r] for r in d["signs"])
             total = total + ref_compose(
                 order, e, lambda o: ref_beta_from_spec(beta, last, o), *units) * sign
         J += 1
-    for b in spec.prefactors:
+    for b in d["prefactors"]:
         total = total * ref_inv_poch_inf(PochFactor(-1, b, 1), order)
     return total.truncated(order)
 
@@ -222,21 +234,22 @@ def small_k_specs(max_k):
 @pytest.mark.parametrize("order", [10, 30, 80])
 def test_tables_match_reference(order):
     for spec in catalog_specs(19) + form_specs():
-        cap = 2 * isqrt(order) + spec.nvars + 14
+        d = spec.to_dict()
+        cap = 2 * isqrt(order) + d["nvars"] + 14
         IN, LOW, feas, own = _tables(spec, order, cap,
                                      registry_entry(spec.pair_id))
         assert (IN, LOW, feas) == ref_tables(spec, order, cap)
-        assert own == [[_own_exponent(spec, L, v) for v in range(cap + 1)]
-                       for L in range(spec.nvars)]
+        assert own == [[_own_exponent(d, L, v) for v in range(cap + 1)]
+                       for L in range(d["nvars"])]
 
 
 def concave_specs():
     """Levels of negative quadratic exponent under link binomials, which the
     catalog has only in a few shapes."""
-    return [MultisumSpec(1, 3, (1, quad, -1), (lin, -lin, lin), (1,), links,
-                         (), (), (), ())
+    return [_spec(1, [1, quad, -1], [lin, -lin, lin], self_binoms=[1],
+                  link_binoms=links)
             for quad in (-2, -1, 0, 1) for lin in (-7, 0, 5, 11)
-            for links in ((0,), (1,), (0, 1))]
+            for links in ([0], [1], [0, 1])]
 
 
 def gapped_link_specs():
@@ -245,9 +258,9 @@ def gapped_link_specs():
     the first the nearest value is the least, so LOW's scan stops with
     feasible values still beyond it; in the second the least is past the
     gap."""
-    return [MultisumSpec(1, 3, (0, -1, 1), (9, -1, -5), (2,), (0,),
-                         (), (), (), ()),
-            MultisumSpec(1, 2, (-2, -1), (3, 1), (), (0,), (), (), (), ())]
+    return [_spec(1, [0, -1, 1], [9, -1, -5], self_binoms=[2],
+                  link_binoms=[0]),
+            _spec(1, [-2, -1], [3, 1], link_binoms=[0])]
 
 
 def test_tables_match_reference_on_concave_links():
@@ -277,10 +290,9 @@ def bound_specs(draw):
     V = draw(st.integers(1, 4))
     coef = st.lists(st.integers(-2, 2), min_size=V, max_size=V)
     levels = st.sets(st.integers(0, V - 1))
-    spec = MultisumSpec(1, V, tuple(draw(coef)), tuple(draw(coef)),
-                        tuple(sorted(draw(levels))),
-                        tuple(sorted(draw(st.sets(st.integers(0, V - 2)))))
-                        if V > 1 else (), (), (), (), ())
+    quad, lin, self_binoms = draw(coef), draw(coef), sorted(draw(levels))
+    links = sorted(draw(st.sets(st.integers(0, V - 2)))) if V > 1 else []
+    spec = _spec(1, quad, lin, self_binoms=self_binoms, link_binoms=links)
     return spec, draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
 
 
@@ -290,10 +302,11 @@ def test_j1_bound_holds_on_every_chain(inputs):
     # twice a chain's exponent is at least P j_1^2 + S j_1, and so no chain
     # whose exponent is e has j_1 beyond the bound at order e
     spec, bq, bl = inputs
-    V = spec.nvars
-    A = [2 * spec.quad[L] + (L in spec.self_binoms) + 2 * bq * (L == V - 1)
+    d = spec.to_dict()
+    V = d["nvars"]
+    A = [2 * d["quad"][L] + (L in d["self_binoms"]) + 2 * bq * (L == V - 1)
          for L in range(V)]
-    B = [2 * spec.lin[L] - (L in spec.self_binoms) + 2 * bl * (L == V - 1)
+    B = [2 * d["lin"][L] - (L in d["self_binoms"]) + 2 * bl * (L == V - 1)
          for L in range(V)]
     P = min(sum(A[:L + 1]) for L in range(V))
     S = min(sum(B[:L + 1]) for L in range(V))
@@ -301,8 +314,8 @@ def test_j1_bound_holds_on_every_chain(inputs):
     for J in range(13):
         for js in _chains(J, V - 1):
             js = (J,) + js
-            e = sum(_own_exponent(spec, r, j) for r, j in enumerate(js))
-            e += sum(_binom2(js[r] - js[r + 1]) for r in spec.link_binoms)
+            e = sum(_own_exponent(d, r, j) for r, j in enumerate(js))
+            e += sum(_binom2(js[r] - js[r + 1]) for r in d["link_binoms"])
             e += bq * js[-1] ** 2 + bl * js[-1]
             bound = _j1_bound(spec, e, entry)
             assert (bound is None) == (P <= 0)
@@ -318,7 +331,7 @@ def test_j1_bound_covers_every_feasible_block(order):
         bound = _j1_bound(spec, order, registry_entry(spec.pair_id))
         if bound is None:
             continue
-        cap = 2 * isqrt(order) + spec.nvars + 14
+        cap = 2 * isqrt(order) + len(spec.levels) + 14
         _, _, feas, _ = _tables(spec, order, cap, registry_entry(spec.pair_id))
         last = max((v for v, ok in enumerate(feas[0]) if ok), default=-1)
         assert bound >= last, (spec, order)
@@ -326,7 +339,7 @@ def test_j1_bound_covers_every_feasible_block(order):
 
 def test_sum_without_a_bound_that_never_vanishes_does_not_stabilize():
     # P = 0 gives no bound, and every block 1/(q)_{2 j} reaches the order
-    spec = MultisumSpec(1, 1, (0,), (0,), (), (), (), (), (), ())
+    spec = _spec(1, [0], [0])
     assert _j1_bound(spec, 10, registry_entry(1)) is None
     with pytest.raises(ArithmeticError, match="did not stabilize"):
         eval_multisum(spec, 10)
@@ -336,7 +349,7 @@ def test_sum_without_a_bound_that_never_vanishes_does_not_stabilize():
 def test_a_proved_grid_is_summed_past_three_zero_blocks(order, bound):
     # blocks j_1 = 0, 1, 2 start at q^0, q^-9 and q^-16, above the order,
     # but the grid runs to j_1 = 7 and its last blocks start at q^-25
-    spec = MultisumSpec(1, 1, (1,), (-10,), (), (), (), (), (), ())
+    spec = _spec(1, [1], [-10])
     assert _j1_bound(spec, order, registry_entry(1)) == bound
     want = ref_eval_multisum(spec, order, dead_blocks=50)
     assert not want.is_zero()
@@ -356,10 +369,11 @@ def test_form_terms_cover_the_spec_forms():
     assert len(terms) == 14
     specs = form_specs()
     assert len(specs) == 25
-    assert any(min(spec.lin[1:], default=0) == -2 for spec in specs)
-    assert any(-1 in spec.quad for spec in specs)
-    assert any(r > 0 for spec in specs for r in spec.self_binoms
-               if r < spec.nvars - 1)
+    layouts = [spec.to_dict() for spec in specs]
+    assert any(min(d["lin"][1:], default=0) == -2 for d in layouts)
+    assert any(-1 in d["quad"] for d in layouts)
+    assert any(r > 0 for d in layouts for r in d["self_binoms"]
+               if r < d["nvars"] - 1)
 
 
 @pytest.mark.parametrize("order", [10, 30, 60])
@@ -507,7 +521,7 @@ def test_link_sum_rejects_a_carry_short_of_top():
 def test_runaway_spec_hits_the_valuation_floor():
     # own exponent -100 j: the cell at j = 6 starts at q^-600, below the
     # floor -500 of order 40, long before the cap
-    spec = MultisumSpec(1, 1, (0,), (-100,), (), (), (), (), (), ())
+    spec = _spec(1, [0], [-100])
     with pytest.raises(RunawayValuationError,
                        match="exponent -600 below valuation floor -500"):
         eval_multisum(spec, 40)
