@@ -117,7 +117,7 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
     together: sum_side = normalization * character.  Link 3 is the one
     check of the second family's i <= 1 displays against the unified form;
     everywhere else the case form is the unified one, built once.  Link 2
-    reads the cell's memoized multisum, the one its record prints."""
+    reads ``sum_side``: the multisum its record prints, after lemma f2b1."""
     m = schedule_module(pair_id, kind, k, i)
     s = Schedule(kind, k, i, pair_id)
 

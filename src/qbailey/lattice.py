@@ -47,12 +47,14 @@ beta_v of the innermost level are read from one stepped chain per registry
 finite n the j_1-blocks are divided by (q)_{n-j_1} in one more Horner
 chain.  In the n -> oo limit the grid ends at a proved bound on j_1
 (``_j1_bound``) when its P > 0, else at the heuristic cap
-2 isqrt(order) + V + 14.  For the schedules with backward moves the
-summands are only conditionally summable: their exponents are unboundedly
-negative and cancel in blocks of fixed outermost index.  So each complete
-j_1-block is one term of ``qproducts.vanishing_sum``.  A proved grid is
-summed to its end; elsewhere three blocks in a row zero to the order stop
-the sum, and a block past the heuristic cap raises ArithmeticError.
+2 isqrt(order) + V + 14.  Summands with backward moves have unboundedly
+negative exponents that cancel in blocks of fixed outermost index, so each
+complete j_1-block is one term of ``qproducts.vanishing_sum``.  A proved
+grid is summed to its end; elsewhere three blocks in a row zero to the
+order stop the sum, and a block past the cap raises ArithmeticError.
+``sum_side`` first sums out each F2·B1 pair by lemma f2b1: the raw folds of
+(1|3|5, lim3, 1, 1) and (1, lim3, 1, 2) have no bound, and once collapsed
+every bundled cell up to level 151 has one.
 
 Valuations.  Every kept carry must start at or above IN[L][v]; one below
 it is an internal error (AssertionError naming the cell), whatever the
@@ -526,8 +528,28 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
 
 
 def sum_side(s: Schedule, order: int) -> LaurentSeries:
-    """(q)_inf * beta^final_infinity, from the closed multisum."""
-    return eval_multisum(build_multisum_spec(s), order)
+    """(q)_inf * beta^final_infinity, from the closed multisum with each
+    F2·B1 pair summed out; the record prints the raw fold."""
+    return eval_multisum(_collapse_f2b1(build_multisum_spec(s)), order)
+
+
+def _collapse_f2b1(spec: MultisumSpec) -> MultisumSpec:
+    """The spec with each j_2 summed out by lemma f2b1 whose row is its
+    summand (-1)^{j_2} / (-q^c; q)_{j_2}, between a linked j_1 without a
+    self-binomial and a j_3 with one: the lemma's one term puts
+    q^{c (j_1 - j_3) + binom(j_1, 2) - binom(j_3, 2)} (-1)^{j_3}
+    / (-q^c; q)_{j_1} on them, and j_1's link now reaches j_3."""
+    levels = list(spec.levels)
+    for r in range(len(levels) - 2, 0, -1):
+        outer, mid, inner = levels[r - 1:r + 2]
+        if (len(mid.denom) == 1 and mid == Level(0, 0, False, False, True, (), mid.denom)
+                and outer.link and not outer.self_binom and inner.self_binom):
+            (c,) = mid.denom
+            levels[r - 1:r + 2] = [
+                outer._replace(lin=outer.lin + c, self_binom=True,
+                               denom=outer.denom + (c,)),
+                inner._replace(lin=inner.lin - c, self_binom=False, sign=not inner.sign)]
+    return spec._replace(levels=tuple(levels))
 
 
 def sum_side_finite(s: Schedule, n: int, order: int) -> LaurentSeries:
@@ -601,7 +623,7 @@ def verify_limit_identity(s: Schedule, order: int,
     """sum_side * (q^c; q)_inf == alpha_side (case forms), to order.
 
     ``alpha`` is the case-form alpha side, when the caller has it already;
-    the multisum is the memoized ``build_multisum_spec(s)``.
+    the multisum is ``sum_side``'s, the memoized fold after lemma f2b1.
     (q^c; q)_inf = 1 + O(q) is exact to 0 even below a negative order."""
     lhs = sum_side(s, order) * poch_inf(PochFactor(1, s.base_exp, 1), max(order, 0))
     rhs = alpha_side(s, order) if alpha is None else alpha
@@ -636,7 +658,8 @@ def lemma_f2b1(j1: int, j3: int, c: int, order: int) -> bool:
     / ((-q^c;q)_{j1} (q)_{j1-j3}).
 
     At N = j1 - j3 and t = j3 the sides are (-1)^{j1} / (q)_N, a unit,
-    times ``_f2b1_lhs(N, t)`` and ``_f2b1_rhs(N, t)``: those are compared."""
+    times ``_f2b1_lhs(N, t)`` and ``_f2b1_rhs(N, t)``: those are compared.
+    ``sum_side`` applies it to a spec's rows (``_collapse_f2b1``)."""
     if not j1 >= j3 >= 0:
         raise ValueError("need j1 >= j3 >= 0")
     return _f2b1_lhs(j1 - j3, j3, c, order).eq_to_order(

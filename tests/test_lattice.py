@@ -11,8 +11,11 @@ from qbailey.bailey import Move, _binom2, apply_moves, registry_pair
 from qbailey.characters import verify_character_identity
 from qbailey.lattice import (
     _SIMPLIFIED,
+    _collapse_f2b1,
+    _f2b1_double,
     _f2b1_lhs,
     _f2b1_rhs,
+    _level4_quadruple,
     Level,
     MultisumSpec,
     Schedule,
@@ -40,6 +43,7 @@ from qbailey.qproducts import (
     qtpi_product,
     term_sum,
 )
+from qbailey.records import catalog_cells
 from test_multisum_dp import catalog_specs, form_specs, ref_eval_multisum
 
 _BUNDLED_REGISTRY = (Path(__file__).parent.parent / "src" / "qbailey" / "data"
@@ -212,8 +216,9 @@ def test_multisum_negative_control():
 
 
 def test_multisum_stabilization_certificate():
-    # a margin of five dead blocks must not change the value; the four
-    # lim3 schedules have no proved j_1 bound, so only the margin stops them
+    # a margin of five dead blocks must not change the value; the raw folds
+    # of the four lim3 schedules have no proved j_1 bound, so only the
+    # margin stops them
     for s in (Schedule("lim3", 1, 1, 3), Schedule("lim1", 1, 3, 1),
               Schedule("lim2", 1, 2, 2), Schedule("lim3", 1, 1, 1),
               Schedule("lim3", 1, 1, 5), Schedule("lim3", 1, 2, 1)):
@@ -298,6 +303,88 @@ def test_f2b1_recurrence(c):
             assert f2b1_recurrence(nn, t, c, 40)
 
 
+# the cells whose raw fold has no proved j_1 bound: an F2·B1·BC1 word with
+# the F2 variable between the B1 link and the BC1 self-binomial
+F2B1_CELLS = [Schedule("lim3", 1, 1, p) for p in (1, 3, 5)] + [
+    Schedule("lim3", 1, 2, 1)]
+
+
+def collapsed_catalog(max_level):
+    """(schedule, raw spec, collapsed spec) for every catalog cell up to
+    ``max_level`` that lemma f2b1 changes."""
+    out = []
+    for pid, kind, k, i in catalog_cells(max_level):
+        s = Schedule(kind, k, i, pid)
+        raw = build_multisum_spec(s)
+        new = _collapse_f2b1(raw)
+        if new != raw:
+            out.append((s, raw, new))
+    return out
+
+
+def test_collapse_f2b1_gives_the_printed_displays():
+    # summing the F2 variable out of the raw fold gives the paper's
+    # once-collapsed displays, row for row
+    double, quadruple = F2B1_CELLS[:3], F2B1_CELLS[3]
+    for s in double:
+        raw = build_multisum_spec(s)
+        assert [(1, 0, _collapse_f2b1(raw))] == _f2b1_double(s.pair_id)
+    raw = build_multisum_spec(quadruple)
+    assert [(1, 0, _collapse_f2b1(raw))] == _level4_quadruple(1)
+
+
+def test_collapse_f2b1_needs_the_whole_pattern():
+    # breaking any one condition of the lemma's window leaves the spec as
+    # it is, and so does a window cut short at either end
+    raw = build_multisum_spec(F2B1_CELLS[1])
+    outer, mid, inner = raw.levels
+    assert _collapse_f2b1(raw) != raw
+    broken = [
+        (outer, mid, inner._replace(self_binom=False)),
+        (outer._replace(self_binom=True), mid, inner),
+        (outer._replace(link=False), mid, inner),
+        (outer, mid._replace(lin=1), inner),
+        (outer, mid._replace(quad=1), inner),
+        (outer, mid._replace(self_binom=True), inner),
+        (outer, mid._replace(link=True), inner),
+        (outer, mid._replace(sign=False), inner),
+        (outer, mid._replace(numer=(1,)), inner),
+        (outer, mid._replace(denom=()), inner),
+        (outer, mid._replace(denom=(1, 2)), inner),
+        (outer, mid),
+        (mid, inner),
+    ]
+    for levels in broken:
+        spec = raw._replace(levels=levels)
+        assert _collapse_f2b1(spec) == spec, levels
+
+
+def test_collapse_f2b1_keeps_the_sum():
+    # raw and collapsed specs agree, truncation order included, on every
+    # changed cell up to level 25 and on the four F2·B1·BC1 cells deep
+    cells = collapsed_catalog(25)
+    assert len(cells) == 52
+    for s, raw, new in cells:
+        assert len(new.levels) == len(raw.levels) - 1, s
+        for order in range(-30, 41, 5):
+            assert eval_multisum(raw, order) == eval_multisum(new, order), (
+                s, order)
+    for s in F2B1_CELLS:
+        raw = build_multisum_spec(s)
+        assert eval_multisum(raw, 640) == sum_side(s, 640), s
+
+
+def test_collapse_f2b1_holds_at_finite_n():
+    # the lemma holds for each (j_1, j_3), so it needs no n -> oo limit
+    cells = [(s, raw, new) for s, raw, new in collapsed_catalog(25) if s.k <= 2]
+    assert len(cells) == 14
+    for s, raw, new in cells:
+        for n in range(5):
+            for order in (20, 40):
+                assert (eval_multisum(raw, order, finite_n=n)
+                        == eval_multisum(new, order, finite_n=n)), (s, n, order)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_remark_relations(k):
     # the cell chain's link 3 ties each base q^2 case display to the
@@ -314,7 +401,8 @@ def test_simplified_forms_match_sum_side():
              (2, "lim2", 1, 2), (3, "lim1", 1, 2), (1, "lim1", 1, 3)]
     for pid, kind, k, i in cases:
         s = Schedule(kind, k, i, pid)
-        ref = sum_side(s, 60)
+        # the raw fold: sum_side already sums some cells as their printed form
+        ref = eval_multisum(build_multisum_spec(s), 60)
         for form in simplified_forms(s, 60):
             assert ref.eq_to_order(form, 60), (pid, kind, k, i)
 
@@ -327,7 +415,7 @@ def test_simplified_forms_below_order_one(order):
         for i in range(row.imax(1) + 1):
             s = Schedule(kind, 1, i, pid)
             if (pid, kind, 1, i) in _SIMPLIFIED:
-                ref = sum_side(s, order)
+                ref = eval_multisum(build_multisum_spec(s), order)
                 assert all(f == ref for f in simplified_forms(s, order)), s
 
 

@@ -29,6 +29,7 @@ from qbailey.lattice import (
     _INF,
     _SIMPLIFIED,
     _binom2,
+    _collapse_f2b1,
     _j1_bound,
     _link_sum,
     _spec,
@@ -335,6 +336,22 @@ def test_j1_bound_covers_every_feasible_block(order):
         _, _, feas, _ = _tables(spec, order, cap, registry_entry(spec.pair_id))
         last = max((v for v, ok in enumerate(feas[0]) if ok), default=-1)
         assert bound >= last, (spec, order)
+
+
+def test_every_catalog_cell_sums_on_a_proved_grid():
+    # once lemma f2b1 has summed out each F2·B1 pair, as sum_side does, every
+    # catalog cell up to level 151 has a j_1 bound; the raw folds of the
+    # four F2·B1·BC1 cells have none
+    unbounded = set()
+    for pid, kind, k, i in catalog_cells(151):
+        raw = build_multisum_spec(Schedule(kind, k, i, pid))
+        entry = registry_entry(pid)
+        for order in (1, 40, 2000):
+            assert _j1_bound(_collapse_f2b1(raw), order, entry) is not None
+            if _j1_bound(raw, order, entry) is None:
+                unbounded.add((pid, kind, k, i))
+    assert unbounded == {(1, "lim3", 1, 1), (3, "lim3", 1, 1),
+                         (5, "lim3", 1, 1), (1, "lim3", 1, 2)}
 
 
 def test_sum_without_a_bound_that_never_vanishes_does_not_stabilize():
