@@ -24,7 +24,6 @@ from .lattice import (
     alpha_side,
     build_multisum_spec,
     expand_schedule,
-    simplified_sum_side,
     sum_side,
     verify_limit_identity,
 )
@@ -42,7 +41,7 @@ __all__ = [
     "BaileyPair", "Move", "apply_move", "base_shift", "registry_pair",
     "verify_pair",
     "Schedule", "alpha_side", "build_multisum_spec", "expand_schedule",
-    "simplified_sum_side", "sum_side", "verify_limit_identity",
+    "sum_side", "verify_limit_identity",
     "ModuleLabel", "char_product", "char_qtpi", "schedule_module",
     "verify_character_identity",
 ]

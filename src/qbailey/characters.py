@@ -99,10 +99,15 @@ def normalization_poly(s: Schedule, order: int) -> LaurentSeries:
     namely (q; q)_{c-1} for registry base q^c, times an extra (1 + q) for
     the second family at i = 0 (whose displayed alpha-form is (1 + q)
     times the unified one)."""
-    poly = poch_finite(Q_FACTOR, s.base_exp - 1, order)
+    return _case_factor(s, poch_finite(Q_FACTOR, s.base_exp - 1, order), order)
+
+
+def _case_factor(s: Schedule, x: LaurentSeries, order: int) -> LaurentSeries:
+    """x times the (1 + q) of the second family's i = 0 display, to order;
+    x itself for every other cell."""
     if s.kind == "lim2" and s.i == 0:
-        poly = compose_exact(order, 0, lambda o: poly, _ONE_PLUS_Q)
-    return poly
+        return compose_exact(order, 0, lambda o: x, _ONE_PLUS_Q)
+    return x
 
 
 def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
@@ -130,10 +135,4 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
     case = alpha_side(s, order) if split else unified
     if not verify_limit_identity(s, order, case):
         return False
-    if not split:
-        return True
-    if i == 0:
-        expected = compose_exact(order, 0, lambda o: unified, _ONE_PLUS_Q)
-    else:
-        expected = unified
-    return case.eq_to_order(expected, order)
+    return not split or case.eq_to_order(_case_factor(s, unified, order), order)

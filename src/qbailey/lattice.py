@@ -67,11 +67,13 @@ such chain specs, each shifted by a power of q, evaluated by the same DP.
 Hand-summed series.  The alpha sides and the two reindexed single sums
 with affine Pochhammer lengths are not chains.  Each is written as a block
 function of t that returns its terms (sign, q-shift, parent, unit
-triples).  An alpha side's ratio (-q; q)_t / (-q^{c'}; q)_t is one running
-window per sum (``qproducts.running_chain``): from t - 1 to t it is
-multiplied by (1 + q^t) / (1 + q^{c'+t-1}), three passes, and each term
-adds a slice of it.  The single sums apply their unit triples, finite
-Pochhammer symbols, in one pass per factor.  One loop,
+triples).  An alpha side's ratio (-q; q)_r / (-q^d; q)_r is, by
+(a; q)_{m+n} = (a; q)_m (a q^m; q)_n, the 2(d - 1) unit factors
+(-q; q)_{d-1} / (-q^{r+1}; q)_{d-1} on the term itself, however large r
+is.  In the bundled table d = 1, so every term is a signed monomial,
+except in the lim2 case form at i = 0, where d = 2.  The single sums
+apply their unit triples, finite Pochhammer symbols, in one pass per
+factor.  One loop,
 ``qproducts.vanishing_sum``, sums every such series and the multisum's
 j_1-blocks, and holds their one stopping rule and runaway guard.
 """
@@ -96,9 +98,9 @@ from .qproducts import (
     binomial_step,
     inv_poch_finite,
     inv_poch_inf,
+    neg_ratio,
     poch_finite,  # noqa: F401  unused; perfbench/selftest.py reads lattice.poch_finite
     poch_inf,
-    running_chain,
     term_sum,
     vanishing_sum,
 )
@@ -572,21 +574,19 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
     c = s.base_exp
     k, i = s.k, s.i
     tilde = registry_entry(s.pair_id).alpha_tilde_monomial
-    # the ratio (-q; q)_t / (-q^down; q)_t of every family but the first
-    if s.kind == "lim1":
-        ratio = None
-    else:
-        down = c if s.kind == "lim3" or (i == 0 and not unified) else c - 1
-        if down < 1:  # (-1; q)_t is not unit-leading
-            raise ValueError(f"{s}: the alpha side's ratio base q^{down} is below q^1")
-        ratio = running_chain(((_NEG_Q, 1, 1), (PochFactor(-1, down, 1), 1, -1)))
+    # the ratio (-q; q)_r / (-q^d; q)_r of piece index r, 1 for the first
+    # family, is (-q; q)_{d-1} / (-q^{r+1}; q)_{d-1}: 1 when d = 1
+    d = 1 if s.kind == "lim1" else (
+        c if s.kind == "lim3" or (i == 0 and not unified) else c - 1)
+    if d < 1:  # (-1; q)_r is not unit-leading
+        raise ValueError(f"{s}: the alpha side's ratio base q^{d} is below q^1")
 
     def block(t: int) -> list[SumTerm]:
-        # pieces: (exponent shift, ratio index or None, tilde index); the
-        # second is negated
+        # pieces: (exponent shift, ratio index, tilde index); the second is
+        # negated
         if s.kind == "lim1":
             e = c * k * t + k * t * t - i * t
-            pieces = [(e, None, t), (e + c * (i + 1) + 2 * i * t + 2 * t, None, t)]
+            pieces = [(e, t, t), (e + c * (i + 1) + 2 * i * t + 2 * t, t, t)]
         elif s.kind == "lim2" and (unified or i > 1):
             e = c * k * t + k * t * t - i * t - (t * t + t) // 2
             # the second is times (1 + q^{t+1}) / (1 + q^{c+t-1}): ratio_{t+1}
@@ -597,7 +597,7 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
             pieces = [(e, t, t), (e + c * (i + 1) + 2 * t * (i + 1), t, t)]
         else:  # lim2, i == 1, the separate two-term display
             if t == 0:
-                pieces = [(0, None, 0)]
+                pieces = [(0, 0, 0)]
             else:
                 head = c * t + (t * t - t) // 2 - t
                 pieces = [
@@ -610,9 +610,8 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
             mono = tilde(ti)
             if mono is not None:
                 sign, te = mono
-                shift = e + te
-                window = None if r is None else ratio(r, order - shift)
-                terms.append((sign if idx % 2 == 0 else -sign, shift, window, ()))
+                units = neg_ratio(1, r + 1, d - 1, d - 1) if d > 1 else ()
+                terms.append((sign if idx % 2 == 0 else -sign, e + te, None, units))
         return terms
 
     return vanishing_sum(block, order)
@@ -848,10 +847,3 @@ def simplified_forms(s: Schedule, order: int) -> list[LaurentSeries]:
     """Every printed simplified version of the schedule's sum-side,
     least to most reduced.  Raises KeyError if none is cataloged."""
     return [form(order) for form in _SIMPLIFIED[(s.pair_id, s.kind, s.k, s.i)]]
-
-
-def simplified_sum_side(s: Schedule, order: int) -> LaurentSeries:
-    """The most-reduced printed form of the schedule's sum-side.
-
-    Raises KeyError when the catalog has no simplified form for s."""
-    return simplified_forms(s, order)[-1]

@@ -21,13 +21,15 @@ one loop, ``vanishing_sum``, which hands its terms to ``term_sum`` and
 holds each to ``laurent``'s runaway floor; a multisum's proved j_1 grid
 is summed to its end before the loop's stopping rule can end it.
 
-Chains.  A product of symbols whose lengths grow with an index t, such as
-(-q; q)_t / (-q^c; q)_t or a registry beta's 1/(q^c; q)_{2n}, gains only a
-few factors from t - 1 to t.  ``chain_step`` applies just those to the
-previous index's window, so walking a chain costs a few passes per index
-instead of O(t).  ``running_chain`` keeps the windows of one chain: an
-alpha side's for one sum, a registry pair's betas for the pair's life
-(``bailey.beta_chain``).
+Chains.  A product of symbols whose lengths grow with an index n, such as
+a registry beta's (-q^b; q)_n / (q^c; q)_{2n}, gains only a few factors
+from n - 1 to n.  ``chain_step`` applies just those to the previous
+index's window, so walking a chain costs a few passes per index instead
+of O(n).  ``running_chain`` keeps the windows of one chain, a registry
+pair's betas for the pair's life (``bailey.beta_chain``).  A ratio whose
+two lengths are equal needs no chain: (a; q)_{m+n} = (a; q)_m (a q^m; q)_n
+gives (-q; q)_r / (-q^d; q)_r = (-q; q)_{d-1} / (-q^{r+1}; q)_{d-1}, the
+2(d - 1) factors of an alpha side's term however large r is.
 
 Inverses.  1/(f; q^d)_n divides the factors out one pass each.  The
 infinite 1/(-q^m; q^d)_inf is Euler's (q^m; q^d)_inf / (q^{2m}; q^{2d})_inf,
@@ -242,21 +244,16 @@ def chain_step(a: list[int], chain: Chain, t: int) -> None:
             binomial_step(a, e, f.sign, power)
 
 
-def running_chain(chain: Chain, start: Callable[[int, int], list[int]] | None = None
+def running_chain(chain: Chain, start: Callable[[int, int], list[int]]
                   ) -> Callable[[int, int], list[int]]:
     """``window(t, top)``: the chain's product at index t as a dense window
     from q^0 to at least q^top.  It is stepped (``chain_step``, a few
     passes per index) from the nearest lower index whose window reaches
-    top, and every window it passes is kept, cut at that top: the tops of
-    a sum whose shifts grow shrink.  Indices 0 and 1, and a chain with no
-    window deep enough, begin at ``start(t, top)``, by default the symbols
-    applied from scratch, so a step never meets a factor (1 - s q^0).  A
-    window is never changed once handed out."""
-    if start is None:
-        def start(t: int, top: int) -> list[int]:
-            a = [1] + [0] * top
-            apply_poch_units(a, [(f, mult * t, power) for f, mult, power in chain])
-            return a
+    top, and every window it passes is kept, cut at that top.  Indices 0
+    and 1, and a chain with no window deep enough, begin at
+    ``start(t, top)``, the product built from scratch, so a step never
+    meets a factor (1 - s q^0).  A window is never changed once handed
+    out."""
     kept: dict[int, list[int]] = {}
 
     def window(t: int, top: int) -> list[int]:

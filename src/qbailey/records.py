@@ -23,7 +23,7 @@ from .characters import (
     schedule_module,
     verify_character_identity,
 )
-from .lattice import MultisumSpec, Schedule, SCHEDULE_TABLE, build_multisum_spec
+from .lattice import Level, MultisumSpec, Schedule, SCHEDULE_TABLE, build_multisum_spec
 from .qproducts import PochFactor
 
 SCHEMA_VERSION = 1
@@ -164,18 +164,18 @@ def _poly_latex(terms: dict[str, int]) -> str:
     return out
 
 
-def _sum_exponent_latex(d: dict) -> str:
-    """The exponent of a ``MultisumSpec.to_dict`` layout ``d``."""
+def _sum_exponent_latex(rows: list[tuple[int, Level]]) -> str:
+    """The exponent of a chain's summand, from its rows (r, level) with
+    j_r outermost first: quad and lin per variable, then the
+    self-binomials, then the link binomials."""
     terms: dict[str, int] = {}
-    for r, (a, b) in enumerate(zip(d["quad"], d["lin"])):
-        if a:
-            terms[f"j_{r+1}^2"] = a
-        if b:
-            terms[f"j_{r+1}"] = b
-    for r in d["self_binoms"]:
-        terms[f"\\binom{{j_{r+1}}}{{2}}"] = 1
-    for r in d["link_binoms"]:
-        terms[f"\\binom{{j_{r+1}-j_{r+2}}}{{2}}"] = 1
+    for r, lv in rows:
+        if lv.quad:
+            terms[f"j_{r}^2"] = lv.quad
+        if lv.lin:
+            terms[f"j_{r}"] = lv.lin
+    terms.update((f"\\binom{{j_{r}}}{{2}}", 1) for r, lv in rows if lv.self_binom)
+    terms.update((f"\\binom{{j_{r}-j_{r+1}}}{{2}}", 1) for r, lv in rows if lv.link)
     return _poly_latex(terms)
 
 
@@ -195,21 +195,22 @@ def _beta_latex(beta: BetaSpec, var: str) -> str:
 
 def record_latex(rec: IdentityRecord) -> str:
     """One compilable display for the record, sum side = product side."""
-    spec = rec.sum_spec.to_dict()
-    V = spec["nvars"]
+    rows = list(enumerate(rec.sum_spec.levels, 1))
+    V = len(rows)
     subscript = " \\geq ".join([f"j_{r}" for r in range(1, V + 1)] + ["0"])
 
     inf = "\\infty"
     prefix = "".join(
-        "\\frac{1}{%s}" % _poch_latex(-1, b, 1, inf) for b in spec["prefactors"]
+        "\\frac{1}{%s}" % _poch_latex(-1, b, 1, inf) for b in rec.sum_spec.prefactors
     )
-    sign = ("(-1)^{" + "+".join(f"j_{r+1}" for r in spec["signs"]) + "}"
-            if spec["signs"] else "")
-    numer = f"q^{{{_sum_exponent_latex(spec)}}}" + "".join(
-        _poch_latex(-1, b, 1, f"j_{r+1}") for r, b in spec["numer"])
+    signs = [f"j_{r}" for r, lv in rows if lv.sign]
+    sign = "(-1)^{" + "+".join(signs) + "}" if signs else ""
+    # the units innermost first
+    numer = f"q^{{{_sum_exponent_latex(rows)}}}" + "".join(
+        _poch_latex(-1, b, 1, f"j_{r}") for r, lv in rows[::-1] for b in lv.numer)
     denom = "".join(
-        [_poch_latex(1, 1, 1, f"j_{r+1}-j_{r+2}") for r in range(V - 1)]
-        + [_poch_latex(-1, b, 1, f"j_{r+1}") for r, b in spec["denom"]])
+        [_poch_latex(1, 1, 1, f"j_{r}-j_{r+1}") for r in range(1, V)]
+        + [_poch_latex(-1, b, 1, f"j_{r}") for r, lv in rows[::-1] for b in lv.denom])
     core = f"\\frac{{{numer}}}{{{denom}}}" if denom else numer
     beta = _beta_latex(rec.beta, f"j_{V}")
 

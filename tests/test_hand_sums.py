@@ -164,10 +164,11 @@ def test_single_sums_match_oracle(order):
 
 
 @pytest.mark.parametrize("unified", [False, True])
-def test_running_ratio_matches_the_per_t_units(unified):
-    # the library steps one ratio window along t; the same summands with
-    # each ratio applied from scratch at every t, by the same one-pass
-    # steps, must give the same series
+def test_closed_form_ratio_matches_the_per_t_units(unified):
+    # the library applies each ratio (-q; q)_r / (-q^d; q)_r as its closed
+    # form (-q; q)_{d-1} / (-q^{r+1}; q)_{d-1}; the same summands with all
+    # 2t factors of (-q; q)_t / (-q^d; q)_t applied at every t, by the same
+    # one-pass steps, must give the same series
     order = 150
     for (pid, kind), row in sorted(SCHEDULE_TABLE.items()):
         for k in (1, 2, 3):

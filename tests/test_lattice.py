@@ -28,7 +28,6 @@ from qbailey.lattice import (
     lemma_b1bc1,
     lemma_f2b1,
     simplified_forms,
-    simplified_sum_side,
     sum_side,
     sum_side_finite,
     verify_limit_identity,
@@ -422,7 +421,7 @@ def test_simplified_forms_below_order_one(order):
 def test_simplified_examples_from_reduced_displays():
     # level 5 third-family reduction: sum q^{2(j^2+j)} / (q)_{2j+1}
     N = 50
-    got = simplified_sum_side(Schedule("lim1", 1, 2, 3), N)
+    got = simplified_forms(Schedule("lim1", 1, 2, 3), N)[-1]
     ref = zero(N)
     j = 0
     while 2 * (j * j + j) <= N:
@@ -431,7 +430,7 @@ def test_simplified_examples_from_reduced_displays():
         j += 1
     assert got == ref
     # level 7 reduction: sum q^{j^2+j} / (q)_{2j+1}
-    got = simplified_sum_side(Schedule("lim1", 1, 2, 1), N)
+    got = simplified_forms(Schedule("lim1", 1, 2, 1), N)[-1]
     ref = zero(N)
     j = 0
     while j * j + j <= N:
@@ -445,7 +444,7 @@ def test_simplified_catalog_misses_raise():
     s = Schedule("lim1", 1, 0, 1)
     assert (1, "lim1", 1, 0) not in _SIMPLIFIED
     with pytest.raises(KeyError):
-        simplified_sum_side(s, 40)
+        simplified_forms(s, 40)
 
 
 def test_alpha_side_i_gt_k_is_quintuple_product():

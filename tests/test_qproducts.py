@@ -14,6 +14,7 @@ from qbailey.qproducts import (
     inv_euler,
     inv_poch_finite,
     inv_poch_inf,
+    neg_ratio,
     partition_numbers,
     poch_finite,
     poch_inf,
@@ -260,11 +261,21 @@ def test_inv_poch_finite_matches_inversion(f):
                 ref_inv_poch_finite(f, n, order).to_text()
 
 
+def from_scratch(chain):
+    """A ``running_chain`` start: the chain's symbols at index t applied
+    to 1 on a window to q^top."""
+    def start(t, top):
+        a = [1] + [0] * top
+        apply_poch_units(a, [(f, mult * t, power) for f, mult, power in chain])
+        return a
+    return start
+
+
 def test_running_chain_matches_each_index_from_scratch():
     # rising t at tops that shrink, grow (a restart) and skip an index
     chain = ((PochFactor(-1, 1, 1), 1, 1), (PochFactor(-1, 3, 1), 1, -1),
              (PochFactor(1, 2, 2), 2, -1))
-    window = running_chain(chain)
+    window = running_chain(chain, from_scratch(chain))
     rng = random.Random(5)
     handed = []
     for t in (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 12):
@@ -282,13 +293,35 @@ def test_running_chain_matches_each_index_from_scratch():
 def test_running_chain_begins_index_1_from_the_symbols():
     # (-1; q)_t has the constant factor 2 from t = 1 on: its product is
     # stepped from 2 (-q; q)_0, and its inverse has no integral expansion
-    up = running_chain(((PochFactor(-1, 0, 1), 1, 1),))
+    chain = ((PochFactor(-1, 0, 1), 1, 1),)
+    up = running_chain(chain, from_scratch(chain))
     for t in range(6):
         want = [1] + [0] * 30
         apply_poch_units(want, [(PochFactor(-1, 0, 1), t, 1)])
         assert up(t, 30) == want
+    chain = ((PochFactor(-1, 0, 1), 1, -1),)
     with pytest.raises(InversionError, match="not unit-leading"):
-        running_chain(((PochFactor(-1, 0, 1), 1, -1),))(1, 5)
+        running_chain(chain, from_scratch(chain))(1, 5)
+
+
+@pytest.mark.parametrize("order", [-1, 0, 60])
+def test_neg_ratio_of_equal_lengths_in_closed_form(order):
+    # (a; q)_{m+n} = (a; q)_m (a q^m; q)_n gives
+    # (-q; q)_r / (-q^d; q)_r = (-q; q)_{d-1} / (-q^{r+1}; q)_{d-1}:
+    # 2(d - 1) factors whatever r, none at d = 1 and (1 + q) / (1 + q^{r+1})
+    # at d = 2
+    for d in range(1, 6):
+        for r in range(16):
+            want = [1] * (order >= 0) + [0] * order
+            apply_poch_units(want, neg_ratio(1, d, r, r))
+            closed = neg_ratio(1, r + 1, d - 1, d - 1) if d > 1 else ()
+            got = [1] * (order >= 0) + [0] * order
+            apply_poch_units(got, closed)
+            assert got == want, (d, r)
+            assert sum(length for _, length, _ in closed) == 2 * (d - 1)
+            if d <= 2:
+                assert closed in ((), ((PochFactor(-1, 1, 1), 1, 1),
+                                       (PochFactor(-1, r + 1, 1), 1, -1)))
 
 
 def test_vanishing_sum_stops_when_its_shifts_keep_falling():
