@@ -9,12 +9,13 @@ schema or the LaTeX layout:
 Both formats are rendered to temporary files in ``goldens/`` and moved into
 place only after both catalog runs exit 0.  If either fails, the temporary
 files are removed, ``goldens/`` is left as it was, and the script exits
-non-zero.
+non-zero.  Each golden keeps its file mode; a new one gets the mode
+``open(path, "w")`` gives.
 """
 
 import os
+import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
@@ -30,11 +31,15 @@ def run():
     try:
         for fmt, name in (("json", "catalog_level7_order80.json"),
                           ("latex", "catalog_level7_order80.tex")):
-            fd, tmp = tempfile.mkstemp(dir=GOLDENS, prefix=f".{name}.", suffix=".tmp")
-            os.close(fd)
+            # the catalog keeps the mode of the file it replaces: give the
+            # temporary file the golden's, or a new file's if there is none
+            tmp = GOLDENS / f".{name}.{os.getpid()}.tmp"
+            open(tmp, "x").close()
             rendered[name] = tmp
+            if (GOLDENS / name).exists():
+                shutil.copymode(GOLDENS / name, tmp)
             rc = main(["catalog", "--max-level", "7", "--order", "80",
-                       "--format", fmt, "--output", tmp])
+                       "--format", fmt, "--output", str(tmp)])
             if rc != 0:
                 raise SystemExit(f"catalog emission failed with exit code {rc}; "
                                  f"{GOLDENS} left unchanged")

@@ -121,12 +121,10 @@ class BaileyPair:
     """
 
     def __init__(self, base_exp: int, *, alpha: SeqFn | None = None,
-                 alpha_tilde: SeqFn | None = None, beta: SeqFn,
-                 provenance: tuple[str, ...] = ()):
+                 alpha_tilde: SeqFn | None = None, beta: SeqFn):
         if (alpha is None) == (alpha_tilde is None):
             raise ValueError("supply exactly one of alpha / alpha_tilde")
         self.base_exp = base_exp
-        self.provenance = provenance
         self._alpha_fn = alpha
         self._tilde_fn = alpha_tilde
         self._beta_fn = beta
@@ -258,8 +256,7 @@ def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
               partial(pair.beta, j), (*ratio(j, n), (Q_FACTOR, n - j, -1)))
              for j in range(n + 1)], order)
 
-    return BaileyPair(c + rule.base_change, alpha=alpha, beta=beta,
-                      provenance=pair.provenance + (move.value,))
+    return BaileyPair(c + rule.base_change, alpha=alpha, beta=beta)
 
 
 def apply_moves(pair: BaileyPair, moves) -> BaileyPair:
@@ -268,8 +265,7 @@ def apply_moves(pair: BaileyPair, moves) -> BaileyPair:
     return pair
 
 
-def base_shift(alpha_prime: SeqFn, beta: SeqFn, base_exp: int, *,
-               provenance: tuple[str, ...] = ()) -> BaileyPair:
+def base_shift(alpha_prime: SeqFn, beta: SeqFn, base_exp: int) -> BaileyPair:
     """Shift a pair at base q^c to base q^{c+1}, keeping beta.
 
     The new pair's alpha~ is built by the recurrence
@@ -284,8 +280,7 @@ def base_shift(alpha_prime: SeqFn, beta: SeqFn, base_exp: int, *,
         s = c + 2 * n - 1
         return shifted.alpha_tilde(n - 1, order - s).shift(s) + alpha_prime(n, order)
 
-    shifted = BaileyPair(c + 1, alpha_tilde=tilde, beta=beta,
-                         provenance=provenance + ("BaseShift",))
+    shifted = BaileyPair(c + 1, alpha_tilde=tilde, beta=beta)
     return shifted
 
 
@@ -563,8 +558,7 @@ def _new_registry_pair(entry: RegistryEntry) -> BaileyPair:
     def beta(n: int, order: int) -> LaurentSeries:
         return LaurentSeries.from_window(*window(n, order), order)
 
-    return BaileyPair(entry.base_exp, alpha_tilde=tilde, beta=beta,
-                      provenance=(f"pair{entry.id}",))
+    return BaileyPair(entry.base_exp, alpha_tilde=tilde, beta=beta)
 
 
 def slater_a1_pair() -> BaileyPair:
@@ -592,4 +586,4 @@ def slater_a1_pair() -> BaileyPair:
     def beta(n: int, order: int) -> LaurentSeries:
         return inv_poch_finite(Q_FACTOR, 2 * n, order)
 
-    return BaileyPair(0, alpha=alpha, beta=beta, provenance=("slaterA1",))
+    return BaileyPair(0, alpha=alpha, beta=beta)

@@ -63,6 +63,8 @@ j_1-block to ``laurent``'s runaway floor (``RunawayValuationError``).
 
 Most printed simplified forms (``simplified_forms``) are signed sums of
 such chain specs, each shifted by a power of q, evaluated by the same DP.
+Each of these displays is one row of the table ``_DISPLAYS``, and
+``_chain_terms`` alone turns a row into its terms for a registry pair.
 
 Hand-summed series.  The alpha sides and the two reindexed single sums
 with affine Pochhammer lengths are not chains.  Each is written as a block
@@ -697,7 +699,10 @@ def f2b1_recurrence(nn: int, t: int, c: int, order: int) -> bool:
 #
 # Most printed forms are chain multisums too: a list of terms (sign, q-shift,
 # spec) stands for the sum of sign * q^shift * (the spec's n -> oo sum).  Each
-# spec transcribes its display literally, variables outermost first.
+# chain display is one row of ``_DISPLAYS``, transcribed literally: ``shape``,
+# the ``_spec`` fields its terms share (variables outermost first), its
+# ``terms`` as (sign, q-shift, lin) and, only where the display differs at
+# base q^2, ``terms_q2`` for a pair whose registry base is not q.
 
 Term = tuple[int, int, MultisumSpec]
 
@@ -712,78 +717,65 @@ def _spec(pair_id: int, quad: tuple[int, ...], lin: tuple[int, ...],
         "denom": (), "prefactors": (), **factors})
 
 
-def _spec_form(terms_of: Callable[[int], list[Term]], pair_id: int,
-               order: int) -> LaurentSeries:
-    """The printed form ``terms_of(pair_id)``, exact to ``order``."""
+Display = namedtuple("Display", "shape terms terms_q2", defaults=(None,))
+
+# the skeleton f2b1_double and level4_double share
+_DOUBLE = dict(quad=(0, 0), self_binoms=(0,), link_binoms=(0,), signs=(0, 1),
+               numer=((1, 1),), denom=((0, 1),))
+
+_DISPLAYS: dict[str, Display] = {
+    # sum over j1 >= j3 of (-1)^{j1+j3} q^{binom(j1,2)+binom(j1-j3,2)}
+    # (-q)_{j3} / ((q)_{j1-j3} (-q)_{j1}) * beta_{j3}
+    "f2b1_double": Display(_DOUBLE, ((1, 0, (0, 0)),)),
+    # the two-term collapse of the triple sums: sum over j of
+    # q^{j^2-j}(1 - q^{2j}) beta_j (base q) or q^{j^2}(1 - q^{2j+1}) beta_j
+    # (base q^2)
+    "b1bc1_single": Display(dict(quad=(1,)), ((1, 0, (-1,)), (-1, 0, (1,))),
+                            ((1, 0, (0,)), (-1, 1, (2,)))),
+    # the collapsed quintuple sums: over j1 >= j4 >= j5 of
+    # (-1)^{j4+j5} q^{binom(j4-j5,2)} beta_{j5} / ((q)_{j1-j4} (q)_{j4-j5})
+    # times the two-term numerator -q^{j1^2+2j1+1} + q^{j1^2-2j4} (base q)
+    # or -q^{j1^2+3j1+3} + q^{j1^2+j1-2j4} (base q^2); the q^{binom(j4-j5,2)}
+    # factor survives from the five-fold sum
+    "quintuple_triple": Display(
+        dict(quad=(1, 0, 0), link_binoms=(1,), signs=(1, 2)),
+        ((1, 0, (0, -2, 0)), (-1, 1, (2, 0, 0))),
+        ((1, 0, (1, -2, 0)), (-1, 3, (3, 0, 0)))),
+    # the once-collapsed form of the five-fold sum at level 4 (pair 1): over
+    # j1 >= j2 >= j3 >= j5 of (-1)^{j2+j5} q^E (-q)_{j5} beta_{j5}
+    # / ((q)_{j1-j2} (q)_{j2-j3} (q)_{j3-j5} (-q)_{j3}), with exponent
+    # E = j1^2 - j3^2 - j2 + binom(j2-j3,2) + binom(j3-j5,2) + binom(j3,2)
+    "level4_quadruple": Display(
+        dict(quad=(1, 0, -1, 0), self_binoms=(2,), link_binoms=(1, 2),
+             signs=(1, 3), numer=((3, 1),), denom=((2, 1),)),
+        ((1, 0, (0, -1, 0, 0)),)),
+    # the fully collapsed level-4 five-fold sum (pair 1): over j3 >= j5 of
+    # (-1)^{j3+j5} q^{binom(j3-j5,2)+binom(j3,2)} (-q^{j3} + q^{-j3})
+    # (-q)_{j5} beta_{j5} / ((q)_{j3-j5} (-q)_{j3})
+    "level4_double": Display(_DOUBLE, ((-1, 0, (1, 0)), (1, 0, (-1, 0)))),
+    # sum_j (-q)_j q^{binom(j,2)} (1 - q^j - q^{2j+1}) / (q^2;q)_{2j}, inside
+    # 1/(-q)_inf: the collapsed level-4 second-family triple sum;
+    # 1/(q^2;q)_{2j} is beta_j of pair 2
+    "lim2_level4_single": Display(
+        dict(quad=(0,), self_binoms=(0,), numer=((0, 1),), prefactors=(1,)),
+        ((1, 0, (0,)), (-1, 0, (1,)), (-1, 1, (2,)))),
+}
+
+
+def _chain_terms(name: str, pair_id: int) -> list[Term]:
+    """The terms of display ``name`` for the pair, at the pair's registry
+    base as read when called."""
+    shape, terms, terms_q2 = _DISPLAYS[name]
+    if terms_q2 is not None and registry_entry(pair_id).base_exp != 1:
+        terms = terms_q2
+    return [(sign, shift, _spec(pair_id, lin=lin, **shape))
+            for sign, shift, lin in terms]
+
+
+def _spec_form(name: str, pair_id: int, order: int) -> LaurentSeries:
+    """The printed chain display ``name`` for the pair, exact to ``order``."""
     return term_sum([(sign, shift, partial(eval_multisum, spec), ())
-                     for sign, shift, spec in terms_of(pair_id)], order)
-
-
-def _f2b1_double(pair_id: int) -> list[Term]:
-    """sum over j1 >= j3 of (-1)^{j1+j3} q^{binom(j1,2)+binom(j1-j3,2)}
-    (-q)_{j3} / ((q)_{j1-j3} (-q)_{j1}) * beta_{j3}."""
-    return [(1, 0, _spec(pair_id, (0, 0), (0, 0), self_binoms=(0,),
-                         link_binoms=(0,), signs=(0, 1), numer=((1, 1),),
-                         denom=((0, 1),)))]
-
-
-def _b1bc1_collapsed_single(pair_id: int) -> list[Term]:
-    """sum over j of q^{j^2-j}(1 - q^{2j}) beta_j (base q) or
-    q^{j^2}(1 - q^{2j+1}) beta_j (base q^2): the two-term collapse of the
-    triple sums."""
-    if registry_entry(pair_id).base_exp == 1:
-        return [(1, 0, _spec(pair_id, (1,), (-1,))),
-                (-1, 0, _spec(pair_id, (1,), (1,)))]
-    return [(1, 0, _spec(pair_id, (1,), (0,))),
-            (-1, 1, _spec(pair_id, (1,), (2,)))]
-
-
-def _quintuple_triple(pair_id: int) -> list[Term]:
-    """The collapsed quintuple sums: over j1 >= j4 >= j5 of
-    (-1)^{j4+j5} q^{binom(j4-j5,2)} beta_{j5} / ((q)_{j1-j4} (q)_{j4-j5})
-    times the two-term numerator -q^{j1^2+2j1+1} + q^{j1^2-2j4} (base q) or
-    -q^{j1^2+3j1+3} + q^{j1^2+j1-2j4} (base q^2); the q^{binom(j4-j5,2)}
-    factor survives from the five-fold sum."""
-    def term(sign, shift, lin):
-        return sign, shift, _spec(pair_id, (1, 0, 0), lin, link_binoms=(1,),
-                                  signs=(1, 2))
-
-    if registry_entry(pair_id).base_exp == 1:
-        return [term(1, 0, (0, -2, 0)), term(-1, 1, (2, 0, 0))]
-    return [term(1, 0, (1, -2, 0)), term(-1, 3, (3, 0, 0))]
-
-
-def _level4_quadruple(pair_id: int) -> list[Term]:
-    """The once-collapsed form of the five-fold sum at level 4 (pair 1):
-    over j1 >= j2 >= j3 >= j5 of (-1)^{j2+j5} q^E (-q)_{j5} beta_{j5}
-    / ((q)_{j1-j2} (q)_{j2-j3} (q)_{j3-j5} (-q)_{j3}), with exponent
-    E = j1^2 - j3^2 - j2 + binom(j2-j3,2) + binom(j3-j5,2) + binom(j3,2)."""
-    return [(1, 0, _spec(pair_id, (1, 0, -1, 0), (0, -1, 0, 0),
-                         self_binoms=(2,), link_binoms=(1, 2), signs=(1, 3),
-                         numer=((3, 1),), denom=((2, 1),)))]
-
-
-def _level4_double(pair_id: int) -> list[Term]:
-    """The fully collapsed level-4 five-fold sum (pair 1): over j3 >= j5 of
-    (-1)^{j3+j5} q^{binom(j3-j5,2)+binom(j3,2)} (-q^{j3} + q^{-j3})
-    (-q)_{j5} beta_{j5} / ((q)_{j3-j5} (-q)_{j3})."""
-    def term(sign, lin):
-        return sign, 0, _spec(pair_id, (0, 0), (lin, 0), self_binoms=(0,),
-                              link_binoms=(0,), signs=(0, 1), numer=((1, 1),),
-                              denom=((0, 1),))
-
-    return [term(-1, 1), term(1, -1)]
-
-
-def _lim2_level4_single(pair_id: int) -> list[Term]:
-    """sum_j (-q)_j q^{binom(j,2)} (1 - q^j - q^{2j+1}) / (q^2;q)_{2j},
-    inside 1/(-q)_inf: the collapsed level-4 second-family triple sum.
-    1/(q^2;q)_{2j} is beta_j of pair 2."""
-    def term(sign, shift, lin):
-        return sign, shift, _spec(pair_id, (0,), (lin,), self_binoms=(0,),
-                                  numer=((0, 1),), prefactors=(1,))
-
-    return [term(1, 0, 0), term(-1, 0, 1), term(-1, 1, 2)]
+                     for sign, shift, spec in _chain_terms(name, pair_id)], order)
 
 
 def _tail_single(pair_id: int, order: int) -> LaurentSeries:
@@ -829,16 +821,16 @@ def _level3_rewritten(order: int) -> LaurentSeries:
 # order.  The spec forms read the registry only when called.
 Form = Callable[[int], LaurentSeries]
 _SIMPLIFIED: dict[tuple[int, str, int, int], tuple[Form, ...]] = {
-    **{(p, "lim3", 1, 1): (partial(_spec_form, _f2b1_double, p),)
+    **{(p, "lim3", 1, 1): (partial(_spec_form, "f2b1_double", p),)
        for p in (3, 5, 1)},
     (5, "lim3", 1, 0): (_level3_rewritten,),
-    (1, "lim3", 1, 2): (partial(_spec_form, _level4_quadruple, 1),
-                        partial(_spec_form, _level4_double, 1)),
-    (2, "lim2", 1, 2): (partial(_spec_form, _lim2_level4_single, 2),),
-    **{(p, "lim1", 1, 2): (partial(_spec_form, _b1bc1_collapsed_single, p),
+    (1, "lim3", 1, 2): (partial(_spec_form, "level4_quadruple", 1),
+                        partial(_spec_form, "level4_double", 1)),
+    (2, "lim2", 1, 2): (partial(_spec_form, "lim2_level4_single", 2),),
+    **{(p, "lim1", 1, 2): (partial(_spec_form, "b1bc1_single", p),
                            partial(_tail_single, p))
        for p in (3, 4, 5, 1, 2)},
-    **{(p, "lim1", 1, 3): (partial(_spec_form, _quintuple_triple, p),)
+    **{(p, "lim1", 1, 3): (partial(_spec_form, "quintuple_triple", p),)
        for p in (5, 1, 2)},
 }
 

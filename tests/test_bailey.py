@@ -327,18 +327,7 @@ def test_base_change_lowers_base():
     pair = registry_pair(2)
     assert apply_move(pair, Move.BC1).base_exp == 1
     assert apply_move(pair, Move.BC2).base_exp == 1
-    assert base_shift(pair.alpha, pair.beta, pair.base_exp,
-                      provenance=pair.provenance).base_exp == 3
-
-
-def test_provenance_records_each_move_once():
-    pair = registry_pair(1)
-    assert base_shift(pair.alpha, pair.beta, pair.base_exp,
-                      provenance=pair.provenance).provenance == ("pair1", "BaseShift")
-    f1 = apply_move(pair, Move.F1)
-    shifted = base_shift(f1.alpha, f1.beta, f1.base_exp, provenance=f1.provenance)
-    assert apply_move(shifted, Move.BC1).provenance == (
-        "pair1", "F1", "BaseShift", "BC1")
+    assert base_shift(pair.alpha, pair.beta, pair.base_exp).base_exp == 3
 
 
 def test_moves_are_exactly_the_move_table():

@@ -218,6 +218,22 @@ def test_verify_character_identity_spot():
     assert verify_character_identity(2, "lim2", 1, 0, 60)   # (1-q^2) cell
 
 
+@pytest.mark.parametrize("target, broken, cell", [
+    # link 1: the quintuple product at the wrong level, off by one
+    ("qbailey.characters.qtpi_product",
+     lambda u, v, order: qtpi_product(u + 1, v, order), (1, "lim1", 1, 1)),
+    # link 2: the multisum times q
+    ("qbailey.lattice.sum_side",
+     lambda s, order: sum_side(s, order - 1).shift(1), (1, "lim1", 1, 1)),
+    # link 3: the (1 + q) of the second family's i = 0 display dropped
+    ("qbailey.characters._case_factor", lambda s, x, order: x, (2, "lim2", 1, 0)),
+])
+def test_each_broken_link_fails_the_chain(monkeypatch, target, broken, cell):
+    assert verify_character_identity(*cell, 40)
+    monkeypatch.setattr(target, broken)
+    assert not verify_character_identity(*cell, 40)
+
+
 def test_verify_character_identity_i_gt_k_high_level():
     # level 13, a genuine i > k instance
     assert verify_character_identity(1, "lim1", 2, 5, 40)

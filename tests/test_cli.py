@@ -633,12 +633,17 @@ def test_changed_registry_env_jobs_deterministic(tmp_path):
     assert b'"status": "failed"' in outputs[0]
 
 
-def test_goldens_script_leaves_goldens_untouched_when_a_cell_fails(
-        tmp_path, monkeypatch):
+def _goldens_script():
     path = Path(__file__).parent.parent / "scripts" / "regenerate_goldens.py"
     spec = importlib.util.spec_from_file_location("regenerate_goldens", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_goldens_script_leaves_goldens_untouched_when_a_cell_fails(
+        tmp_path, monkeypatch):
+    script = _goldens_script()
     goldens = tmp_path / "goldens"
     shutil.copytree(GOLDEN_DIR, goldens)
     before = {p.name: p.read_bytes() for p in goldens.iterdir()}
@@ -648,6 +653,32 @@ def test_goldens_script_leaves_goldens_untouched_when_a_cell_fails(
     with pytest.raises(SystemExit, match="exit code 1"):
         script.run()
     assert {p.name: p.read_bytes() for p in goldens.iterdir()} == before
+
+
+def test_goldens_script_keeps_each_goldens_mode(tmp_path, monkeypatch):
+    # a golden is rewritten byte for byte with its own mode, not the 0600
+    # of a temporary file; a missing one is made as open(path, "w") makes it
+    script = _goldens_script()
+    goldens = tmp_path / "goldens"
+    shutil.copytree(GOLDEN_DIR, goldens)
+    for p in goldens.iterdir():
+        p.chmod(0o644)
+    monkeypatch.setattr(script, "GOLDENS", goldens)
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    script.run()
+    for p in GOLDEN_DIR.iterdir():
+        assert (goldens / p.name).read_bytes() == p.read_bytes()
+        assert (goldens / p.name).stat().st_mode & 0o777 == 0o644
+    (goldens / "catalog_level7_order80.tex").unlink()
+    (goldens / "catalog_level7_order80.json").chmod(0o640)
+    script.run()
+    fresh = tmp_path / "fresh"
+    open(fresh, "w").close()
+    assert (goldens / "catalog_level7_order80.json").stat().st_mode & 0o777 == 0o640
+    assert ((goldens / "catalog_level7_order80.tex").stat().st_mode
+            == fresh.stat().st_mode)
+    assert sorted(p.name for p in goldens.iterdir()) == sorted(
+        p.name for p in GOLDEN_DIR.iterdir())
 
 
 @pytest.mark.parametrize("argv", REGISTRY_COMMANDS)

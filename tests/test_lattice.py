@@ -11,11 +11,10 @@ from qbailey.bailey import Move, _binom2, apply_moves, registry_pair
 from qbailey.characters import verify_character_identity
 from qbailey.lattice import (
     _SIMPLIFIED,
+    _chain_terms,
     _collapse_f2b1,
-    _f2b1_double,
     _f2b1_lhs,
     _f2b1_rhs,
-    _level4_quadruple,
     Level,
     MultisumSpec,
     Schedule,
@@ -327,9 +326,9 @@ def test_collapse_f2b1_gives_the_printed_displays():
     double, quadruple = F2B1_CELLS[:3], F2B1_CELLS[3]
     for s in double:
         raw = build_multisum_spec(s)
-        assert [(1, 0, _collapse_f2b1(raw))] == _f2b1_double(s.pair_id)
+        assert [(1, 0, _collapse_f2b1(raw))] == _chain_terms("f2b1_double", s.pair_id)
     raw = build_multisum_spec(quadruple)
-    assert [(1, 0, _collapse_f2b1(raw))] == _level4_quadruple(1)
+    assert [(1, 0, _collapse_f2b1(raw))] == _chain_terms("level4_quadruple", 1)
 
 
 def test_collapse_f2b1_needs_the_whole_pattern():

@@ -29,6 +29,7 @@ from qbailey.lattice import (
     _INF,
     _SIMPLIFIED,
     _binom2,
+    _chain_terms,
     _collapse_f2b1,
     _j1_bound,
     _link_sum,
@@ -211,8 +212,8 @@ def form_terms():
     for key, forms in sorted(_SIMPLIFIED.items()):
         for form in forms:
             if getattr(form, "func", None) is _spec_form:
-                terms_of, pair_id = form.args
-                out.append((key, form, terms_of(pair_id)))
+                name, pair_id = form.args
+                out.append((key, form, _chain_terms(name, pair_id)))
     return out
 
 
