@@ -14,7 +14,10 @@ exactly, coefficientwise, to the requested order.
 
 Multisum evaluation.  Every closed sum here is a chain: the summand is
 one ``Level`` row per variable (monomial, Pochhammer units, sign and link
-binomial q^{binom(j_r - j_{r+1}, 2)}) times the pieces 1/(q)_{j_r - j_{r+1}}.
+kernel) times beta_{j_V}.  The kernel joins j_r to j_{r+1}: the piece
+1/(q)_{j_r - j_{r+1}}, times the link binomial q^{binom(j_r - j_{r+1}, 2)}
+on a linked level, or, once lemma b1bc1 has summed a variable out, the
+step [j_r - j_{r+1} in {0, 1}].
 The fold writes a ``MultisumSpec``'s rows outermost first, the order of the
 DP's level index L, and the DP reads them as they are.  The evaluator runs
 a dynamic program from the innermost variable outward, keeping one partial
@@ -39,8 +42,9 @@ over the level below, sum_w g_w q^{binom(v-w, 2)} / (q)_{v-w}, is one
 Horner chain on one window: going from w - 1 to w it shifts by v - w (on a
 linked level), divides by (1 - q^{v-w+1}) and adds g_w, each step a single
 pass (``qproducts.binomial_step``), so no series product, inversion or
-Pochhammer cache is involved; every carry is first checked to reach the
-sum's truncation.  The cell's own exponent then moves the window's
+Pochhammer cache is involved; over a step kernel it is the two carries at
+w = v - 1 and w = v added on the window.  Every carry is first checked to
+reach the sum's truncation.  The cell's own exponent then moves the window's
 valuation, its units apply on the same list and its sign negates it.  The
 beta_v of the innermost level are read from one stepped chain per registry
 ``BetaSpec`` (``bailey.beta_chain``), held here and by no Bailey pair.  At
@@ -54,7 +58,9 @@ grid is summed to its end; elsewhere three blocks in a row zero to the
 order stop the sum, and a block past the cap raises ArithmeticError.
 ``sum_side`` first sums out each F2·B1 pair by lemma f2b1: the raw folds of
 (1|3|5, lim3, 1, 1) and (1, lim3, 1, 2) have no bound, and once collapsed
-every bundled cell up to level 151 has one.
+every bundled cell up to level 151 has one.  It then sums out each B1·BC1
+pair by lemma b1bc1, which trades two Horner chains for one step kernel;
+the step is >= 0 and keeps j_1 >= j_3, so the bound stands.
 
 Valuations.  Every kept carry must start at or above IN[L][v]; one below
 it is an internal error (AssertionError naming the cell), whatever the
@@ -203,11 +209,17 @@ def expand_schedule(s: Schedule) -> list[Move]:
 
 class Level(namedtuple("Level", "quad lin self_binom link sign numer denom")):
     """One variable j of a chain, its factor of the summand: q^{quad j^2 +
-    lin j}, times q^{binom(j, 2)} if ``self_binom``, q^{binom(j - j', 2)}
-    (j' the next inner variable) if ``link`` and (-1)^j if ``sign``, times
-    (-q^b; q)_j for each int b in ``numer``, over the same for ``denom``."""
+    lin j}, times q^{binom(j, 2)} if ``self_binom`` and (-1)^j if ``sign``,
+    times (-q^b; q)_j for each int b in ``numer``, over the same for
+    ``denom``.  ``link`` is the kernel K(d), d = j - j' with j' the next
+    inner variable: 1/(q)_d if False, q^{binom(d, 2)}/(q)_d if True, and
+    the step [d in {0, 1}] if ``STEP``, which only ``_collapse_b1bc1``
+    writes and no record holds."""
 
     __slots__ = ()
+
+
+STEP = "step"  # Level.link of a j_1 whose j_2 lemma b1bc1 summed out
 
 
 class MultisumSpec(namedtuple("MultisumSpec", "pair_id levels prefactors")):
@@ -269,6 +281,10 @@ def build_multisum_spec(s: Schedule) -> MultisumSpec:
     return _fold(s, tuple(expand_schedule(s)), registry_entry(s.pair_id))
 
 
+# every distinct row the fold has written, so equal rows share one object
+_ROWS: dict[Level, Level] = {}
+
+
 @lru_cache(maxsize=None)
 def _fold(s: Schedule, word: tuple[Move, ...], entry: RegistryEntry) -> MultisumSpec:
     """The word's spec: one list per ``Level`` field, indexed by variable,
@@ -305,8 +321,9 @@ def _fold(s: Schedule, word: tuple[Move, ...], entry: RegistryEntry) -> Multisum
     if any(b not in (0, 1) for b in self_binom):
         raise ValueError(f"{s}: self-binomial coefficients {self_binom} "
                          "are not all 0 or 1")
-    return MultisumSpec(s.pair_id, tuple(map(
-        Level, quad, lin, map(bool, self_binom), link, sign, numer, denom)),
+    return MultisumSpec(s.pair_id, tuple(
+        _ROWS.setdefault(row, row) for row in map(
+            Level, quad, lin, map(bool, self_binom), link, sign, numer, denom)),
         prefactors)
 
 
@@ -315,13 +332,16 @@ _NEG_Q = PochFactor(-1, 1, 1)  # the base of (-q; q)_n
 _INF = 1 << 60
 
 
-def _min_plus(x: list[int], linked: bool, b2: list[int]) -> list[int]:
-    """m[v] = min over w <= v of x[w], plus binom(v - w, 2) if ``linked``:
-    the prefix minimum, or a scan down from w = v that stops once prefix[w]
+def _min_plus(x: list[int], link: bool | str, b2: list[int]) -> list[int]:
+    """m[v] = min over w <= v of x[w] plus the exponent of the ``link``
+    kernel at v - w: the prefix minimum, for the step min(x[v-1], x[v]), or
+    with binom(v - w, 2) a scan down from w = v that stops once prefix[w]
     plus the binomial, which never decreases, cannot win.  m[v] is ``_INF``
-    exactly when every x[w], w <= v, is."""
+    exactly when every x[w] the kernel reaches is."""
+    if link is STEP:
+        return x[:1] + list(map(min, x, x[1:]))
     prefix = list(accumulate(x, min))
-    if not linked:
+    if not link:
         return prefix
     out = []
     for v in range(len(x)):
@@ -343,9 +363,10 @@ def _tables(spec: MultisumSpec, order: int, cap: int, entry: RegistryEntry):
     Returns ``(IN, LOW, feas, own)``, where ``own[L][v]`` is the exponent
     quad v^2 + lin v (+ binom(v, 2) on a self-binomial level) that level L
     contributes at j_L = v.  Both tables are one min-plus pass
-    of ``_min_plus`` per level, adding binomials only on a linked level:
-    IN from the inside out over the inner values w <= v, LOW from the
-    outside in over the outer values u >= v, on the reversed cost row.
+    of ``_min_plus`` per level with the level's link kernel: IN from the
+    inside out over the inner values w <= v, LOW from the outside in over
+    the outer values u >= v, on the reversed cost row (the step kernel,
+    v - w in {0, 1}, reads the same either way).
     """
     levels = spec.levels
     V = len(levels)
@@ -395,11 +416,12 @@ def _j1_bound(spec: MultisumSpec, order: int, entry: RegistryEntry) -> int | Non
 
 
 def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
-              linked: bool) -> tuple[int, list[int]]:
-    """sum over carries (w, lo, g) of g * q^{binom(v-w, 2) linked} / (q)_{v-w},
-    as a window up to ``top``.  A carry is a window: g[i] is the
-    coefficient of q^{lo+i}, known up to q^{lo+len(g)-1}.  The carries
-    come in ascending w <= v.
+              link: bool | str) -> tuple[int, list[int]]:
+    """sum over carries (w, lo, g) of g times the ``link`` kernel at v - w
+    (``Level``), as a window up to ``top``.  A carry is a window: g[i] is
+    the coefficient of q^{lo+i}, known up to q^{lo+len(g)-1}.  The carries
+    come in ascending w <= v.  The step kernel adds the carries at
+    w = v - 1 and w = v as they are, with no Horner step.
 
     Since q^{binom(d, 2)} / (q)_d = prod_{m=1..d} q^{m-1} / (1 - q^m), the
     sum is the Horner chain
@@ -416,8 +438,11 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
     shifted by its binom(v-w, 2); one that does not would make the sum
     claim coefficients it does not know.
     """
+    horner = link is not STEP
+    if not horner:
+        carries = [c for c in carries[-2:] if c[0] >= v - 1]
     for w, glo, g in carries:
-        s = _binom2(v - w) if linked else 0
+        s = _binom2(v - w) if link else 0  # 0 at the step's v - w <= 1
         if glo + len(g) - 1 + s < top:
             raise AssertionError(
                 f"carry at j={w} is exact to {glo + len(g) - 1 + s} after its "
@@ -428,8 +453,8 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
     u = carries[0][0]
     for w, glo, g in carries + [(v, lo, [])]:
         # the steps u + 1 .. w, d = v - u falling; an empty window stays so
-        for d in range(v - u - 1, v - w - 1, -1) if a else ():
-            if linked and d:
+        for d in range(v - u - 1, v - w - 1, -1) if a and horner else ():
+            if link and d:
                 del a[-d:]
                 lo = top + 1 - len(a)
             if d + 1 < len(a):  # a longer factor is 1 on the window
@@ -455,7 +480,10 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     With ``finite_n`` the sum is the finite beta sequence member at n
     (outer factor 1/(q)_{n-j_1} and finite leading Pochhammers); without
     it, the n -> oo limit (outer factor -> 1, leading factors -> infinite
-    products), summed in j_1-blocks by ``qproducts.vanishing_sum``.
+    products), summed in j_1-blocks by ``qproducts.vanishing_sum``.  Each
+    level's inner sum reads its link kernel (``Level``): a Horner chain
+    under 1/(q)_d or q^{binom(d, 2)}/(q)_d, two carries added under the
+    step [d in {0, 1}].
     """
     levels = spec.levels
     V = len(levels)
@@ -533,8 +561,10 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
 
 def sum_side(s: Schedule, order: int) -> LaurentSeries:
     """(q)_inf * beta^final_infinity, from the closed multisum with each
-    F2·B1 pair summed out; the record prints the raw fold."""
-    return eval_multisum(_collapse_f2b1(build_multisum_spec(s)), order)
+    F2·B1 pair summed out, then each B1·BC1 pair, whose outer row keeps a
+    step link; the record prints the raw fold."""
+    return eval_multisum(_collapse_b1bc1(_collapse_f2b1(build_multisum_spec(s))),
+                         order)
 
 
 def _collapse_f2b1(spec: MultisumSpec) -> MultisumSpec:
@@ -553,6 +583,25 @@ def _collapse_f2b1(spec: MultisumSpec) -> MultisumSpec:
                 outer._replace(lin=outer.lin + c, self_binom=True,
                                denom=outer.denom + (c,)),
                 inner._replace(lin=inner.lin - c, self_binom=False, sign=not inner.sign)]
+    return spec._replace(levels=tuple(levels))
+
+
+# the row a B1 move leaves on the BC1 variable above it
+_B1BC1_MID = Level(0, -1, False, True, True, (), ())
+
+
+def _collapse_b1bc1(spec: MultisumSpec) -> MultisumSpec:
+    """The spec with each j_2 summed out by lemma b1bc1 whose row is its
+    summand (-1)^{j_2} q^{-j_2} with the link binom(j_2 - j_3, 2), below an
+    unlinked j_1: the sum over j_2 is (-1)^{j_1} q^{-j_1} [j_1 - j_3 in
+    {0, 1}], so j_1 takes lin - 1, the other sign and the ``STEP`` link to
+    j_3, whose row is unchanged."""
+    levels = list(spec.levels)
+    for r in range(len(levels) - 2, 0, -1):
+        outer = levels[r - 1]
+        if levels[r] == _B1BC1_MID and not outer.link:
+            levels[r - 1:r + 1] = [outer._replace(
+                lin=outer.lin - 1, sign=not outer.sign, link=STEP)]
     return spec._replace(levels=tuple(levels))
 
 

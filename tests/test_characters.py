@@ -15,7 +15,7 @@ from qbailey.characters import (
     verify_character_identity,
 )
 from qbailey.lattice import Schedule, SCHEDULE_TABLE, alpha_side, sum_side
-from qbailey.laurent import LaurentSeries, one
+from qbailey.laurent import LaurentSeries
 from qbailey.qproducts import (
     PochFactor,
     inv_euler,

@@ -17,13 +17,7 @@ from qbailey.bailey import BetaSpec
 from qbailey.cli import build_parser, main
 from qbailey.lattice import MultisumSpec
 from qbailey.qproducts import PochFactor
-from qbailey.records import (
-    IdentityRecord,
-    build_record,
-    catalog_cells,
-    emit_json,
-    record_latex,
-)
+from qbailey.records import IdentityRecord, build_record, catalog_cells
 
 GOLDEN_DIR = Path(__file__).parent.parent / "goldens"
 

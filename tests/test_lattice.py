@@ -11,10 +11,13 @@ from qbailey.bailey import Move, _binom2, apply_moves, registry_pair
 from qbailey.characters import verify_character_identity
 from qbailey.lattice import (
     _SIMPLIFIED,
+    STEP,
     _chain_terms,
+    _collapse_b1bc1,
     _collapse_f2b1,
     _f2b1_lhs,
     _f2b1_rhs,
+    _spec_form,
     Level,
     MultisumSpec,
     Schedule,
@@ -307,16 +310,19 @@ F2B1_CELLS = [Schedule("lim3", 1, 1, p) for p in (1, 3, 5)] + [
     Schedule("lim3", 1, 2, 1)]
 
 
-def collapsed_catalog(max_level):
-    """(schedule, raw spec, collapsed spec) for every catalog cell up to
-    ``max_level`` that lemma f2b1 changes."""
+def collapsed_catalog(max_level, collapse=_collapse_f2b1):
+    """(schedule, spec, collapsed spec) for every catalog cell up to
+    ``max_level`` that ``collapse`` changes, in ``sum_side``'s order: lemma
+    f2b1 collapses the raw fold, lemma b1bc1 the f2b1 collapse."""
     out = []
     for pid, kind, k, i in catalog_cells(max_level):
         s = Schedule(kind, k, i, pid)
-        raw = build_multisum_spec(s)
-        new = _collapse_f2b1(raw)
-        if new != raw:
-            out.append((s, raw, new))
+        spec = build_multisum_spec(s)
+        if collapse is _collapse_b1bc1:
+            spec = _collapse_f2b1(spec)
+        new = collapse(spec)
+        if new != spec:
+            out.append((s, spec, new))
     return out
 
 
@@ -381,6 +387,72 @@ def test_collapse_f2b1_holds_at_finite_n():
             for order in (20, 40):
                 assert (eval_multisum(raw, order, finite_n=n)
                         == eval_multisum(new, order, finite_n=n)), (s, n, order)
+
+
+def test_collapse_b1bc1_gives_the_printed_single_sums():
+    # summing the BC1 variable out of the (p, lim1, 1, 2) triple sums leaves
+    # j_1 stepped to j_3: the two-term single sum of the printed display
+    for p in (3, 4, 5, 1, 2):
+        s = Schedule("lim1", 1, 2, p)
+        new = _collapse_b1bc1(_collapse_f2b1(build_multisum_spec(s)))
+        assert [lv.link for lv in new.levels] == [STEP, False], s
+        assert eval_multisum(new, 200) == _spec_form("b1bc1_single", p, 200), s
+        assert sum_side(s, 200) == _spec_form("b1bc1_single", p, 200), s
+
+
+def test_collapse_b1bc1_needs_the_whole_pattern():
+    # breaking any one condition of the lemma's window leaves the spec as
+    # it is, and so does a window cut short at either end
+    raw = build_multisum_spec(Schedule("lim1", 1, 2, 3))
+    outer, mid, inner = raw.levels
+    assert _collapse_b1bc1(raw) != raw
+    broken = [
+        (outer._replace(link=True), mid, inner),
+        (outer._replace(link=STEP), mid, inner),
+        (outer, mid._replace(numer=(1,)), inner),
+        (outer, mid._replace(denom=(1,)), inner),
+        (outer, mid._replace(self_binom=True), inner),
+        (outer, mid._replace(quad=1), inner),
+        (outer, mid._replace(lin=0), inner),
+        (outer, mid._replace(sign=False), inner),
+        (outer, mid._replace(link=False), inner),
+        (outer, mid),
+        (mid, inner),
+    ]
+    for levels in broken:
+        spec = raw._replace(levels=levels)
+        assert _collapse_b1bc1(spec) == spec, levels
+
+
+def test_collapse_b1bc1_keeps_the_sum():
+    # the f2b1 collapse and its b1bc1 collapse agree, truncation order
+    # included, on every changed cell up to level 25, each window one
+    # variable fewer
+    cells = collapsed_catalog(25, _collapse_b1bc1)
+    assert len(cells) == 160
+    for s, old, new in cells:
+        steps = sum(lv.link == STEP for lv in new.levels)
+        assert steps and len(new.levels) == len(old.levels) - steps, s
+        for order in range(-30, 41, 5):
+            assert eval_multisum(old, order) == eval_multisum(new, order), (
+                s, order)
+
+
+def test_collapse_b1bc1_holds_at_finite_n():
+    # the lemma holds for each (j_1, j_3), so it needs no n -> oo limit
+    for s, old, new in collapsed_catalog(25, _collapse_b1bc1):
+        for n in range(5):
+            for order in (20, 40):
+                assert (eval_multisum(old, order, finite_n=n)
+                        == eval_multisum(new, order, finite_n=n)), (s, n, order)
+
+
+def test_fold_shares_each_distinct_row():
+    # equal rows of different cells are one object, so the memoized folds
+    # hold each distinct row once
+    rows = [lv for pid, kind, k, i in catalog_cells(31)
+            for lv in build_multisum_spec(Schedule(kind, k, i, pid)).levels]
+    assert len({id(lv) for lv in rows}) == len(set(rows)) < len(rows)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -25,14 +25,17 @@ import qbailey.lattice as lattice
 from qbailey.bailey import registry_entry
 from qbailey.lattice import (
     SCHEDULE_TABLE,
+    STEP,
     Schedule,
     _INF,
     _SIMPLIFIED,
     _binom2,
     _chain_terms,
+    _collapse_b1bc1,
     _collapse_f2b1,
     _j1_bound,
     _link_sum,
+    _min_plus,
     _spec,
     _spec_form,
     _tables,
@@ -341,14 +344,18 @@ def test_j1_bound_covers_every_feasible_block(order):
 
 def test_every_catalog_cell_sums_on_a_proved_grid():
     # once lemma f2b1 has summed out each F2·B1 pair, as sum_side does, every
-    # catalog cell up to level 151 has a j_1 bound; the raw folds of the
-    # four F2·B1·BC1 cells have none
+    # catalog cell up to level 151 has a j_1 bound, and keeps it once lemma
+    # b1bc1 has summed out each B1·BC1 pair; the raw folds of the four
+    # F2·B1·BC1 cells have none
     unbounded = set()
     for pid, kind, k, i in catalog_cells(151):
         raw = build_multisum_spec(Schedule(kind, k, i, pid))
         entry = registry_entry(pid)
         for order in (1, 40, 2000):
-            assert _j1_bound(_collapse_f2b1(raw), order, entry) is not None
+            once = _collapse_f2b1(raw)
+            assert _j1_bound(once, order, entry) is not None
+            # lemma b1bc1's step kernel is >= 0 and keeps j_1 >= j_3
+            assert _j1_bound(_collapse_b1bc1(once), order, entry) is not None
             if _j1_bound(raw, order, entry) is None:
                 unbounded.add((pid, kind, k, i))
     assert unbounded == {(1, "lim3", 1, 1), (3, "lim3", 1, 1),
@@ -430,22 +437,25 @@ def test_the_dp_shares_no_state_with_the_move_engine(monkeypatch):
     assert pairs == {}
 
 
-def link_sum_series(carries, v, top, linked):
+def link_sum_series(carries, v, top, link):
     """``_link_sum`` on the windows of the carries (w, g), read back as a
     series; the window it returns ends at ``top``."""
     lo, a = _link_sum([(w, *g.window(g.trunc)) for w, g in carries], v, top,
-                      linked)
+                      link)
     assert lo + len(a) - 1 == top
     return LaurentSeries.from_window(lo, a, top)
 
 
-def link_sum_pieces(carries, v, top, linked):
-    """The inner sum with every (v, w) piece built as its own series."""
+def link_sum_pieces(carries, v, top, link):
+    """The inner sum with every (v, w) piece built as its own series: g
+    itself at v - w <= 1 under the step kernel, nothing further down."""
     want = zero(top)
     for w, g in carries:
+        if link == STEP and v - w > 1:
+            continue
+        units = () if link == STEP else ((Q_FACTOR, v - w, -1),)
         want = want + ref_compose(
-            top, _binom2(v - w) if linked else 0, lambda o, g=g: g,
-            (Q_FACTOR, v - w, -1))
+            top, _binom2(v - w) if link else 0, lambda o, g=g: g, *units)
     return want
 
 
@@ -467,6 +477,9 @@ LINK_SUM_CASES = [
       (2, LaurentSeries({-6: -1, 0: 3}, 50))], 8, 30),
     # a carry at w = v, added after all the steps
     ([(0, G0), (5, LaurentSeries({-4: 3, 9: 1}, 20))], 5, 11),
+    # carries at w = v - 1 and w = v, the step kernel's two
+    ([(1, G0), (2, LaurentSeries({-5: 2, 3: 1}, 14)), (3, G1)], 3, 11),
+    ([(4, LaurentSeries({-2: 1, 0: 3}, 20))], 5, 9),
     # a zero carry among the others, and top below every valuation
     ([(0, zero(50)), (2, LaurentSeries({3: 1, 8: -2}, 50))], 6, 20),
     ([(0, LaurentSeries({6: 1}, 50)), (1, LaurentSeries({9: 2}, 50))], 4, 5),
@@ -476,7 +489,7 @@ LINK_SUM_CASES = [
 
 def test_link_sum_matches_pieces():
     for carries, v, top in LINK_SUM_CASES:
-        for linked in (False, True):
+        for linked in (False, True, STEP):
             got = link_sum_series(carries, v, top, linked)
             want = link_sum_pieces(carries, v, top, linked)
             assert got.to_text() == want.to_text(), (v, top, linked)
@@ -503,7 +516,7 @@ def test_link_sum_of_no_carries_is_zero():
 def link_sum_inputs(draw):
     v = draw(st.integers(0, 16))
     top = draw(st.integers(-6, 40))
-    linked = draw(st.booleans())
+    linked = draw(st.sampled_from((False, True, STEP)))
     ws = sorted(draw(st.sets(st.integers(0, v), max_size=5)))
     carries = []
     for w in ws:
@@ -534,6 +547,20 @@ def test_link_sum_rejects_a_carry_short_of_top():
         _link_sum(short, 2, 6, True)
     with pytest.raises(AssertionError):
         _link_sum(short, 2, 5, False)
+    # the step kernel checks the carries it reads, and reads none below
+    # w = v - 1
+    with pytest.raises(AssertionError, match="short of 5"):
+        _link_sum(short, 1, 5, STEP)
+    assert _link_sum(short, 2, 6, STEP) == (7, [])
+
+
+def test_step_min_plus_is_the_two_point_minimum():
+    # m[v] = min(x[v-1], x[v]), for the IN pass and the reversed LOW pass
+    b2 = [_binom2(d) for d in range(9)]
+    for x in ([5, 3, 9, _INF, 1, 7, _INF, _INF, 2],
+              [_INF, _INF, 0, -4, 6, _INF, 3, 3, -1], [7]):
+        want = [min(x[max(v - 1, 0):v + 1]) for v in range(len(x))]
+        assert _min_plus(x, STEP, b2) == want
 
 
 def test_runaway_spec_hits_the_valuation_floor():
