@@ -12,8 +12,11 @@ Pairs are carried around with the normalized sequence
 which is how the registry states its five pairs and what the base-change
 moves consume.  The six moves (two forward, two backward, two base changes)
 each produce a new pair whose sequences are evaluated on demand and
-memoized.  The base shift (``base_shift``), used only to obtain the
-registry pairs from unshifted ones, is not a move.
+memoized.  The base shift (``base_shift``) is not a move, and the
+registry pairs do not come from it: they are read, already shifted, from
+``data/bailey_pairs.json``.  No module of the package calls it; the tests
+run it to rebuild pair 1 from its unshifted pair, which
+``tests/paper_checks.py`` holds.
 
 The six moves, the members of ``Move``, are the rows of one table,
 ``_MOVE_TABLE``.  A row holds three integers (quad, binom, lin) for the
@@ -72,13 +75,12 @@ from collections.abc import Callable
 from enum import Enum
 from functools import lru_cache, partial
 
-from .laurent import LaurentSeries, monomial, one, zero
+from .laurent import LaurentSeries, monomial, zero
 from .qproducts import (
     PochFactor,
     Q_FACTOR,
     Unit,
     apply_poch_units,
-    inv_poch_finite,
     neg_ratio,
     running_chain,
     term_sum,
@@ -559,31 +561,3 @@ def _new_registry_pair(entry: RegistryEntry) -> BaileyPair:
         return LaurentSeries.from_window(*window(n, order), order)
 
     return BaileyPair(entry.base_exp, alpha_tilde=tilde, beta=beta)
-
-
-def slater_a1_pair() -> BaileyPair:
-    """The unshifted pair behind registry pair 1 (base a = 1), kept to
-    exercise the base shift: alpha'_0 = 1, alpha'_{3t-1} = -q^{6t^2-5t+1},
-    alpha'_{3t} = q^{6t^2-t} + q^{6t^2+t}, alpha'_{3t+1} = -q^{6t^2+5t+1},
-    with beta_n = 1/(q;q)_{2n}."""
-
-    def alpha(m: int, order: int) -> LaurentSeries:
-        if m == 0:
-            return one(order) if order >= 0 else zero(order)
-        r = m % 3
-        if r == 2:
-            t = (m + 1) // 3
-            e = 6 * t * t - 5 * t + 1
-            return monomial(-1, e, max(order, e))
-        if r == 0:
-            t = m // 3
-            e1, e2 = 6 * t * t - t, 6 * t * t + t
-            return LaurentSeries({e1: 1, e2: 1}, max(order, e2))
-        t = (m - 1) // 3
-        e = 6 * t * t + 5 * t + 1
-        return monomial(-1, e, max(order, e))
-
-    def beta(n: int, order: int) -> LaurentSeries:
-        return inv_poch_finite(Q_FACTOR, 2 * n, order)
-
-    return BaileyPair(0, alpha=alpha, beta=beta)

@@ -51,13 +51,6 @@ class ModuleLabel(namedtuple("ModuleLabel", "s0 s1")):
         return 2 * self.level + 6
 
 
-def labels_at_level(level: int) -> list[ModuleLabel]:
-    """All 1 + floor(level/2) labels of the given level."""
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    return [ModuleLabel(level - 2 * s1, s1) for s1 in range(level // 2 + 1)]
-
-
 def char_product_factors(m: ModuleLabel) -> list[PochFactor]:
     """The five infinite Pochhammer factors multiplying 1/(q)_inf."""
     p = m.level + 3
@@ -122,7 +115,8 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
     together: sum_side = normalization * character.  Link 3 is the one
     check of the second family's i <= 1 displays against the unified form;
     everywhere else the case form is the unified one, built once.  Link 2
-    reads ``sum_side``: the multisum its record prints, after lemma f2b1."""
+    reads ``sum_side``, which evaluates the fold collapsed by lemmas f2b1
+    and b1bc1; the record prints the raw fold."""
     m = schedule_module(pair_id, kind, k, i)
     s = Schedule(kind, k, i, pair_id)
 

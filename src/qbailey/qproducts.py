@@ -279,7 +279,6 @@ def running_chain(chain: Chain, start: Callable[[int, int], list[int]]
 
 # -- partitions and Euler's product -----------------------------------------
 
-@lru_cache(maxsize=None)
 def partition_numbers(n_max: int) -> tuple[int, ...]:
     """p(0), ..., p(n_max) by Euler's pentagonal-number recurrence."""
     p = [1] + [0] * n_max

@@ -13,13 +13,11 @@ from qbailey.bailey import (
     beta_from_spec,
     registry_entry,
     registry_pair,
-    slater_a1_pair,
     verify_pair,
 )
 from qbailey.characters import (
     char_product,
     char_qtpi,
-    labels_at_level,
     normalization_poly,
     schedule_module,
     verify_character_identity,
@@ -31,14 +29,9 @@ from qbailey.lattice import (
     build_multisum_spec,
     eval_multisum,
     expand_schedule,
-    f2b1_recurrence,
-    lemma_b1bc1,
-    lemma_f2b1,
-    simplified_forms,
     sum_side,
     sum_side_finite,
     verify_limit_identity,
-    _SIMPLIFIED,
 )
 from qbailey.laurent import monomial, zero
 from qbailey.qproducts import (
@@ -49,6 +42,15 @@ from qbailey.qproducts import (
     poch_inf,
     qtpi_product,
     qtpi_sum,
+)
+from paper_checks import (
+    _SIMPLIFIED,
+    f2b1_recurrence,
+    labels_at_level,
+    lemma_b1bc1,
+    lemma_f2b1,
+    simplified_forms,
+    slater_a1_pair,
 )
 
 

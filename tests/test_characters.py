@@ -9,7 +9,6 @@ from qbailey.characters import (
     char_product,
     char_product_factors,
     char_qtpi,
-    labels_at_level,
     normalization_poly,
     schedule_module,
     verify_character_identity,
@@ -23,6 +22,7 @@ from qbailey.qproducts import (
     qtpi_product,
 )
 from qbailey.records import build_record
+from paper_checks import labels_at_level
 
 
 @pytest.mark.parametrize("record, change, message", [

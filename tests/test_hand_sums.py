@@ -16,12 +16,11 @@ from qbailey.bailey import registry_entry
 from qbailey.lattice import (
     SCHEDULE_TABLE,
     Schedule,
-    _level3_rewritten,
-    _tail_single,
     alpha_side,
 )
 from qbailey.laurent import monomial, one, zero
 from qbailey.qproducts import PochFactor, Q_FACTOR, vanishing_sum
+from paper_checks import _level3_rewritten, _tail_single
 from reference_products import ref_inv_poch_finite, ref_inv_poch_inf, ref_poch_finite
 
 ORDERS = [-3, 0, 1, 8, 17, 60]

@@ -10,14 +10,9 @@ import pytest
 from qbailey.bailey import Move, _binom2, apply_moves, registry_pair
 from qbailey.characters import verify_character_identity
 from qbailey.lattice import (
-    _SIMPLIFIED,
     STEP,
-    _chain_terms,
     _collapse_b1bc1,
     _collapse_f2b1,
-    _f2b1_lhs,
-    _f2b1_rhs,
-    _spec_form,
     Level,
     MultisumSpec,
     Schedule,
@@ -26,10 +21,6 @@ from qbailey.lattice import (
     build_multisum_spec,
     eval_multisum,
     expand_schedule,
-    f2b1_recurrence,
-    lemma_b1bc1,
-    lemma_f2b1,
-    simplified_forms,
     sum_side,
     sum_side_finite,
     verify_limit_identity,
@@ -45,6 +36,17 @@ from qbailey.qproducts import (
     term_sum,
 )
 from qbailey.records import catalog_cells
+from paper_checks import (
+    _SIMPLIFIED,
+    _chain_terms,
+    _f2b1_lhs,
+    _f2b1_rhs,
+    _spec_form,
+    f2b1_recurrence,
+    lemma_b1bc1,
+    lemma_f2b1,
+    simplified_forms,
+)
 from test_multisum_dp import catalog_specs, form_specs, ref_eval_multisum
 
 _BUNDLED_REGISTRY = (Path(__file__).parent.parent / "src" / "qbailey" / "data"

@@ -28,16 +28,12 @@ from qbailey.lattice import (
     STEP,
     Schedule,
     _INF,
-    _SIMPLIFIED,
     _binom2,
-    _chain_terms,
     _collapse_b1bc1,
     _collapse_f2b1,
     _j1_bound,
     _link_sum,
     _min_plus,
-    _spec,
-    _spec_form,
     _tables,
     build_multisum_spec,
     eval_multisum,
@@ -47,6 +43,7 @@ from qbailey.lattice import (
 from qbailey.laurent import LaurentSeries, RunawayValuationError, zero
 from qbailey.qproducts import Q_FACTOR, PochFactor
 from qbailey.records import catalog_cells
+from paper_checks import _SIMPLIFIED, _chain_terms, _spec, _spec_form
 from reference_products import (
     ref_beta_from_spec,
     ref_compose,
