@@ -53,9 +53,9 @@ A registry pair's beta_n = q^{mono(n)} (symbols of length n or 2n) is
 stepped from beta_{n-1} (``beta_chain``): a chain keeps the valuation-zero
 part of each beta_n as a window and multiplies in only the factors the
 symbol lengths gain, so an index costs O(1) passes, not O(n).  Each
-registry pair reads its own chain, and ``lattice``'s multisum DP reads
-another, one per ``BetaSpec``: the move engine and the closed multisums it
-is checked against share the move table and the registry data, no cache.
+registry pair reads its own chain, and ``lattice``'s multisum DP others,
+one per ``BetaSpec`` or per call with a row's units: the move engine and
+its closed multisums share the move table and the registry data, no cache.
 
 Pairs form a shared trie.  ``registry_pair`` makes each registry pair once
 per registry entry, and ``apply_move`` memoizes each child on its parent,
@@ -77,6 +77,7 @@ from functools import lru_cache, partial
 
 from .laurent import LaurentSeries, monomial, zero
 from .qproducts import (
+    Chain,
     PochFactor,
     Q_FACTOR,
     Unit,
@@ -386,24 +387,26 @@ def beta_from_spec(spec: BetaSpec, n: int, order: int) -> LaurentSeries:
     return term_sum([(scalar, spec.mono(n), None, units)], order)
 
 
-def beta_chain(spec: BetaSpec) -> Callable[[int, int], tuple[int, list[int]]]:
-    """``window(n, top)``: beta_n of a registry pair as a fresh window
-    ending at top.  beta_n is q^{mono(n)} times u_n, the valuation-zero
-    product of the symbols, which ``qproducts.running_chain`` steps from
-    u_{n-1}.  u_0 and u_1, and a chain with no u_m deep enough, come from
+def beta_chain(spec: BetaSpec, extra: Chain = ()
+               ) -> Callable[[int, int], tuple[int, list[int]]]:
+    """``window(n, top)``: beta_n of a registry pair times the ``extra``
+    symbols (f; q^step)_{mult n}^power, as a fresh window ending at top.
+    beta_n is q^{mono(n)} times u_n, the valuation-zero product of the
+    symbols, which ``qproducts.running_chain`` steps from u_{n-1} with the
+    extra ones.  u_0 and u_1, and a chain with no u_m deep enough, come from
     ``_beta_units``, where the (-1; q^d) rewrite and its integrality check
     live.  A copy is cut at exactly top, so no result depends on what was
     asked before."""
     def start(n: int, depth: int) -> list[int]:
         scalar, units = _beta_units(spec, n)
         u = [scalar] + [0] * depth
-        apply_poch_units(u, units)
+        apply_poch_units(u, units + tuple((f, mult * n, power) for f, mult, power in extra))
         return u
 
     units = running_chain(
         tuple((f, _length(kind, 1), power)
               for factors, power in ((spec.numerator, 1), (spec.denominator, -1))
-              for f, kind in factors), start)
+              for f, kind in factors) + extra, start)
 
     def window(n: int, top: int) -> tuple[int, list[int]]:
         lo = spec.mono(n)

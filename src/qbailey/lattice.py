@@ -45,17 +45,20 @@ pass (``qproducts.binomial_step``), so no series product, inversion or
 Pochhammer cache is involved; over a step kernel it is the two carries at
 w = v - 1 and w = v added on the window.  Every carry is first checked to
 reach the sum's truncation.  The cell's own exponent then moves the window's
-valuation, its units apply on the same list and its sign negates it.  The
-beta_v of the innermost level are read from one stepped chain per registry
-``BetaSpec`` (``bailey.beta_chain``), held here and by no Bailey pair.  At
-finite n the j_1-blocks are divided by (q)_{n-j_1} in one more Horner
-chain.  In the n -> oo limit the grid ends at a proved bound on j_1
-(``_j1_bound``) when its P > 0, else at the heuristic cap
-2 isqrt(order) + V + 14.  Summands with backward moves have unboundedly
-negative exponents that cancel in blocks of fixed outermost index, so each
-complete j_1-block is one term of ``qproducts.vanishing_sum``.  A proved
-grid is summed to its end; elsewhere three blocks in a row zero to the
-order stop the sum, and a block past the cap raises ArithmeticError.
+valuation and its sign negates it; its units (-q^b; q)_v^{+-1} apply on the
+list, v passes.  In the n -> oo limit the end rows step theirs, a factor per
+index (a middle row's carries differ per v): the innermost row's with its
+beta_v, on a chain for the call (``bailey.beta_chain``; a row without units
+reads one per registry ``BetaSpec``, held here and by no Bailey pair).  At
+finite n the j_1-blocks are divided by (q)_{n-j_1} in one more Horner chain.
+In the n -> oo limit the grid ends at a proved bound on j_1 (``_j1_bound``)
+when its P > 0, else at the heuristic cap 2 isqrt(order) + V + 14.  Summands
+with backward moves have unboundedly negative exponents that cancel in
+blocks of fixed outermost index, so each complete j_1-block is one block of
+``qproducts.vanishing_terms``.  A proved grid runs to its end; elsewhere
+three blocks in a row zero to the order end it, and a block past the cap
+raises ArithmeticError.  ``_unit_horner`` sums the blocks with the outermost
+units, a factor per index, from the last block down.
 ``sum_side`` first sums out each F2·B1 pair by lemma f2b1: the raw folds of
 (1|3|5, lim3, 1, 1) and (1, lim3, 1, 2) have no bound, and once collapsed
 every bundled cell up to level 151 has one.  It then sums out each B1·BC1
@@ -64,8 +67,8 @@ the step is >= 0 and keeps j_1 >= j_3, so the bound stands.
 
 Valuations.  Every kept carry must start at or above IN[L][v]; one below
 it is an internal error (AssertionError naming the cell), whatever the
-order, so inner carries meet no order wall.  ``vanishing_sum`` holds each
-j_1-block to ``laurent``'s runaway floor (``RunawayValuationError``).
+order, so inner carries meet no order wall.  ``vanishing_terms`` holds
+each j_1-block to ``laurent``'s runaway floor (``RunawayValuationError``).
 
 Hand-summed series.  The alpha sides are not chains.  Each is written as
 a block function of t that returns its terms (sign, q-shift, parent, unit
@@ -74,8 +77,8 @@ triples).  An alpha side's ratio (-q; q)_r / (-q^d; q)_r is, by
 (-q; q)_{d-1} / (-q^{r+1}; q)_{d-1} on the term itself, however large r
 is.  In the bundled table d = 1, so every term is a signed monomial,
 except in the lim2 case form at i = 0, where d = 2.  One loop,
-``qproducts.vanishing_sum``, sums every such series and the multisum's
-j_1-blocks, and holds their one stopping rule and runaway guard.
+``qproducts.vanishing_sum``, sums every such series; its stopping rule and
+runaway guard, ``vanishing_terms``, end the multisum's j_1-blocks too.
 """
 
 from __future__ import annotations
@@ -99,6 +102,7 @@ from .qproducts import (
     poch_finite,  # noqa: F401  unused; perfbench/selftest.py reads lattice.poch_finite
     poch_inf,
     vanishing_sum,
+    vanishing_terms,
 )
 
 KINDS = ("lim1", "lim2", "lim3")
@@ -455,7 +459,32 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
     return lo, a
 
 
-# the DP's innermost betas: one stepped chain per registry BetaSpec
+def _units(row: Level, v: int, length: int) -> list[tuple[PochFactor, int, int]]:
+    """The ``row``'s units from index v on: (-q^{b+v}; q)_length^{+-1}."""
+    return [(PochFactor(-1, b + v, 1), length, power)
+            for bases, power in ((row.numer, 1), (row.denom, -1)) for b in bases]
+
+
+def _unit_horner(blocks: list[tuple[int, int, list[int]]], row: Level,
+                 top: int) -> tuple[int, list[int]]:
+    """sum over the blocks (v, lo, g), v ascending and each exact to
+    ``top``, of g times the ``row``'s units (-q^b; q)_v^{+-1}: one Horner
+    chain g_0 + f_0 (g_1 + f_1 (...)), f_v = prod_b (1 + q^{b+v})^{+-1},
+    from the last block down, a pass per base and index, not v per block."""
+    lo, a, u = top + 1, [], blocks[-1][0] if blocks else 0
+    for w, glo, g in [*reversed(blocks), (0, top + 1, [])]:
+        if glo + len(g) <= top:
+            raise AssertionError(f"block at j_1={w} is exact to "
+                                 f"{glo + len(g) - 1}, short of {top}")
+        apply_poch_units(a, _units(row, w, u - w))  # f_w ... f_{u-1}
+        a[:0] = [0] * (lo - glo)  # empty unless the block starts below
+        lo = min(lo, glo)
+        a[glo - lo:len(g) + glo - lo] = map(add, a[glo - lo:], g)
+        u = w
+    return lo, a
+
+
+# the DP's innermost betas without units: one stepped chain per BetaSpec
 _beta_chain = lru_cache(maxsize=None)(beta_chain)
 
 
@@ -466,7 +495,7 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     With ``finite_n`` the sum is the finite beta sequence member at n
     (outer factor 1/(q)_{n-j_1} and finite leading Pochhammers); without
     it, the n -> oo limit (outer factor -> 1, leading factors -> infinite
-    products), summed in j_1-blocks by ``qproducts.vanishing_sum``.  Each
+    products), summed in j_1-blocks by ``_unit_horner``.  Each
     level's inner sum reads its link kernel (``Level``): a Horner chain
     under 1/(q)_d or q^{binom(d, 2)}/(q)_d, two carries added under the
     step [d in {0, 1}].
@@ -474,8 +503,11 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     levels = spec.levels
     V = len(levels)
     entry = registry_entry(spec.pair_id)
-    beta = _beta_chain(entry.beta)
     n = finite_n
+    # in the limit the innermost row's units step with beta, on a call's chain
+    inner = levels[-1]
+    beta = (beta_chain(entry.beta, tuple(_units(inner, 0, 1)))
+            if (inner.numer or inner.denom) and n is None else _beta_chain(entry.beta))
     cap = n if n is not None else _j1_bound(spec, order, entry)
     proved = cap is not None
     if not proved:
@@ -497,10 +529,9 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
                 lo, a = beta(v, top)
             else:
                 lo, a = _link_sum(nonzero[L + 1], v, top, lv.link)
-            if lv.numer or lv.denom:
-                apply_poch_units(a, [(PochFactor(-1, b, 1), v, power)
-                                     for bases, power in ((lv.numer, 1), (lv.denom, -1))
-                                     for b in bases])
+            # in the limit the end rows step theirs: on the chain, in _unit_horner
+            if (lv.numer or lv.denom) and (0 < L < V - 1 or n is not None):
+                apply_poch_units(a, _units(lv, 0, v))
             k = next((k for k, c in enumerate(a) if c), None)
             if k is None:
                 continue  # zero to t_cap
@@ -523,13 +554,12 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
         return LaurentSeries.from_window(lo, a, order)
 
     def block(v: int) -> list[SumTerm]:
-        # a live block's window ends at t_cap = order, since LOW[0] is 0; a
+        # the rule reads a block's shift, its window waits in nonzero[0]; a
         # zero block is empty on a proved grid and dead on a heuristic one
         if v <= cap:
             add_carries(v)
             if nonzero[0] and nonzero[0][-1][0] == v:
-                _, lo, a = nonzero[0][-1]
-                return [(1, lo, a, ())]
+                return [(1, nonzero[0][-1][1], None, ())]
             if proved:
                 return []
         elif not proved:
@@ -538,7 +568,11 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
                 "the summand family appears not to converge")
         return [(1, order + 1, None, ())]
 
-    total = vanishing_sum(block, order)
+    list(vanishing_terms(block, order))  # its blocks are kept in nonzero[0]
+    # a live block's window ends at t_cap = order, since LOW[0] is 0, and a
+    # one-row spec's units are on its chain already
+    outer = levels[0] if V > 1 else inner._replace(numer=(), denom=())
+    total = LaurentSeries.from_window(*_unit_horner(nonzero[0], outer, order), order)
     # 1/(-q^b)_inf = 1 + O(q) is exact to 0 even below a negative order
     for b in spec.prefactors:
         total = total * inv_poch_inf(PochFactor(-1, b, 1), max(order, 0))

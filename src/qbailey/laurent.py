@@ -51,7 +51,7 @@ class RunawayValuationError(ArithmeticError):
 
 # Exponents below -RUNAWAY_FACTOR * max(|trunc|, RUNAWAY_BASE) abort: a
 # series, or a sum whose terms keep falling, has run away.  Every term of
-# ``qproducts.vanishing_sum`` is held to it, the multisum's j_1-blocks too;
+# ``qproducts.vanishing_terms`` is held to it, the multisum's j_1-blocks too;
 # the DP's inner carries may go lower before they cancel, and its IN table
 # bounds them instead (see ``lattice``).
 RUNAWAY_FACTOR = 10

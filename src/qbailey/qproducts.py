@@ -11,15 +11,15 @@ product here is one term of ``term_sum``.
 
 Every finite signed sum goes through one accumulator, ``term_sum``.  A
 term is (sign, q-shift, parent, unit triples): the parent is a series
-requested once at the order minus the shift, a dense window from q^0 that
-the sum only reads, or None for 1, and the units are finite Pochhammer
-symbols that ``apply_poch_units`` applies in one pass per factor on the
-parent's window.  Every series that is summed term by term "until it
-vanishes" (the alpha sides, reindexed single sums and multisum j_1-blocks
-of ``lattice``, the two series forms of the quintuple product) goes through
-one loop, ``vanishing_sum``, which hands its terms to ``term_sum`` and
-holds each to ``laurent``'s runaway floor; a multisum's proved j_1 grid
-is summed to its end before the loop's stopping rule can end it.
+requested once at the order minus the shift, or None for 1, and the units
+are finite Pochhammer symbols that ``apply_poch_units`` applies in one
+pass per factor on the parent's window.  Every series that is summed term
+by term "until it vanishes" (the alpha sides, reindexed single sums and
+multisum j_1-blocks of ``lattice``, the two series forms of the quintuple
+product) ends by one rule, ``vanishing_terms``, which holds each block to
+``laurent``'s runaway floor; ``vanishing_sum`` hands its terms to
+``term_sum``, and a multisum's proved j_1 grid is summed to its end
+before the rule can end it.
 
 Chains.  A product of symbols whose lengths grow with an index n, such as
 a registry beta's (-q^b; q)_n / (q^c; q)_{2n}, gains only a few factors
@@ -39,7 +39,7 @@ again one pass per factor, so no series is inverted.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
@@ -112,10 +112,8 @@ Unit = tuple[PochFactor, int, int]
 
 # One term of a finite signed sum: (sign, shift, parent, units) stands for
 # sign * q^shift * parent * the product of the units, where the parent is a
-# callable of the order, a dense window of a series from q^0 (a list the
-# sum only reads), or None for 1.
-SumTerm = tuple[int, int, Callable[[int], LaurentSeries] | list[int] | None,
-                tuple[Unit, ...]]
+# callable of the order or None for 1.
+SumTerm = tuple[int, int, Callable[[int], LaurentSeries] | None, tuple[Unit, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -350,9 +348,7 @@ def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:
     is built at the end.  A parent is requested once, at ``order - shift``,
     and its window up to there (or the window of 1) is multiplied by the
     units in place (``apply_poch_units``), so no coefficient above that is
-    ever needed, however negative its valuation.  A window parent is
-    sliced up to there and never changed, so one running window can serve
-    many terms."""
+    ever needed, however negative its valuation."""
     total: dict[int, int] = {}
     get = total.get
     for sign, shift, parent, units in terms:
@@ -363,11 +359,6 @@ def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:
                     total[shift] = get(shift, 0) + sign
                 continue
             lo, a = (0, [1] + [0] * top) if top >= 0 else (top + 1, [])
-        elif type(parent) is list:
-            if len(parent) <= top:
-                raise AssertionError(
-                    f"window known to q^{len(parent) - 1}, short of q^{top}")
-            lo, a = 0, parent[:max(top + 1, 0)]  # top < 0 must not slice from the end
         else:
             p = parent(top)
             if p.trunc < top:
@@ -380,31 +371,31 @@ def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:
     return LaurentSeries(total, order)
 
 
-def vanishing_sum(block: Callable[[int], list[SumTerm]],
-                  order: int) -> LaurentSeries:
-    """sum over t = 0, 1, ... of the terms ``block(t)``, exact to ``order``,
-    added by ``term_sum``.
-
-    Block terms have parent None or a window from q^0, and units of
-    valuation zero, so a term's lowest exponent is at least its shift.
-    The sum stops after three consecutive blocks that have terms but none
-    at or below the order; a block with no terms (alpha~_t = 0 on one
-    residue class, a zero j_1-block inside a proved multisum grid) does
-    not count toward the three.  A shift below
-    ``laurent``'s runaway floor raises ``RunawayValuationError``.
+def vanishing_terms(block: Callable[[int], list[SumTerm]],
+                    order: int) -> Iterator[SumTerm]:
+    """The terms of ``block(t)``, t = 0, 1, ..., until they vanish to
+    ``order``.  Block terms have parent None, or a series from q^0, and
+    units of valuation zero, so a term's lowest exponent is at least its
+    shift.  The terms stop after three consecutive blocks that have terms
+    but none at or below the order; a block with no terms (alpha~_t = 0 on
+    one residue class, a zero j_1-block inside a proved multisum grid) does
+    not count toward the three.  A shift below ``laurent``'s runaway floor
+    raises ``RunawayValuationError``.
     """
-    def terms():
-        t = dead = 0
-        while dead < 3:
-            block_terms = block(t)
-            if block_terms:
-                low = min(shift for _, shift, _, _ in block_terms)
-                check_floor(low, order)
-                dead = 0 if low <= order else dead + 1
-                yield from block_terms
-            t += 1
+    t = dead = 0
+    while dead < 3:
+        block_terms = block(t)
+        if block_terms:
+            low = min(shift for _, shift, _, _ in block_terms)
+            check_floor(low, order)
+            dead = 0 if low <= order else dead + 1
+            yield from block_terms
+        t += 1
 
-    return term_sum(terms(), order)
+
+def vanishing_sum(block: Callable[[int], list[SumTerm]], order: int) -> LaurentSeries:
+    """The ``vanishing_terms`` of ``block`` added by ``term_sum``, exact to ``order``."""
+    return term_sum(vanishing_terms(block, order), order)
 
 
 # The two series forms of Q(q^u, q^v), each as four families

@@ -31,7 +31,6 @@ from qbailey.lattice import (
     expand_schedule,
     sum_side,
     sum_side_finite,
-    verify_limit_identity,
 )
 from qbailey.laurent import monomial, zero
 from qbailey.qproducts import (

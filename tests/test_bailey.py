@@ -29,7 +29,7 @@ from qbailey.bailey import (
 from qbailey.laurent import LaurentSeries, monomial, one, zero
 from qbailey.qproducts import Q_FACTOR, PochFactor, inv_poch_finite, term_sum
 from paper_checks import slater_a1_pair
-from reference_products import ref_beta_from_spec
+from reference_products import ref_beta_from_spec, ref_compose
 
 
 def test_registry_alpha_tilde_at_zero_is_one():
@@ -126,6 +126,25 @@ def test_stepped_beta_windows_match_the_product_form(pid, arrange):
         got = LaurentSeries.from_window(lo, a, top)
         assert got.to_text() == _ref_beta(pid, n, top), (n, top)
         a.append(7)  # the caller owns its window
+
+
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5])
+def test_stepped_beta_windows_carry_a_rows_units(pid):
+    # a DP row's units (-q^b; q)_n^{+-1} are extra symbols of length n: each
+    # window is the product form's beta_n times the schoolbook units, at
+    # tops below, at and past its valuation, asked out of order so that the
+    # chain deepens, reuses and restarts
+    spec = registry_entry(pid).beta
+    extra = ((PochFactor(-1, 1, 1), 1, 1), (PochFactor(-1, 2, 1), 1, -1),
+             (PochFactor(-1, 3, 1), 1, -1))
+    window = beta_chain(spec, extra)
+    for n, top in _shuffled((n, spec.mono(n) + depth)
+                            for n in range(13) for depth in (-1, 0, 8, 30)):
+        lo, a = window(n, top)
+        assert lo + len(a) - 1 == top
+        want = ref_compose(top, 0, partial(ref_beta_from_spec, spec, n),
+                           *((f, n, power) for f, _, power in extra))
+        assert LaurentSeries.from_window(lo, a, top) == want, (n, top)
 
 
 _REF_BETAS = {}

@@ -426,15 +426,3 @@ def test_term_sum_requests_each_parent_once_and_rejects_a_short_one():
     short = S({0: 1}, 5)
     with pytest.raises(AssertionError, match="truncation underflow"):
         term_sum([(1, 0, None, ()), (1, 2, lambda o: short, ())], 10)
-
-
-def test_term_sum_window_parent_above_the_order_adds_nothing():
-    # a window term whose shift lies past the order has top < 0: it adds
-    # nothing, as a None parent at the same shift does, and a window too
-    # short for a top at or above 0 is still refused
-    for units in ((), ((Q_FACTOR, 2, -1),)):
-        got = term_sum([(1, 5, [1, 2, 3], units), (1, 0, None, ())], 2)
-        assert got == term_sum([(1, 5, None, units), (1, 0, None, ())], 2)
-        assert got.to_text() == "trunc=2; 0:1"
-    with pytest.raises(AssertionError, match=r"short of q\^1"):
-        term_sum([(1, 1, [1], ())], 2)

@@ -26,6 +26,7 @@ from qbailey.bailey import registry_entry
 from qbailey.lattice import (
     SCHEDULE_TABLE,
     STEP,
+    Level,
     Schedule,
     _INF,
     _binom2,
@@ -35,6 +36,7 @@ from qbailey.lattice import (
     _link_sum,
     _min_plus,
     _tables,
+    _unit_horner,
     build_multisum_spec,
     eval_multisum,
     sum_side,
@@ -382,6 +384,98 @@ def test_a_proved_grid_is_summed_past_three_zero_blocks(order, bound):
 def test_eval_multisum_matches_reference(max_level, order):
     for spec in catalog_specs(max_level) + form_specs():
         assert eval_multisum(spec, order) == ref_eval_multisum(spec, order)
+
+
+def collapsed_f2b1_specs(max_level):
+    """The catalog's lemma f2b1 collapses that differ from their raw folds.
+    The doubles' outermost row carries 1/(-q^c; q)_{j_1}, which no raw
+    fold's outermost row with a denominator does.  (Not lemma b1bc1's: the
+    references read ``STEP`` as a link binomial.)"""
+    return [once for once in map(_collapse_f2b1, catalog_specs(max_level))
+            if once not in catalog_specs(max_level)]
+
+
+@pytest.mark.parametrize("max_level,order,count", [(13, 30, 14), (7, 120, 4)])
+def test_outermost_units_match_reference(max_level, order, count):
+    # in the limit the outermost row's units go on the j_1-blocks in one
+    # Horner chain, not on each block
+    specs = collapsed_f2b1_specs(max_level)
+    assert len(specs) == count
+    assert sum(bool(spec.levels[0].denom) for spec in specs) == 3
+    for spec in specs:
+        assert eval_multisum(spec, order) == ref_eval_multisum(spec, order)
+
+
+def test_units_of_a_one_row_spec_apply_once():
+    # the only row is the innermost one: its units ride on the beta chain,
+    # and the Horner chain over the blocks must not apply them again
+    spec = _spec(3, [1], [1], numer=[[0, 1], [0, 3]], denom=[[0, 2]])
+    for order in (0, 15, 60):
+        assert eval_multisum(spec, order) == ref_eval_multisum(spec, order)
+        for n in range(5):
+            assert (eval_multisum(spec, order, finite_n=n)
+                    == ref_eval_multisum(spec, order, finite_n=n))
+
+
+def test_outermost_units_on_a_heuristic_grid_match_reference():
+    # P = 0, so no j_1 bound: the blocks end by the three-dead-blocks rule.
+    # They start at q^0, q^-4, ..., q^-14 and then rise, so at order -20
+    # the sum is 0
+    spec = _spec(1, [0, 1], [-4, 0], link_binoms=[0],
+                 numer=[[0, 1], [1, 2]], denom=[[0, 2], [0, 4]])
+    assert _j1_bound(spec, 40, registry_entry(1)) is None
+    for order, terms in ((-20, 0), (0, 15), (40, 55)):
+        got = eval_multisum(spec, order)
+        assert got == ref_eval_multisum(spec, order)
+        assert len(got.terms) == terms
+
+
+UNIT_ROWS = [Level(0, 0, False, False, False, numer, denom)
+             for numer, denom in (((), ()), ((1,), ()), ((), (2,)),
+                                  ((1, 3), (2,)), ((0,), (1, 1)))]
+
+
+@pytest.mark.parametrize("row", UNIT_ROWS)
+def test_unit_horner_matches_each_block_times_its_units(row):
+    # gaps in v, a block at v = 0, blocks of negative valuation and one
+    # that starts below all the others
+    top = 25
+    for vs in ([0, 1, 2], [3, 7], [0, 4, 5, 11], [9]):
+        # block v starts at q^{v - 6 + 3 (v mod 3)} and ends at the top
+        blocks = [(v, v - 6 + 3 * (v % 3),
+                   [(7 * v + i) % 5 - 2 for i in range(top + 7 - v - 3 * (v % 3))])
+                  for v in vs]
+        want = zero(top)
+        for v, lo, g in blocks:
+            block = LaurentSeries.from_window(lo, g, top)
+            want = want + ref_compose(top, 0, lambda o, block=block: block, *(
+                (PochFactor(-1, b, 1), v, power)
+                for bases, power in ((row.numer, 1), (row.denom, -1)) for b in bases))
+        lo, a = _unit_horner(blocks, row, top)
+        assert lo + len(a) - 1 == top
+        assert LaurentSeries.from_window(lo, a, top) == want, (row, vs)
+    assert _unit_horner([], row, top) == (top + 1, [])
+
+
+def test_unit_horner_rejects_a_block_short_of_top():
+    # each block must be known to the top: the sum would claim
+    # coefficients of it it does not know; one past the top adds nothing
+    row = UNIT_ROWS[3]
+    with pytest.raises(AssertionError, match="block at j_1=2 is exact to 4, short of 5"):
+        _unit_horner([(0, 0, [1] * 6), (2, 1, [1] * 4)], row, 5)
+    assert _unit_horner([(0, 0, [1] * 6), (3, 7, [2])], row, 5) == (0, [1] * 6)
+
+
+def test_no_chain_with_units_outlives_its_call():
+    # a row's units ride on a beta chain built for the call and dropped
+    # with it; the chains held for the process are the registry's betas
+    # (one that kept the units' chains took L7/O1280 from 28.5 to 35.4 MB)
+    lattice._beta_chain.cache_clear()
+    cells = [Schedule(kind, k, i, pid) for pid, kind, k, i in catalog_cells(7)]
+    for s in cells:
+        sum_side(s, 60)
+    betas = {registry_entry(s.pair_id).beta for s in cells}
+    assert lattice._beta_chain.cache_info().currsize == len(betas) == 5
 
 
 def test_form_terms_cover_the_spec_forms():
