@@ -115,8 +115,8 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
     together: sum_side = normalization * character.  Link 3 is the one
     check of the second family's i <= 1 displays against the unified form;
     everywhere else the case form is the unified one, built once.  Link 2
-    reads ``sum_side``, which evaluates the fold collapsed by lemmas f2b1
-    and b1bc1; the record prints the raw fold."""
+    makes no series product, link 1 one per module (two theta series); link
+    2 reads the fold collapsed by lemmas f2b1 and b1bc1, the record the raw one."""
     m = schedule_module(pair_id, kind, k, i)
     s = Schedule(kind, k, i, pair_id)
 

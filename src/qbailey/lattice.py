@@ -10,7 +10,8 @@ it; ``alpha_side`` evaluates the limiting alpha-series; and
 
     sum_side * (q^c; q)_inf  =  alpha_side        (a = q^c the registry base)
 
-exactly, coefficientwise, to the requested order.
+exactly, coefficientwise, to the requested order, with no series product
+(``qproducts.apply_inf_ratio`` on the multisum's window).
 
 Multisum evaluation.  Every closed sum here is a chain: the summand is
 one ``Level`` row per variable (monomial, Pochhammer units, sign and link
@@ -56,9 +57,10 @@ when its P > 0, else at the heuristic cap 2 isqrt(order) + V + 14.  Summands
 with backward moves have unboundedly negative exponents that cancel in
 blocks of fixed outermost index, so each complete j_1-block is one block of
 ``qproducts.vanishing_terms``.  A proved grid runs to its end; elsewhere
-three blocks in a row zero to the order end it, and a block past the cap
-raises ArithmeticError.  ``_unit_horner`` sums the blocks with the outermost
-units, a factor per index, from the last block down.
+three blocks in a row zero to the order end it (an infeasible block below a
+feasible one is not counted), and a block past the cap raises
+ArithmeticError.  ``_unit_horner`` sums the blocks with the outermost units,
+a factor per index, from the last block down.
 ``sum_side`` first sums out each F2·B1 pair by lemma f2b1: the raw folds of
 (1|3|5, lim3, 1, 1) and (1, lim3, 1, 2) have no bound, and once collapsed
 every bundled cell up to level 151 has one.  It then sums out each B1·BC1
@@ -95,12 +97,12 @@ from .laurent import LaurentSeries
 from .qproducts import (
     PochFactor,
     SumTerm,
+    apply_inf_ratio,
     apply_poch_units,
     binomial_step,
     inv_poch_inf,
     neg_ratio,
     poch_finite,  # noqa: F401  unused; perfbench/selftest.py reads lattice.poch_finite
-    poch_inf,
     vanishing_sum,
     vanishing_terms,
 )
@@ -554,13 +556,13 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
         return LaurentSeries.from_window(lo, a, order)
 
     def block(v: int) -> list[SumTerm]:
-        # the rule reads a block's shift, its window waits in nonzero[0]; a
-        # zero block is empty on a proved grid and dead on a heuristic one
+        # the rule reads a block's shift, its window waits in nonzero[0]; a zero
+        # block is dead, unless on a proved grid or infeasible below a feasible one
         if v <= cap:
             add_carries(v)
             if nonzero[0] and nonzero[0][-1][0] == v:
                 return [(1, nonzero[0][-1][1], None, ())]
-            if proved:
+            if proved or not feas[0][v] and any(feas[0][v:]):
                 return []
         elif not proved:
             raise ArithmeticError(
@@ -583,8 +585,13 @@ def sum_side(s: Schedule, order: int) -> LaurentSeries:
     """(q)_inf * beta^final_infinity, from the closed multisum with each
     F2·B1 pair summed out, then each B1·BC1 pair, whose outer row keeps a
     step link; the record prints the raw fold."""
-    return eval_multisum(_collapse_b1bc1(_collapse_f2b1(build_multisum_spec(s))),
-                         order)
+    return eval_multisum(_sum_spec(s), order)
+
+
+def _sum_spec(s: Schedule) -> MultisumSpec:
+    """The memoized fold of ``s`` with lemma f2b1 and then lemma b1bc1
+    applied, a spec rebuilt on each call."""
+    return _collapse_b1bc1(_collapse_f2b1(build_multisum_spec(s)))
 
 
 def _collapse_f2b1(spec: MultisumSpec) -> MultisumSpec:
@@ -693,9 +700,10 @@ def verify_limit_identity(s: Schedule, order: int,
     """sum_side * (q^c; q)_inf == alpha_side (case forms), to order.
 
     ``alpha`` is the case-form alpha side, when the caller has it already;
-    the multisum is ``sum_side``'s: the memoized fold with lemma f2b1 and
-    then lemma b1bc1 applied, a spec rebuilt on each call.
-    (q^c; q)_inf = 1 + O(q) is exact to 0 even below a negative order."""
-    lhs = sum_side(s, order) * poch_inf(PochFactor(1, s.base_exp, 1), max(order, 0))
+    the multisum is ``sum_side``'s, ``_sum_spec(s)``, without its leading
+    factor, which ``apply_inf_ratio`` brings in on its window."""
+    spec = _sum_spec(s)
+    lo, a = eval_multisum(spec._replace(prefactors=()), order).window(order)
+    apply_inf_ratio(a, s.base_exp, *spec.prefactors)
     rhs = alpha_side(s, order) if alpha is None else alpha
-    return lhs.eq_to_order(rhs, order)
+    return LaurentSeries.from_window(lo, a, order).eq_to_order(rhs, order)

@@ -5,9 +5,9 @@ a length, and one function walks the factors of a symbol:
 ``apply_poch_units`` multiplies or divides a dense window by unit triples
 (f, length, power), one ``binomial_step`` per factor, skipping the factors
 past the window.  An infinite product is the unit of its factors at or
-below the order.  Only ``qtpi_product`` has Laurent factors (negative
-exponents); it writes them as a sign, a power of q and a unit, so every
-product here is one term of ``term_sum``.
+below the order, one term of ``term_sum``.  Theta series of O(sqrt(order))
+terms (``theta_window``) give the partition numbers, ``apply_inf_ratio``
+and ``qtpi_product``, the only product with Laurent factors.
 
 Every finite signed sum goes through one accumulator, ``term_sum``.  A
 term is (sign, q-shift, parent, unit triples): the parent is a series
@@ -88,7 +88,7 @@ def binomial_step(a: list[int], e: int, sign: int, power: int) -> None:
 
       * times (1 - sign q^e):  a[i] -= sign a[i-e], one vector step on a[e:];
       * divided by (1 - q^e):  a[i] += a[i-e] for rising i, a prefix sum
-        along each residue class mod e;
+        along each residue class mod e (block by block once e^2 >= len(a));
       * divided by (1 + q^e):  times (1 - q^e), then divided by (1 - q^{2e}).
 
     A factor whose exponent lies past the list is 1 there and changes
@@ -103,6 +103,10 @@ def binomial_step(a: list[int], e: int, sign: int, power: int) -> None:
     if sign == -1:
         a[e:] = map(sub, a[e:], a[:-e])
         e *= 2
+    if e * e >= n:
+        for j in range(e, n, e):
+            a[j:j + e] = map(add, a[j:j + e], a[j - e:j])
+        return
     for r in range(min(e, n - e)):
         a[r::e] = accumulate(a[r::e])
 
@@ -278,22 +282,12 @@ def running_chain(chain: Chain, start: Callable[[int, int], list[int]]
 # -- partitions and Euler's product -----------------------------------------
 
 def partition_numbers(n_max: int) -> tuple[int, ...]:
-    """p(0), ..., p(n_max) by Euler's pentagonal-number recurrence."""
+    """p(0), ..., p(n_max) by Euler's pentagonal-number recurrence
+    p(n) = -sum_{i >= 1} e_i p(n - i), e_i the coefficients of (q; q)_inf."""
+    terms = [(i, c) for i, c in enumerate(theta_window(3, -1, n_max)[1]) if c][1:]
     p = [1] + [0] * n_max
     for n in range(1, n_max + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * p[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
+        p[n] = -sum(c * p[n - i] for i, c in terms if i <= n)
     return tuple(p)
 
 
@@ -309,37 +303,55 @@ def inv_euler(order: int) -> LaurentSeries:
     return LaurentSeries.from_window(0, partition_numbers(order), order)
 
 
-# -- quintuple product -------------------------------------------------------
+# -- theta series and the quintuple product ---------------------------------
+
+def theta_window(a: int, b: int, top: int) -> tuple[int, list[int]]:
+    """sum_{n in Z} (-1)^n q^{(a n^2 + b n)/2}, a >= 1 and a + b even, as a
+    window from its least exponent (at n0 or n0 + 1) up to ``top``, or
+    ``(top + 1, [])``: O(sqrt(top)) terms; n and -b/a - n share one."""
+    n0 = -b // (2 * a)
+    lo = min(a * n0 * n0 + b * n0, a * (n0 + 1) ** 2 + b * (n0 + 1), 2 * top + 2) // 2
+    w = [0] * (top - lo + 1)
+    for n, step in ((n0, -1), (n0 + 1, 1)):
+        while (e := (a * n * n + b * n) // 2) <= top:
+            w[e - lo] += -1 if n % 2 else 1
+            n += step
+    return lo, w
+
+
+def apply_inf_ratio(a: list[int], c: int, b: int | None = None) -> None:
+    """Multiply the window ``a`` in place by (q^c; q)_inf, or, given b, by
+    (q^c; q)_inf / (-q^b; q)_inf (c, b >= 1): Euler's (q; q)_inf, or Gauss's
+    (q; q)_inf / (-q; q)_inf = sum_n (-1)^n q^{n^2} times (-q; q)_{b-1}, over
+    (q; q)_{c-1}; a shifted add per theta term, a step per factor."""
+    apply_poch_units(a, ((Q_FACTOR, c - 1, -1),
+                         (PochFactor(-1, 1, 1), 0 if b is None else b - 1, 1)))
+    _, w = theta_window(*((3, -1) if b is None else (2, 0)), len(a) - 1)
+    orig = a[:]
+    for i, t in enumerate(w[1:], 1):
+        for _ in range(abs(t)):  # Gauss's terms are +-2
+            a[i:] = map(add if t > 0 else sub, a[i:], orig)
+
 
 @lru_cache(maxsize=None)
 def qtpi_product(u: int, v: int, order: int) -> LaurentSeries:
-    """The quintuple product Q(q^u, q^v) in infinite-product form, built
-    once per argument triple (every cell of a module shares it).
-
-    Each of its five families of factors (1 - q^{a n + b}), n >= 1, has
-    a > 0.  The factors with a n + b < 0 are n = 1..m, m = floor(-b / a),
-    and each is -q^{a n + b} (1 - q^{-a n - b}): together a sign, a power
-    of q and the unit (q^{-(a m + b)}; q^a)_m.  The rest are the unit
-    (q^{a (m + 1) + b}; q^a)_inf.  A factor (1 - q^0) makes Q zero.
-    """
+    """The quintuple product Q(q^u, q^v), built once per argument triple
+    (every cell of a module shares it) as J(s, 1/t) J(s^2, s t^2) /
+    (s^2; s^2)_inf, s = q^u, t = q^v, with Jacobi's J(p, x) = sum_n (-1)^n
+    p^{binom(n, 2)} x^n = (x; p)_inf (p/x; p)_inf (p; p)_inf: one product
+    of two theta series of O(sqrt(order)) terms each, then one division
+    step per factor.  A factor (1 - q^0) makes one J, and Q, zero."""
     if u < 1:
         raise ValueError(f"the first argument must satisfy u >= 1, got {u}")
-    sign, low, heads = 1, 0, []
-    for a, b in ((u, 0),                # (1 - s^n)
-                 (u, v),                # (1 - s^n t)
-                 (u, -u - v),           # (1 - s^(n-1) / t)
-                 (2 * u, 2 * v - u),    # (1 - s^(2n-1) t^2)
-                 (2 * u, -2 * v - u)):  # (1 - s^(2n-1) / t^2)
-        m = max(-b // a, 0)
-        if m and a * m + b == 0:
-            return zero(order)
-        sign *= (-1) ** m
-        low += a * m * (m + 1) // 2 + b * m
-        heads.append((a, b, m))
-    units = tuple(unit for a, b, m in heads for unit in (
-        (PochFactor(1, -(a * m + b), a), m, 1),
-        _inf_unit(PochFactor(1, a * (m + 1) + b, a), order - low)))
-    return term_sum([(sign, low, None, units)], order)
+    thetas = ((u, -u - 2 * v), (2 * u, 4 * v))
+    (lo1, _), (lo2, _) = (theta_window(*ab, 0) for ab in thetas)
+    j1, j2 = (LaurentSeries.from_window(*theta_window(*ab, order - lo), order - lo)
+              for ab, lo in zip(thetas, (lo2, lo1)))
+    if not (j1.terms and j2.terms):
+        return zero(order)
+    lo, a = (j1 * j2).window(order)
+    apply_poch_units(a, (_inf_unit(PochFactor(1, 2 * u, 2 * u), len(a) - 1, -1),))
+    return LaurentSeries.from_window(lo, a, order)
 
 
 def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:
@@ -378,9 +390,9 @@ def vanishing_terms(block: Callable[[int], list[SumTerm]],
     units of valuation zero, so a term's lowest exponent is at least its
     shift.  The terms stop after three consecutive blocks that have terms
     but none at or below the order; a block with no terms (alpha~_t = 0 on
-    one residue class, a zero j_1-block inside a proved multisum grid) does
-    not count toward the three.  A shift below ``laurent``'s runaway floor
-    raises ``RunawayValuationError``.
+    one residue class, a zero j_1-block on a proved grid or an infeasible
+    one below a feasible one) does not count toward the three.  A shift
+    below ``laurent``'s runaway floor raises ``RunawayValuationError``.
     """
     t = dead = 0
     while dead < 3:

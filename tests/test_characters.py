@@ -1,6 +1,7 @@
 """Module labels, principal characters, and the full verification chain."""
 
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -13,7 +14,7 @@ from qbailey.characters import (
     schedule_module,
     verify_character_identity,
 )
-from qbailey.lattice import Schedule, SCHEDULE_TABLE, alpha_side, sum_side
+from qbailey.lattice import Schedule, SCHEDULE_TABLE, alpha_side, eval_multisum, sum_side
 from qbailey.laurent import LaurentSeries
 from qbailey.qproducts import (
     PochFactor,
@@ -222,9 +223,9 @@ def test_verify_character_identity_spot():
     # link 1: the quintuple product at the wrong level, off by one
     ("qbailey.characters.qtpi_product",
      lambda u, v, order: qtpi_product(u + 1, v, order), (1, "lim1", 1, 1)),
-    # link 2: the multisum times q
-    ("qbailey.lattice.sum_side",
-     lambda s, order: sum_side(s, order - 1).shift(1), (1, "lim1", 1, 1)),
+    # link 2: the multisum times q, as link 2 reads it
+    ("qbailey.lattice.eval_multisum",
+     lambda spec, order: eval_multisum(spec, order - 1).shift(1), (1, "lim1", 1, 1)),
     # link 3: the (1 + q) of the second family's i = 0 display dropped
     ("qbailey.characters._case_factor", lambda s, x, order: x, (2, "lim2", 1, 0)),
 ])
@@ -300,6 +301,34 @@ def test_verify_character_identity_builds_each_alpha_side_once(monkeypatch):
         calls.clear()
         assert characters.verify_character_identity(*cell, 40), cell
         assert sorted(calls) == expected, cell
+
+
+def test_chain_makes_no_dense_series_product(monkeypatch):
+    # link 2's (q^c; q)_inf is a theta series added onto the multisum's
+    # window, so the chain's one series product is link 1's: the two theta
+    # series of the quintuple product, O(sqrt(order)) terms each, once per
+    # module
+    from qbailey import qproducts
+    from qbailey.records import catalog_cells
+
+    for name in ("poch_finite", "inv_poch_finite", "poch_inf", "inv_poch_inf",
+                 "inv_euler", "qtpi_product"):
+        getattr(qproducts, name).cache_clear()
+    calls = []
+    real = LaurentSeries.__mul__
+
+    def counted(self, other):
+        calls.append((len(self.terms), len(other.terms)))
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    cells = catalog_cells(13)
+    assert len(cells) == 90
+    for cell in cells:
+        assert verify_character_identity(*cell, 120), cell
+    modules = {schedule_module(*cell) for cell in cells}
+    assert len(calls) == qtpi_product.cache_info().misses == len(modules)
+    assert max(max(pair) for pair in calls) <= 2 * isqrt(2 * 120) + 2
 
 
 def test_quintuple_product_is_built_once_per_module():

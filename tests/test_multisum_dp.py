@@ -380,6 +380,20 @@ def test_a_proved_grid_is_summed_past_three_zero_blocks(order, bound):
     assert eval_multisum(spec, order) == want
 
 
+@pytest.mark.parametrize("order", [-20, -15, -10])
+def test_a_heuristic_grid_is_summed_past_its_infeasible_blocks(order):
+    # no bound (P = 0); at least the blocks j_1 = 0, 1, 2 are infeasible,
+    # zero to the order, and the blocks j_1 = 6..10 start at q^-20 and q^-21
+    spec = _spec(1, [0, 1], [-5, 0], link_binoms=[0])
+    entry = registry_entry(1)
+    assert _j1_bound(spec, order, entry) is None
+    cap = 2 * isqrt(1) + 2 + 14
+    assert _tables(spec, order, cap, entry)[2][0].index(True) >= 3
+    want = ref_eval_multisum(spec, order, dead_blocks=50)
+    assert want.terms[-21] == 4
+    assert eval_multisum(spec, order) == want
+
+
 @pytest.mark.parametrize("max_level,order", [(13, 30), (7, 120)])
 def test_eval_multisum_matches_reference(max_level, order):
     for spec in catalog_specs(max_level) + form_specs():

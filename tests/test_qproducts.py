@@ -10,7 +10,9 @@ from qbailey.qproducts import (
     DivergentProductError,
     PochFactor,
     Q_FACTOR,
+    apply_inf_ratio,
     apply_poch_units,
+    binomial_step,
     inv_euler,
     inv_poch_finite,
     inv_poch_inf,
@@ -21,6 +23,7 @@ from qbailey.qproducts import (
     qtpi_product,
     qtpi_sum,
     running_chain,
+    theta_window,
     vanishing_sum,
 )
 from qbailey.characters import schedule_module
@@ -218,6 +221,65 @@ def test_qtpi_product_laurent_factors_match_schoolbook(order):
             got = qtpi_product(u, v, order)
             assert got.trunc == order
             assert got.to_text() == ref_qtpi_product(u, v, order).to_text(), (u, v)
+
+
+@pytest.mark.parametrize("u,v", [
+    (3, 3), (3, 5), (5, 11), (2, 7),        # v >= u
+    (3, -3), (4, -7), (6, -13), (1, -2),    # v <= -u
+    (3, 6), (4, -8), (5, 0), (6, 9),        # u | 2v: a factor (1 - q^0)
+])
+def test_qtpi_product_matches_schoolbook_at_order_400(u, v):
+    # the two theta series over (s^2; s^2)_inf against the five families
+    got = qtpi_product(u, v, 400)
+    assert got.to_text() == ref_qtpi_product(u, v, 400).to_text()
+    assert got.is_zero() == (2 * v % u == 0)
+
+
+@pytest.mark.parametrize("a,b,lo,terms", [
+    (3, -1, 0, {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}),  # Euler
+    (2, 0, 0, {0: 1, 1: -2, 4: 2, 9: -2, 16: 2}),                   # Gauss
+    (2, 4, -1, {-1: -1, 0: 2, 3: -2, 8: 2, 15: -2}),  # n, -2 - n add up
+    (2, 2, 0, {}),                                    # n, -1 - n cancel
+])
+def test_theta_window_spot(a, b, lo, terms):
+    got_lo, w = theta_window(a, b, 16)
+    assert (got_lo, len(w)) == (lo, 17 - lo)
+    assert {lo + i: c for i, c in enumerate(w) if c} == terms
+    assert theta_window(a, b, lo - 1) == (lo, [])
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("b", [None, 1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 40, 300])
+def test_inf_ratio_matches_the_products_it_replaces(c, b, order):
+    # window * (q^c; q)_inf / (-q^b; q)_inf, the window from q^-7, q^0, q^3
+    rng = random.Random(c * 1000 + (b or 0) * 100 + order)
+    for lo in (-7, 0, 3):
+        a = [rng.randint(-9, 9) for _ in range(max(order - lo + 1, 0))]
+        if a:
+            a[0] = 1
+        depth = max(order - lo, 0)
+        want = LaurentSeries.from_window(lo, a, order) * poch_inf(PochFactor(1, c, 1), depth)
+        if b is not None:
+            want = want * inv_poch_inf(PochFactor(-1, b, 1), depth)
+        apply_inf_ratio(a, c, b)
+        assert LaurentSeries.from_window(lo, a, order) == want.truncated(order), lo
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_binomial_step_divides_by_classes_and_by_blocks(sign):
+    # 1/(1 - s q^e) against its recurrence x[i] = a[i] + s x[i-e], on both
+    # sides of e^2 = len(a)
+    rng = random.Random(sign)
+    for n in (1, 8, 9, 10, 50, 120):
+        a = [rng.randint(-9, 9) for _ in range(n)]
+        for e in range(1, n + 2):
+            want = a[:]
+            for i in range(e, n):
+                want[i] += sign * want[i - e]
+            got = a[:]
+            binomial_step(got, e, sign, -1)
+            assert got == want, (n, e)
 
 
 def test_catalog_products_match_schoolbook():
