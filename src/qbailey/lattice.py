@@ -52,6 +52,10 @@ index (a middle row's carries differ per v): the innermost row's with its
 beta_v, on a chain for the call (``bailey.beta_chain``; a row without units
 reads one per registry ``BetaSpec``, held here and by no Bailey pair).  At
 finite n the j_1-blocks are divided by (q)_{n-j_1} in one more Horner chain.
+No carry depends on n, and LOW only falls as the cap n grows, so the carries
+of the last (spec, registry entry, order) are kept, zero ones too, with the
+t_cap each is exact to; a later call reuses one whose t_cap reaches its own,
+as ``_link_sum`` or the final truncation cuts a longer window.
 In the n -> oo limit the grid ends at a proved bound on j_1 (``_j1_bound``)
 when its P > 0, else at the heuristic cap 2 isqrt(order) + V + 14.  Summands
 with backward moves have unboundedly negative exponents that cancel in
@@ -486,8 +490,10 @@ def _unit_horner(blocks: list[tuple[int, int, list[int]]], row: Level,
     return lo, a
 
 
-# the DP's innermost betas without units: one stepped chain per BetaSpec
+# the DP's innermost betas without units, one stepped chain per BetaSpec; the
+# last finite-n carries, (L, v) -> (t_cap, ()) or (t_cap, (carry,))
 _beta_chain = lru_cache(maxsize=None)(beta_chain)
+_finite_carries = lru_cache(maxsize=1)(lambda spec, entry, order: {})
 
 
 def eval_multisum(spec: MultisumSpec, order: int, *,
@@ -495,12 +501,11 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     """Evaluate the multisum exactly to ``order``.
 
     With ``finite_n`` the sum is the finite beta sequence member at n
-    (outer factor 1/(q)_{n-j_1} and finite leading Pochhammers); without
-    it, the n -> oo limit (outer factor -> 1, leading factors -> infinite
-    products), summed in j_1-blocks by ``_unit_horner``.  Each
-    level's inner sum reads its link kernel (``Level``): a Horner chain
-    under 1/(q)_d or q^{binom(d, 2)}/(q)_d, two carries added under the
-    step [d in {0, 1}].
+    (outer factor 1/(q)_{n-j_1} and finite leading Pochhammers), reusing
+    the carries of the call before it that are still exact, when that call
+    had the same spec, registry entry and order; without it, the n -> oo
+    limit (outer factor -> 1, leading factors -> infinite products), summed
+    in j_1-blocks by ``_unit_horner``.
     """
     levels = spec.levels
     V = len(levels)
@@ -518,6 +523,7 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
 
     # nonzero[L]: the nonzero carries (v, lo, window) at level L, v ascending
     nonzero: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(V)]
+    memo = _finite_carries(spec, entry, order) if n is not None else None
 
     def add_carries(v: int) -> None:
         """Append the nonzero carries at j = v, innermost level first."""
@@ -526,6 +532,10 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
                 continue
             lv = levels[L]
             t_cap = order - LOW[L][v]
+            hit = memo and memo.get((L, v))
+            if hit and hit[0] >= t_cap:
+                nonzero[L] += hit[1]
+                continue
             top = t_cap - own[L][v]
             if L == V - 1:
                 lo, a = beta(v, top)
@@ -535,17 +545,20 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
             if (lv.numer or lv.denom) and (0 < L < V - 1 or n is not None):
                 apply_poch_units(a, _units(lv, 0, v))
             k = next((k for k, c in enumerate(a) if c), None)
-            if k is None:
-                continue  # zero to t_cap
-            lo += own[L][v] + k
-            if lo < IN[L][v]:
-                raise AssertionError(
-                    f"carry at level {L}, j={v} starts at q^{lo}, below its "
-                    f"proved valuation q^{IN[L][v]}")
-            del a[:k]
-            if lv.sign and v % 2:
-                a[:] = map(neg, a)
-            nonzero[L].append((v, lo, a))
+            got = ()  # zero to t_cap
+            if k is not None:
+                lo += own[L][v] + k
+                if lo < IN[L][v]:
+                    raise AssertionError(
+                        f"carry at level {L}, j={v} starts at q^{lo}, below its "
+                        f"proved valuation q^{IN[L][v]}")
+                del a[:k]
+                if lv.sign and v % 2:
+                    a[:] = map(neg, a)
+                got = ((v, lo, a),)
+                nonzero[L] += got
+            if memo is not None:
+                memo[L, v] = t_cap, got
 
     # at finite n each j_1-block is divided by (q)_{n-j_1} on the way
     if n is not None:
@@ -633,8 +646,8 @@ def _collapse_b1bc1(spec: MultisumSpec) -> MultisumSpec:
 
 
 def sum_side_finite(s: Schedule, n: int, order: int) -> LaurentSeries:
-    """The closed-multisum value of beta^final_n at finite n (for
-    cross-validation against the move engine)."""
+    """The closed-multisum value of beta^final_n at finite n, the move
+    engine's check; calls for n = 0, 1, ... on s share one DP's carries."""
     return eval_multisum(build_multisum_spec(s), order, finite_n=n)
 
 

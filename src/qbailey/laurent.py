@@ -118,21 +118,24 @@ class LaurentSeries:
         Zero coefficients are dropped.  Exponents above ``trunc`` are an
         error: the caller would be claiming knowledge it cannot have.
         """
-        clean = {e: c for e, c in terms.items() if c != 0}
-        if clean:
-            lo, hi = min(clean), max(clean)
+        self._set({e: c for e, c in terms.items() if c != 0}, trunc)
+
+    def _set(self, nonzero: dict[int, int], trunc: int) -> "LaurentSeries":
+        if nonzero:
+            lo, hi = min(nonzero), max(nonzero)
             if hi > trunc:
                 raise TruncationError(
                     f"exponent {hi} exceeds truncation order {trunc}"
                 )
             check_floor(lo, trunc)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", nonzero)
         object.__setattr__(self, "trunc", trunc)
+        return self
 
     @classmethod
     def from_window(cls, lo: int, a, trunc: int) -> "LaurentSeries":
         """The series with coefficient a[i] at q^{lo+i}, exact to trunc."""
-        return cls({e: c for e, c in enumerate(a, lo) if c}, trunc)
+        return object.__new__(cls)._set({e: c for e, c in enumerate(a, lo) if c}, trunc)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -273,9 +276,8 @@ class LaurentSeries:
             )
         if order == self.trunc:
             return self
-        return LaurentSeries(
-            {e: c for e, c in self.terms.items() if e <= order}, order
-        )
+        return object.__new__(LaurentSeries)._set(
+            {e: c for e, c in self.terms.items() if e <= order}, order)
 
     # -- equality / text form ---------------------------------------------
 

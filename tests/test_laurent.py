@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qbailey.laurent import (
     InversionError,
     LaurentSeries,
+    RunawayValuationError,
     TruncationError,
     from_text,
     monomial,
@@ -378,6 +379,48 @@ def test_window_edges():
         x.window(11)
     assert LaurentSeries.from_window(-2, [0, 4, 0], 0) == S({-1: 4}, 0)
     assert LaurentSeries.from_window(5, [], 4) == zero(4)
+
+
+def _built(make):
+    """What ``make()`` gives: its terms and trunc, or the error it raises."""
+    try:
+        x = make()
+    except (TruncationError, RunawayValuationError) as exc:
+        return type(exc), str(exc)
+    assert type(x) is LaurentSeries and 0 not in x.terms.values()
+    return x.terms, x.trunc
+
+
+@pytest.mark.parametrize("lo, a, trunc", [
+    (-2, [0, 4, 0, 0, -1, 0], 10),  # zeros inside and at both ends
+    (3, [0, 0, 0], 5),               # all zeros
+    (0, [1, 0, 2, 0, 0], 2),         # zeros past trunc only
+    (0, [1, 0, 2, 0, 5], 2),         # a coefficient past trunc
+    (-600, [0] * 120 + [7, 0, -1], 10),  # first nonzero at q^-480, above the floor
+    (-600, [0] * 90 + [7, 0, -1], 10),   # first nonzero at q^-510, below it
+    (-600, [7], 60),                 # at the floor itself, -10 * 60
+])
+def test_from_window_matches_the_dict_constructor(lo, a, trunc):
+    # from_window builds its map without zeros and skips the constructor's
+    # filter; it must keep every check the constructor makes
+    want = _built(lambda: S(dict(enumerate(a, lo)), trunc))
+    assert _built(lambda: LaurentSeries.from_window(lo, a, trunc)) == want
+
+
+@pytest.mark.parametrize("terms, trunc, order", [
+    ({-3: 1, 0: 2, 4: -5, 9: 1}, 12, 4),
+    ({-3: 1, 0: 2, 4: -5, 9: 1}, 12, 3),
+    ({-3: 1, 0: 2}, 12, -4),       # nothing left
+    ({5: 1}, 12, 13),              # past trunc
+    ({-1000: 1, 0: 1}, 200, 10),   # q^-1000 is above trunc 200's floor, below 10's
+    ({-450: 1, 0: 1}, 200, 10),
+])
+def test_truncated_matches_the_dict_constructor(terms, trunc, order):
+    x = S(terms, trunc)
+    want = (_built(lambda: S({e: c for e, c in terms.items() if e <= order}, order))
+            if order <= trunc else (TruncationError,
+                                    f"cannot extend truncation {trunc} to {order}"))
+    assert _built(lambda: x.truncated(order)) == want
 
 
 UNIT_BASES = [Q_FACTOR, PochFactor(-1, 1, 1), PochFactor(1, 2, 3),

@@ -13,7 +13,10 @@ library's one-pass dense kernel.  The evaluator must agree with them
 exactly.
 """
 
+import json
+import random
 from math import isqrt
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbailey.lattice as lattice
-from qbailey.bailey import registry_entry
+from qbailey.bailey import _DEFAULT_REGISTRY, registry_entry
 from qbailey.lattice import (
     SCHEDULE_TABLE,
     STEP,
@@ -523,6 +526,103 @@ def test_eval_multisum_finite_matches_reference():
         for n in range(4):
             assert (eval_multisum(spec, 20, finite_n=n)
                     == ref_eval_multisum(spec, 20, finite_n=n))
+
+
+# At finite n a call reuses the carries of the call before it on the same
+# spec, registry entry and order.  Each check below compares a call that may
+# reuse them with a fresh one, made with no carries kept.
+
+def fresh_finite(spec, order, n):
+    lattice._finite_carries.cache_clear()
+    text = eval_multisum(spec, order, finite_n=n).to_text()
+    lattice._finite_carries.cache_clear()
+    return text
+
+
+@pytest.mark.parametrize("order", [-3, 0, 20, 40])
+def test_finite_n_reuse_matches_a_fresh_evaluation(order):
+    ns = list(range(6))
+    shuffled = ns[:]
+    random.Random(order).shuffle(shuffled)
+    for spec in small_k_specs(2):
+        want = {n: fresh_finite(spec, order, n) for n in ns}
+        for run in (ns, ns[::-1], shuffled):
+            lattice._finite_carries.cache_clear()
+            for n in run:
+                got = eval_multisum(spec, order, finite_n=n).to_text()
+                assert got == want[n], (spec, order, run, n)
+
+
+def test_finite_n_reuses_a_zero_carry_only_up_to_its_top():
+    # j_2's carry is sum_w (-1)^w (-q^6; q)_w q^{binom(v-w, 2)}
+    # / ((q)_w (q)_{v-w}) (j_4 = 0 alone reaches the order): zero for v >= 1
+    # by the q-binomial theorem, but for (-q^6; q)_w = 1 + O(q^6); at v = 1
+    # it is -q^6/(1 - q).  j_1's own q^{-j_1} gives LOW = -n at j_2, so j_2's
+    # carries are needed to q^n: the one at v = 1 is zero to n up to n = 5
+    spec = _spec(1, (0, 0, 0, 100), (-1, 0, 0, 0), link_binoms=(1,),
+                 signs=(2,), numer=((2, 6),))
+    want = [fresh_finite(spec, 0, n) for n in range(8)]
+    key = spec, registry_entry(1), 0
+    got, kept = [], []
+    for n in range(8):
+        got.append(eval_multisum(spec, 0, finite_n=n).to_text())
+        kept.append(lattice._finite_carries(*key).get((1, 1)))
+    assert got == want
+    assert [(top, bool(c)) for top, c in kept[1:]] == [(n, n >= 6) for n in range(1, 8)]
+    lattice._finite_carries.cache_clear()
+
+
+def test_finite_n_reuse_across_interleaved_specs_and_orders():
+    a = build_multisum_spec(Schedule("lim1", 2, 3, 1))
+    b = build_multisum_spec(Schedule("lim3", 2, 1, 5))
+    calls = [(a, 20, 3), (b, 20, 1), (a, 20, 4), (a, 40, 2), (a, 20, 5),
+             (b, 20, 0), (b, 40, 5), (b, 20, 2)]
+    want = [fresh_finite(*call) for call in calls]
+    lattice._finite_carries.cache_clear()
+    assert [eval_multisum(spec, order, finite_n=n).to_text()
+            for spec, order, n in calls] == want
+
+
+def test_finite_n_reuse_follows_a_changed_registry_beta(tmp_path, monkeypatch):
+    # a registry copy that changes only pair 1's beta folds to an equal spec,
+    # so the kept carries follow the registry entry: a call under one
+    # registry never reads those of the other
+    s = Schedule("lim1", 2, 1, 1)
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    spec = build_multisum_spec(s)
+    bundled = [eval_multisum(spec, 20, finite_n=n).to_text() for n in (4, 3)]
+    data = json.loads(Path(_DEFAULT_REGISTRY).read_text())
+    data["pairs"][0]["beta"]["mono_lin"] += 1
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    monkeypatch.setenv("QBAILEY_REGISTRY", str(reg))
+    assert build_multisum_spec(s) == spec
+    want = [fresh_finite(spec, 20, n) for n in (4, 3)]
+    lattice._finite_carries.cache_clear()
+    eval_multisum(spec, 20, finite_n=4)
+    monkeypatch.delenv("QBAILEY_REGISTRY")
+    assert [eval_multisum(spec, 20, finite_n=n).to_text() for n in (4, 3)] == bundled
+    monkeypatch.setenv("QBAILEY_REGISTRY", str(reg))
+    got = [eval_multisum(spec, 20, finite_n=n).to_text() for n in (4, 3)]
+    assert got == want and got != bundled
+
+
+def test_only_the_last_finite_n_spec_keeps_its_carries():
+    # the kept carries are those of the last finite-n call alone; the n -> oo
+    # limit keeps none
+    lattice._finite_carries.cache_clear()
+    for s in (Schedule("lim1", 1, 0, 1), Schedule("lim2", 2, 1, 4)):
+        sum_side(s, 40)
+    assert lattice._finite_carries.cache_info().currsize == 0
+    for spec in small_k_specs(1):
+        for n in range(3):
+            eval_multisum(spec, 20, finite_n=n)
+    info = lattice._finite_carries.cache_info()
+    assert info.currsize == 1
+    # and they are the last spec's: asking for its key finds them
+    assert lattice._finite_carries(spec, registry_entry(spec.pair_id), 20)
+    assert lattice._finite_carries.cache_info().hits == info.hits + 1
+    lattice._finite_carries.cache_clear()
 
 
 def test_the_dp_shares_no_state_with_the_move_engine(monkeypatch):
