@@ -42,7 +42,8 @@ and each level keeps the list of its nonzero carries.  A carry's inner sum
 over the level below, sum_w g_w q^{binom(v-w, 2)} / (q)_{v-w}, is one
 Horner chain on one window: going from w - 1 to w it shifts by v - w (on a
 linked level), divides by (1 - q^{v-w+1}) and adds g_w, each step a single
-pass (``qproducts.binomial_step``), so no series product, inversion or
+pass (``qproducts.binomial_step``, ``laurent.add_window``, which grows the
+window down to where g_w starts), so no series product, inversion or
 Pochhammer cache is involved; over a step kernel it is the two carries at
 w = v - 1 and w = v added on the window.  Every carry is first checked to
 reach the sum's truncation.  The cell's own exponent then moves the window's
@@ -97,7 +98,7 @@ from operator import add, neg
 
 from .bailey import (_MOVE_TABLE, Move, RegistryEntry, _binom2, beta_chain,
                      ratio_bases, registry_entry)
-from .laurent import LaurentSeries
+from .laurent import LaurentSeries, add_window
 from .qproducts import (
     PochFactor,
     SumTerm,
@@ -426,7 +427,7 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
 
     run on one dense window that ends at ``top``: going from w - 1 to w
     shifts by v - w (on a linked level only), divides by (1 - q^{v-w+1})
-    and adds g_w with one slice operation, and after the last carry the
+    and adds g_w by ``add_window``, and after the last carry the
     steps go on up to v.  A shift moves the window's start up and drops as
     many coefficients past ``top``; a carry that starts below the window
     extends it downward.  Every step is one pass over the window
@@ -455,12 +456,7 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
                 lo = top + 1 - len(a)
             if d + 1 < len(a):  # a longer factor is 1 on the window
                 binomial_step(a, d + 1, 1, -1)
-        if g and glo <= top:
-            if glo < lo:
-                a[:0] = [0] * (lo - glo)
-                lo = glo
-            i = glo - lo  # the slice stops at top, and g is read no further
-            a[i:i + len(g)] = map(add, a[i:i + len(g)], g)
+        lo = add_window(a, lo, glo, g)
         u = w
     return lo, a
 
@@ -483,9 +479,7 @@ def _unit_horner(blocks: list[tuple[int, int, list[int]]], row: Level,
             raise AssertionError(f"block at j_1={w} is exact to "
                                  f"{glo + len(g) - 1}, short of {top}")
         apply_poch_units(a, _units(row, w, u - w))  # f_w ... f_{u-1}
-        a[:0] = [0] * (lo - glo)  # empty unless the block starts below
-        lo = min(lo, glo)
-        a[glo - lo:len(g) + glo - lo] = map(add, a[glo - lo:], g)
+        lo = add_window(a, lo, glo, g)
         u = w
     return lo, a
 

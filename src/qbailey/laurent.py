@@ -1,28 +1,30 @@
 """Exact arithmetic on truncated formal Laurent series in q.
 
-A ``LaurentSeries`` stores a finite map exponent -> integer coefficient
-together with a truncation order ``trunc``: the series is known exactly at
-every exponent <= trunc and unknown above.  All coefficients are Python
-ints, so arithmetic is exact at arbitrary precision.  Truncation is
-propagated conservatively through multiplication (via valuations), so a
-result never reports a coefficient it does not actually know.
+A ``LaurentSeries`` is a window and a truncation order ``trunc``: the
+coefficients ``coeffs`` of q^lo, q^{lo+1}, ..., first and last nonzero (a
+zero series has none and lo = trunc + 1), known exactly at every exponent
+<= trunc and unknown above; ``terms`` is an exponent -> coefficient view
+built on each read.  All coefficients are Python ints, so arithmetic is
+exact at arbitrary precision.  Truncation is propagated conservatively
+through multiplication (via valuations), so a result never reports a
+coefficient it does not actually know.
 
 Every product of two nonempty series goes by Kronecker substitution: each
 operand, clipped to the exponents that can reach the result's truncation,
-is written as a dense coefficient list and packed into one Python int, one
-fixed-width digit per exponent, and a single big-int multiply (Karatsuba
-inside CPython) gives every coefficient at once.  The digit width comes
-from a proved bound on the product's coefficients, so digits never
-overflow into each other.
+is packed into one Python int, one fixed-width digit per exponent, and a
+single big-int multiply (Karatsuba inside CPython) gives every
+coefficient at once.  The digit width comes from a proved bound on the
+product's coefficients, so digits never overflow into each other.
 
 ``__mul__`` is the only product of two series.  The Pochhammer symbols of
 the Bailey moves, the registry betas, the multisum's inner sum and the
 hand-summed series of ``lattice`` do not come here: their factors
-(1 - s q^e) are applied one at a time on a window
-(``qproducts.binomial_step``).  A window ``(lo, a)`` is the dense
-coefficient list a[i] of q^{lo+i}, from the valuation up to a known top
-lo + len(a) - 1.  ``window`` and ``from_window`` are the only conversions
-between the two formats.
+(1 - s q^e) are applied one at a time on a mutable window ``(lo, a)``
+(``qproducts.binomial_step``), the list a[i] of the coefficient of
+q^{lo+i} up to a known top lo + len(a) - 1.  ``window`` copies a series
+into one, ``from_window`` strips one's zeros back into a series, and
+``add_window`` is the one add of a window into another (``__add__``,
+``qproducts.term_sum`` and the Horner chains of ``lattice``).
 
 Inversion solves for the inverse's coefficients one exponent at a time,
 summing only over the nonzero terms of the series being inverted.  No
@@ -35,6 +37,8 @@ Values are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 
 class TruncationError(ValueError):
@@ -69,48 +73,62 @@ def check_floor(lo: int, trunc: int) -> None:
             f"exponent {lo} below valuation floor {_floor_for(trunc)}")
 
 
-def _kronecker_mul(xs: dict[int, int], ys: dict[int, int], trunc: int) -> dict[int, int]:
-    """Nonzero coefficients of xs * ys at exponents <= trunc.
+def add_window(a: list[int], lo: int, glo: int, g) -> int:
+    """Add the window ``(glo, g)`` into the window ``(lo, a)`` in place and
+    return a's new start: a grows down to glo when g starts below it, and g
+    is read only up to a's top lo + len(a) - 1, which stays where it is."""
+    if not g or glo >= lo + len(a):
+        return lo
+    if glo < lo:
+        a[:0] = [0] * (lo - glo)
+        lo = glo
+    i = glo - lo
+    a[i:i + len(g)] = map(add, a[i:i + len(g)], g)
+    return lo
 
-    Both operands are nonempty and trunc >= val(xs) + val(ys).  Each is
-    written as a dense coefficient list, packed into one Python int with a
-    digit of ``8 * width`` bits per exponent, and the two ints are
-    multiplied once.  Every product coefficient is a sum of at most
-    min(#xs, #ys) terms, each at most max|xs| * max|ys| in absolute value;
-    the width makes that bound smaller than half a digit, so a bias of half
-    a digit makes every digit of the biased product nonnegative and no
-    digit carries into the next.
+
+def _check_span(lo: int, hi: int, trunc: int) -> None:
+    if hi > trunc:
+        raise TruncationError(f"exponent {hi} exceeds truncation order {trunc}")
+    check_floor(lo, trunc)
+
+
+def _kronecker_mul(vx: int, xs: tuple[int, ...], vy: int, ys: tuple[int, ...],
+                   trunc: int) -> list[int]:
+    """The coefficients of q^{vx+vy} .. q^trunc, at most, of the product of
+    the windows (vx, xs) and (vy, ys).
+
+    Both windows are nonempty and trunc >= vx + vy.  Each is clipped to the
+    exponents that can reach trunc, packed into one Python int with a digit
+    of ``8 * width`` bits per exponent, and the two ints are multiplied
+    once.  Every product coefficient is a sum of at most min(len(xs),
+    len(ys)) terms, each at most max|xs| * max|ys| in absolute value; the width
+    makes that bound smaller than half a digit, so a bias of half a digit
+    makes every digit of the biased product nonnegative and no digit
+    carries into the next.
     """
-    vx, vy = min(xs), min(ys)
-    xs = {e: c for e, c in xs.items() if e <= trunc - vy}
-    ys = {e: c for e, c in ys.items() if e <= trunc - vx}
-    bound = (max(map(abs, xs.values())) * max(map(abs, ys.values()))
-             * min(len(xs), len(ys)))
+    m = trunc - vx - vy + 1  # entries that can reach an exponent <= trunc
+    xs, ys = xs[:m], ys[:m]
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
     width = (bound.bit_length() + 8) // 8  # bytes per digit; bound < 2**(8*width-1)
     bias = 1 << (8 * width - 1)
     pad = bias.to_bytes(width, "little")
 
-    def pack(terms: dict[int, int], v: int) -> tuple[int, int]:
-        n = max(terms) - v + 1
-        dense = [bias] * n
-        for e, c in terms.items():
-            dense[e - v] = c + bias
-        raw = b"".join([d.to_bytes(width, "little") for d in dense])
-        return int.from_bytes(raw, "little") - int.from_bytes(pad * n, "little"), n
+    def pack(dense: tuple[int, ...]) -> int:
+        raw = b"".join([(c + bias).to_bytes(width, "little") for c in dense])
+        return int.from_bytes(raw, "little") - int.from_bytes(pad * len(dense), "little")
 
-    x, nx = pack(xs, vx)
-    y, ny = pack(ys, vy)
-    n = min(nx + ny - 1, trunc - vx - vy + 1)  # digits at exponents <= trunc
+    n = min(len(xs) + len(ys) - 1, m)  # digits at exponents <= trunc
     nbytes = n * width
-    low = (x * y + int.from_bytes(pad * n, "little")) & ((1 << (8 * nbytes)) - 1)
+    low = ((pack(xs) * pack(ys) + int.from_bytes(pad * n, "little"))
+           & ((1 << (8 * nbytes)) - 1))
     raw = low.to_bytes(nbytes, "little")
-    digits = [int.from_bytes(raw[i:i + width], "little") for i in range(0, nbytes, width)]
-    base = vx + vy
-    return {base + k: d - bias for k, d in enumerate(digits) if d != bias}
+    return [int.from_bytes(raw[i:i + width], "little") - bias
+            for i in range(0, nbytes, width)]
 
 
 class LaurentSeries:
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("lo", "coeffs", "trunc")
 
     def __init__(self, terms: dict[int, int], trunc: int):
         """Build from an exponent -> coefficient map, canonicalizing.
@@ -118,56 +136,56 @@ class LaurentSeries:
         Zero coefficients are dropped.  Exponents above ``trunc`` are an
         error: the caller would be claiming knowledge it cannot have.
         """
-        self._set({e: c for e, c in terms.items() if c != 0}, trunc)
+        keys = [e for e, c in terms.items() if c]
+        lo, hi = (min(keys), max(keys)) if keys else (trunc + 1, trunc)
+        _check_span(lo, hi, trunc)
+        self._set(lo, tuple([terms.get(e, 0) for e in range(lo, hi + 1)]), trunc)
 
-    def _set(self, nonzero: dict[int, int], trunc: int) -> "LaurentSeries":
-        if nonzero:
-            lo, hi = min(nonzero), max(nonzero)
-            if hi > trunc:
-                raise TruncationError(
-                    f"exponent {hi} exceeds truncation order {trunc}"
-                )
-            check_floor(lo, trunc)
-        object.__setattr__(self, "terms", nonzero)
+    def _set(self, lo: int, coeffs: tuple[int, ...], trunc: int) -> "LaurentSeries":
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "trunc", trunc)
         return self
 
     @classmethod
     def from_window(cls, lo: int, a, trunc: int) -> "LaurentSeries":
         """The series with coefficient a[i] at q^{lo+i}, exact to trunc."""
-        return object.__new__(cls)._set({e: c for e, c in enumerate(a, lo) if c}, trunc)
+        i, j = 0, len(a)
+        while i < j and not a[i]:
+            i += 1
+        while j > i and not a[j - 1]:
+            j -= 1
+        lo = lo + i if i < j else trunc + 1  # a zero series starts past trunc
+        _check_span(lo, lo + j - i - 1, trunc)
+        return object.__new__(cls)._set(lo, tuple(a[i:j]), trunc)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[int, int]:
+        """A fresh exponent -> coefficient map of the nonzero coefficients."""
+        return {e: c for e, c in enumerate(self.coeffs, self.lo) if c}
+
     def val(self) -> int | None:
         """Lowest exponent with nonzero coefficient, or None if zero."""
-        return min(self.terms) if self.terms else None
+        return self.lo if self.coeffs else None
 
     def _effval(self) -> int:
-        # For truncation bookkeeping a series that is zero to its truncation
-        # behaves as if its valuation were trunc + 1 (it could start there).
-        return min(self.terms) if self.terms else self.trunc + 1
+        return self.lo
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def coefficient(self, exp: int) -> int:
-        if exp > self.trunc:
-            raise TruncationError(
-                f"coefficient at q^{exp} unknown (trunc={self.trunc})"
-            )
-        return self.terms.get(exp, 0)
+        return self.coefficients(exp, exp)[0]
 
     def coefficients(self, lo: int, hi: int) -> list[int]:
         """Coefficients of q^lo .. q^hi inclusive."""
-        if hi > self.trunc:
-            raise TruncationError(
-                f"coefficient at q^{hi} unknown (trunc={self.trunc})"
-            )
-        return [self.terms.get(e, 0) for e in range(lo, hi + 1)]
+        v, a = self.window(hi)
+        return [a[e - v] if e >= v else 0 for e in range(lo, hi + 1)]
 
     def window(self, top: int) -> tuple[int, list[int]]:
         """The coefficients from the valuation up to ``top`` as a window
@@ -177,15 +195,10 @@ class LaurentSeries:
         if top > self.trunc:
             raise TruncationError(
                 f"coefficient at q^{top} unknown (trunc={self.trunc})")
-        terms = self.terms
-        lo = min(terms, default=top + 1)
-        if lo > top:
+        n = top - self.lo + 1
+        if n <= 0:
             return top + 1, []
-        a = [0] * (top - lo + 1)
-        for e, c in terms.items():
-            if e <= top:
-                a[e - lo] = c
-        return lo, a
+        return self.lo, [*self.coeffs[:n], *[0] * (n - len(self.coeffs))]
 
     def eq_to_order(self, other: "LaurentSeries", order: int) -> bool:
         """True iff all coefficients agree at every exponent <= order."""
@@ -194,13 +207,7 @@ class LaurentSeries:
                 f"cannot compare to order {order}: truncations are "
                 f"{self.trunc} and {other.trunc}"
             )
-        for e, c in self.terms.items():
-            if e <= order and other.terms.get(e, 0) != c:
-                return False
-        for e, c in other.terms.items():
-            if e <= order and e not in self.terms:
-                return False
-        return True
+        return self.truncated(order) == other.truncated(order)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -208,27 +215,28 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentSeries({e: c for e, c in out.items() if e <= trunc}, trunc)
+        lo, a = self.window(trunc)
+        lo = add_window(a, lo, other.lo, other.coeffs)
+        return LaurentSeries.from_window(lo, a, trunc)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries({e: -c for e, c in self.terms.items()}, self.trunc)
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentSeries(
-                {e: c * other for e, c in self.terms.items()}, self.trunc
-            )
+            return LaurentSeries.from_window(
+                self.lo, [c * other for c in self.coeffs], self.trunc)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        trunc = min(self.trunc + other._effval(), other.trunc + self._effval())
-        xs, ys = self.terms, other.terms
-        return LaurentSeries(_kronecker_mul(xs, ys, trunc) if xs and ys else {}, trunc)
+        trunc = min(self.trunc + other.lo, other.trunc + self.lo)
+        if not (self.coeffs and other.coeffs):
+            return zero(trunc)
+        return LaurentSeries.from_window(
+            self.lo + other.lo,
+            _kronecker_mul(self.lo, self.coeffs, other.lo, other.coeffs, trunc), trunc)
 
     __rmul__ = __mul__
 
@@ -236,9 +244,7 @@ class LaurentSeries:
         """Multiply by q^m: all exponents and the truncation move by m."""
         if m == 0:
             return self
-        return LaurentSeries(
-            {e + m: c for e, c in self.terms.items()}, self.trunc + m
-        )
+        return LaurentSeries.from_window(self.lo + m, self.coeffs, self.trunc + m)
 
     def invert(self) -> "LaurentSeries":
         """Multiplicative inverse.
@@ -250,7 +256,7 @@ class LaurentSeries:
         v = self.val()
         if v is None:
             raise InversionError("cannot invert a series that is zero to truncation")
-        lead = self.terms[v]
+        lead = self.coeffs[0]
         if lead not in (1, -1):
             raise InversionError(f"leading coefficient {lead} is not a unit")
         _, u = self.window(self.trunc)
@@ -276,8 +282,8 @@ class LaurentSeries:
             )
         if order == self.trunc:
             return self
-        return object.__new__(LaurentSeries)._set(
-            {e: c for e, c in self.terms.items() if e <= order}, order)
+        return LaurentSeries.from_window(
+            self.lo, self.coeffs[:max(order - self.lo + 1, 0)], order)
 
     # -- equality / text form ---------------------------------------------
 
@@ -285,15 +291,16 @@ class LaurentSeries:
         return (
             isinstance(other, LaurentSeries)
             and self.trunc == other.trunc
-            and self.terms == other.terms
+            and self.lo == other.lo
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((self.trunc, tuple(sorted(self.terms.items()))))
+        return hash((self.trunc, self.lo, self.coeffs))
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``trunc=10; -1:1 0:2 3:-5``."""
-        body = " ".join(f"{e}:{c}" for e, c in sorted(self.terms.items()))
+        body = " ".join(f"{e}:{c}" for e, c in enumerate(self.coeffs, self.lo) if c)
         return f"trunc={self.trunc};" + (f" {body}" if body else "")
 
     def __repr__(self) -> str:

@@ -44,7 +44,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 
-from .laurent import InversionError, LaurentSeries, check_floor, zero
+from .laurent import InversionError, LaurentSeries, add_window, check_floor, zero
 
 
 class DivergentProductError(ValueError):
@@ -347,7 +347,7 @@ def qtpi_product(u: int, v: int, order: int) -> LaurentSeries:
     (lo1, _), (lo2, _) = (theta_window(*ab, 0) for ab in thetas)
     j1, j2 = (LaurentSeries.from_window(*theta_window(*ab, order - lo), order - lo)
               for ab, lo in zip(thetas, (lo2, lo1)))
-    if not (j1.terms and j2.terms):
+    if j1.is_zero() or j2.is_zero():
         return zero(order)
     lo, a = (j1 * j2).window(order)
     apply_poch_units(a, (_inf_unit(PochFactor(1, 2 * u, 2 * u), len(a) - 1, -1),))
@@ -356,31 +356,29 @@ def qtpi_product(u: int, v: int, order: int) -> LaurentSeries:
 
 def term_sum(terms: Iterable[SumTerm], order: int) -> LaurentSeries:
     """The sum of the terms ``(sign, shift, parent, units)``, exact to
-    ``order``: every term adds into one coefficient map, and one series
-    is built at the end.  A parent is requested once, at ``order - shift``,
-    and its window up to there (or the window of 1) is multiplied by the
-    units in place (``apply_poch_units``), so no coefficient above that is
-    ever needed, however negative its valuation."""
-    total: dict[int, int] = {}
-    get = total.get
+    ``order``, added into one window that ends at the order (``add_window``;
+    a monomial adds the window ``[sign]``).  A parent is requested once, at
+    ``order - shift``, and its window up to there (or the window of 1) is
+    multiplied by the units in place (``apply_poch_units``), so no
+    coefficient above that is ever needed, however negative its valuation."""
+    lo, total = order + 1, []
     for sign, shift, parent, units in terms:
         top = order - shift
         if parent is None:
             if not units:  # a monomial
-                if top >= 0:
-                    total[shift] = get(shift, 0) + sign
+                lo = add_window(total, lo, shift, [sign])
                 continue
-            lo, a = (0, [1] + [0] * top) if top >= 0 else (top + 1, [])
+            alo, a = (0, [1] + [0] * top) if top >= 0 else (top + 1, [])
         else:
             p = parent(top)
             if p.trunc < top:
                 raise AssertionError("truncation underflow in move composition")
-            lo, a = p.window(top)
+            alo, a = p.window(top)
         apply_poch_units(a, units)
-        for e, c in enumerate(a, lo + shift):
-            if c:
-                total[e] = get(e, 0) + sign * c
-    return LaurentSeries(total, order)
+        if sign != 1:
+            a = [sign * c for c in a]
+        lo = add_window(total, lo, alo + shift, a)
+    return LaurentSeries.from_window(lo, total, order)
 
 
 def vanishing_terms(block: Callable[[int], list[SumTerm]],

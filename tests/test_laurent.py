@@ -11,6 +11,7 @@ from qbailey.laurent import (
     LaurentSeries,
     RunawayValuationError,
     TruncationError,
+    add_window,
     from_text,
     monomial,
     one,
@@ -469,3 +470,97 @@ def test_term_sum_requests_each_parent_once_and_rejects_a_short_one():
     short = S({0: 1}, 5)
     with pytest.raises(AssertionError, match="truncation underflow"):
         term_sum([(1, 0, None, ()), (1, 2, lambda o: short, ())], 10)
+
+
+# -- the window format -------------------------------------------------------
+
+class _Reads(list):
+    """A window that records how many of its entries were read."""
+
+    read = 0
+
+    def __iter__(self):
+        for i, c in enumerate(list.__iter__(self)):
+            self.read = i + 1
+            yield c
+
+
+def test_add_window_grows_down_to_the_added_window():
+    a = [1, 2, 3]  # q^5 .. q^7
+    assert add_window(a, 5, 3, [10, 20, 30]) == 3
+    assert a == [10, 20, 31, 2, 3]
+    b = []  # nothing known below the top q^10 yet
+    assert add_window(b, 11, 8, [1, 0, 2, 0, 9]) == 8
+    assert b == [1, 0, 2]
+
+
+def test_add_window_reads_nothing_past_the_top():
+    a, g = [1, 2], _Reads([5, 6, 7])  # a is q^0 .. q^1, g starts at q^1
+    assert add_window(a, 0, 1, g) == 0
+    assert a == [1, 7] and g.read == 1
+    above = _Reads([4])
+    assert add_window(a, 0, 2, above) == 0
+    assert a == [1, 7] and above.read == 0
+
+
+def test_add_window_of_nothing_leaves_the_window_alone():
+    a = [1, 2]
+    for glo in (-5, 0, 1, 9):
+        assert add_window(a, 3, glo, []) == 3
+        assert a == [1, 2]
+
+
+def _canonical(x):
+    """The stored window is a tuple that starts and ends nonzero, and a zero
+    series starts just past its truncation."""
+    assert type(x.coeffs) is tuple
+    if x.coeffs:
+        assert x.coeffs[0] and x.coeffs[-1] and x.val() == x.lo
+    else:
+        assert x.lo == x.trunc + 1 and x.val() is None
+    assert x._effval() == x.lo
+    return x
+
+
+@given(series_st(), series_st())
+@settings(max_examples=120)
+def test_every_result_is_stored_canonically(x, y):
+    for z in (x, y, x + y, x - y, x * y, x * 0, -x, x.shift(4),
+              x.truncated(x.trunc - 3), x * 3):
+        _canonical(z)
+
+
+@given(series_st())
+@settings(max_examples=120)
+def test_one_series_built_four_ways_is_equal_and_hashes_equal(x):
+    lo, a = x.window(x.trunc)
+    same = [LaurentSeries.from_window(lo - 2, [0, 0, *a, 0, 0, 0], x.trunc),
+            LaurentSeries(x.terms, x.trunc),
+            x + zero(x.trunc),
+            x.shift(3).shift(-3)]
+    for y in same:
+        assert _canonical(y) == x and hash(y) == hash(x), (x, y)
+
+
+@given(series_st())
+@settings(max_examples=120)
+def test_a_zero_series_built_five_ways_is_equal_and_hashes_equal(x):
+    if x.is_zero():
+        x = x + monomial(1, x.trunc, x.trunc)
+    t = x.val() - 1
+    w = x.shift(t - x.trunc)  # nonzero, exact to t
+    zeros = [zero(t), LaurentSeries.from_window(5, [0, 0], t), w - w,
+             x.truncated(x.val() - 1), w * 0]
+    for z in zeros:
+        assert _canonical(z) == zero(t) and hash(z) == hash(zero(t)), (x, z)
+        assert z.to_text() == f"trunc={t};"
+
+
+def test_mutating_terms_leaves_the_series_alone():
+    x = S({0: 1, 3: -2}, 5)
+    terms = x.terms
+    terms[0] = 9
+    terms[4] = 1
+    del terms[3]
+    assert x == S({0: 1, 3: -2}, 5)
+    assert x.terms == {0: 1, 3: -2} and x.to_text() == "trunc=5; 0:1 3:-2"
