@@ -39,15 +39,15 @@ inverse:
                (-q^b)_j / (-q^a)_n * beta_j / (q)_{n-j}.
 
 The base changes BC1 and BC2 read alpha~_n - a q^{2n-2} alpha~_{n-1} in
-place of alpha_n for n >= 1 and lower the base by one.  Every move thus
-multiplies a parent sequence by a power of q and by finite q-Pochhammer
-symbols: a term of ``qproducts.term_sum``, whose one-term case is
-``compose_exact``.  Each symbol is a unit triple ``(PochFactor, length,
-power)`` with power +1 or -1, applied factor by factor in one pass over
-the parent's coefficient window: no series product, inversion or
-Pochhammer cache sits on this path.  A move's beta is one ``term_sum`` of
-its j-pieces.  ``lattice.build_multisum_spec`` reads
-the same table to write a move word as one closed multisum.
+place of alpha_n for n >= 1 and lower the base by one.  A move's alpha'_n
+is one term of ``qproducts.term_sum`` (``compose_exact``), which serves only
+the alpha side and ``verify_pair``: unit triples ``(PochFactor, length,
+power)`` applied a pass per factor on the parent's window, with no series
+product, inversion or Pochhammer cache.  Its beta'_n is one level of the
+chain DP: the j-pieces above, less their j-free factors and the kernel
+(backward q^{binom(n-j, 2)}) / (q)_{n-j}, are the g_j, kept at the deepest
+top asked and summed in one Horner chain (``qproducts._link_sum``).
+``lattice.build_multisum_spec`` writes a move word from it as one multisum.
 
 A registry pair's beta_n = q^{mono(n)} (symbols of length n or 2n) is
 stepped from beta_{n-1} (``beta_chain``): a chain keeps the valuation-zero
@@ -81,6 +81,8 @@ from .qproducts import (
     PochFactor,
     Q_FACTOR,
     Unit,
+    _binom2,
+    _link_sum,
     apply_poch_units,
     neg_ratio,
     running_chain,
@@ -106,10 +108,6 @@ class Move(Enum):
     BC2 = "BC2"
 
 
-def _binom2(x: int) -> int:
-    return x * (x - 1) // 2
-
-
 class BaileyPair:
     """A Bailey pair with lazily evaluated, memoized sequences.
 
@@ -118,9 +116,10 @@ class BaileyPair:
     must return a series exact at least to ``order``.  Memoization keeps
     the deepest (highest-order) evaluation per index, and every value
     handed out ends at exactly the requested order, so what a caller sees
-    does not depend on which deeper request came first.  ``apply_move`` keeps the pair's
-    children here too.  Instances are immutable apart from these caches,
-    so sharing across threads is safe under the GIL.
+    does not depend on which deeper request came first.  ``apply_move``
+    keeps the pair's children here too, and a moved pair's ``beta`` its g_j
+    windows (``_build_move``).  Instances are immutable apart from these
+    caches, so sharing across threads is safe under the GIL.
     """
 
     def __init__(self, base_exp: int, *, alpha: SeqFn | None = None,
@@ -240,6 +239,7 @@ def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
     bases = ratio_bases(move, c)
     backward = rule.backward
     sign = -1 if backward else 1
+    kept: dict[int, tuple[int, int, list[int]]] = {}  # j -> g_j's carry (j, lo, window)
 
     def ratio(j: int, n: int) -> tuple[Unit, ...]:
         return neg_ratio(*bases, j, n) if bases else ()
@@ -253,11 +253,21 @@ def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
         return compose_exact(order, sign * rule.f(n, c), parent, *ratio(n, n))
 
     def beta(n, order):
-        return term_sum(
-            [(-1 if backward and (n + j) % 2 else 1,
-              _binom2(n - j) - rule.f(n, c) if backward else rule.f(j, c),
-              partial(pair.beta, j), (*ratio(j, n), (Q_FACTOR, n - j, -1)))
-             for j in range(n + 1)], order)
+        f = rule.f(n, c) if backward else 0
+        top, carries = order + f, []
+        for j in range(n + 1):
+            need = top - _binom2(n - j) if backward else top
+            g = kept.get(j)
+            if g is None or g[1] + len(g[2]) <= need:
+                t = need - (0 if backward else rule.f(j, c))
+                lo, a = pair._deepest(pair._beta_cache, pair._beta_fn, j, t).window(t)
+                apply_poch_units(a, ratio(j, 0))
+                g = kept[j] = j, lo + need - t, [-x for x in a] if backward and j % 2 else a
+            carries.append(g)
+        lo, a = _link_sum(carries, n, top, backward)
+        apply_poch_units(a, ratio(0, n))
+        return LaurentSeries.from_window(
+            lo - f, [-x for x in a] if backward and n % 2 else a, order)
 
     return BaileyPair(c + rule.base_change, alpha=alpha, beta=beta)
 

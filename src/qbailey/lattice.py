@@ -40,23 +40,21 @@ infeasible one exceeds the order.  Each kept carry's window ends at
 order - LOW[L][v], which is exactly the precision that can still matter,
 and each level keeps the list of its nonzero carries.  A carry's inner sum
 over the level below, sum_w g_w q^{binom(v-w, 2)} / (q)_{v-w}, is one
-Horner chain on one window: going from w - 1 to w it shifts by v - w (on a
-linked level), divides by (1 - q^{v-w+1}) and adds g_w, each step a single
-pass (``qproducts.binomial_step``, ``laurent.add_window``, which grows the
-window down to where g_w starts), so no series product, inversion or
-Pochhammer cache is involved; over a step kernel it is the two carries at
-w = v - 1 and w = v added on the window.  Every carry is first checked to
-reach the sum's truncation.  The cell's own exponent then moves the window's
-valuation and its sign negates it; its units (-q^b; q)_v^{+-1} apply on the
-list, v passes.  In the n -> oo limit the end rows step theirs, a factor per
-index (a middle row's carries differ per v): the innermost row's with its
-beta_v, on a chain for the call (``bailey.beta_chain``; a row without units
-reads one per registry ``BetaSpec``, held here and by no Bailey pair).  At
-finite n the j_1-blocks are divided by (q)_{n-j_1} in one more Horner chain.
-No carry depends on n, and LOW only falls as the cap n grows, so the carries
-of the last (spec, registry entry, order) are kept, zero ones too, with the
-t_cap each is exact to; a later call reuses one whose t_cap reaches its own,
-as ``_link_sum`` or the final truncation cuts a longer window.
+Horner chain on one window, a pass per w, with no series product,
+inversion or Pochhammer cache (``qproducts._link_sum``, which the move
+engine's beta'_n shares; over a step kernel, the two carries at w = v - 1
+and w = v added), each carry first checked to reach the sum's truncation.
+The cell's own exponent then moves the window's valuation and its sign
+negates it; its units (-q^b; q)_v^{+-1} apply on the list, v passes.  In the
+n -> oo limit the end rows step theirs, a factor per index (a middle row's
+carries differ per v): the innermost row's with its beta_v, on a chain for
+the call (``bailey.beta_chain``; a row without units reads one per registry
+``BetaSpec``, held here and by no Bailey pair).  At finite n the j_1-blocks
+are divided by (q)_{n-j_1} in one more Horner chain.  No carry depends on n,
+and LOW only falls as the cap n grows, so the carries of the last (spec,
+registry entry, order) are kept, zero ones too, with the t_cap each is exact
+to; a later call reuses one whose t_cap reaches its own, as ``_link_sum`` or
+the final truncation cuts a longer window.
 In the n -> oo limit the grid ends at a proved bound on j_1 (``_j1_bound``)
 when its P > 0, else at the heuristic cap 2 isqrt(order) + V + 14.  Summands
 with backward moves have unboundedly negative exponents that cancel in
@@ -64,8 +62,8 @@ blocks of fixed outermost index, so each complete j_1-block is one block of
 ``qproducts.vanishing_terms``.  A proved grid runs to its end; elsewhere
 three blocks in a row zero to the order end it (an infeasible block below a
 feasible one is not counted), and a block past the cap raises
-ArithmeticError.  ``_unit_horner`` sums the blocks with the outermost units,
-a factor per index, from the last block down.
+ArithmeticError.  ``qproducts._unit_horner`` sums the blocks with the
+outermost units, a factor per index, from the last block down.
 ``sum_side`` first sums out each F2·B1 pair by lemma f2b1: the raw folds of
 (1|3|5, lim3, 1, 1) and (1, lim3, 1, 2) have no bound, and once collapsed
 every bundled cell up to level 151 has one.  It then sums out each B1·BC1
@@ -96,15 +94,19 @@ from itertools import accumulate
 from math import isqrt
 from operator import add, neg
 
-from .bailey import (_MOVE_TABLE, Move, RegistryEntry, _binom2, beta_chain,
+from .bailey import (_MOVE_TABLE, Move, RegistryEntry, beta_chain,
                      ratio_bases, registry_entry)
-from .laurent import LaurentSeries, add_window
+from .laurent import LaurentSeries
 from .qproducts import (
+    STEP,
     PochFactor,
     SumTerm,
+    _binom2,
+    _link_sum,
+    _unit_horner,
+    _units,
     apply_inf_ratio,
     apply_poch_units,
-    binomial_step,
     inv_poch_inf,
     neg_ratio,
     poch_finite,  # noqa: F401  unused; perfbench/selftest.py reads lattice.poch_finite
@@ -216,9 +218,6 @@ class Level(namedtuple("Level", "quad lin self_binom link sign numer denom")):
     writes and no record holds."""
 
     __slots__ = ()
-
-
-STEP = "step"  # Level.link of a j_1 whose j_2 lemma b1bc1 summed out
 
 
 class MultisumSpec(namedtuple("MultisumSpec", "pair_id levels prefactors")):
@@ -410,78 +409,6 @@ def _j1_bound(spec: MultisumSpec, order: int, entry: RegistryEntry) -> int | Non
         return None
     # floor of the larger root of P v^2 + S v - 2 order (the vertex if none)
     return (isqrt(max(S * S + 8 * P * order, 0)) - S) // (2 * P)
-
-
-def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
-              link: bool | str) -> tuple[int, list[int]]:
-    """sum over carries (w, lo, g) of g times the ``link`` kernel at v - w
-    (``Level``), as a window up to ``top``.  A carry is a window: g[i] is
-    the coefficient of q^{lo+i}, known up to q^{lo+len(g)-1}.  The carries
-    come in ascending w <= v.  The step kernel adds the carries at
-    w = v - 1 and w = v as they are, with no Horner step.
-
-    Since q^{binom(d, 2)} / (q)_d = prod_{m=1..d} q^{m-1} / (1 - q^m), the
-    sum is the Horner chain
-
-        g_v + q^0/(1 - q) (g_{v-1} + q^1/(1 - q^2) (g_{v-2} + ...)),
-
-    run on one dense window that ends at ``top``: going from w - 1 to w
-    shifts by v - w (on a linked level only), divides by (1 - q^{v-w+1})
-    and adds g_w by ``add_window``, and after the last carry the
-    steps go on up to v.  A shift moves the window's start up and drops as
-    many coefficients past ``top``; a carry that starts below the window
-    extends it downward.  Every step is one pass over the window
-    (``qproducts.binomial_step``).  A carry must itself reach ``top`` once
-    shifted by its binom(v-w, 2); one that does not would make the sum
-    claim coefficients it does not know.
-    """
-    horner = link is not STEP
-    if not horner:
-        carries = [c for c in carries[-2:] if c[0] >= v - 1]
-    for w, glo, g in carries:
-        s = _binom2(v - w) if link else 0  # 0 at the step's v - w <= 1
-        if glo + len(g) - 1 + s < top:
-            raise AssertionError(
-                f"carry at j={w} is exact to {glo + len(g) - 1 + s} after its "
-                f"shift, short of {top}")
-    lo, a = top + 1, []
-    if not carries:
-        return lo, a
-    u = carries[0][0]
-    for w, glo, g in carries + [(v, lo, [])]:
-        # the steps u + 1 .. w, d = v - u falling; an empty window stays so
-        for d in range(v - u - 1, v - w - 1, -1) if a and horner else ():
-            if link and d:
-                del a[-d:]
-                lo = top + 1 - len(a)
-            if d + 1 < len(a):  # a longer factor is 1 on the window
-                binomial_step(a, d + 1, 1, -1)
-        lo = add_window(a, lo, glo, g)
-        u = w
-    return lo, a
-
-
-def _units(row: Level, v: int, length: int) -> list[tuple[PochFactor, int, int]]:
-    """The ``row``'s units from index v on: (-q^{b+v}; q)_length^{+-1}."""
-    return [(PochFactor(-1, b + v, 1), length, power)
-            for bases, power in ((row.numer, 1), (row.denom, -1)) for b in bases]
-
-
-def _unit_horner(blocks: list[tuple[int, int, list[int]]], row: Level,
-                 top: int) -> tuple[int, list[int]]:
-    """sum over the blocks (v, lo, g), v ascending and each exact to
-    ``top``, of g times the ``row``'s units (-q^b; q)_v^{+-1}: one Horner
-    chain g_0 + f_0 (g_1 + f_1 (...)), f_v = prod_b (1 + q^{b+v})^{+-1},
-    from the last block down, a pass per base and index, not v per block."""
-    lo, a, u = top + 1, [], blocks[-1][0] if blocks else 0
-    for w, glo, g in [*reversed(blocks), (0, top + 1, [])]:
-        if glo + len(g) <= top:
-            raise AssertionError(f"block at j_1={w} is exact to "
-                                 f"{glo + len(g) - 1}, short of {top}")
-        apply_poch_units(a, _units(row, w, u - w))  # f_w ... f_{u-1}
-        lo = add_window(a, lo, glo, g)
-        u = w
-    return lo, a
 
 
 # the DP's innermost betas without units, one stepped chain per BetaSpec; the

@@ -24,7 +24,7 @@ hand-summed series of ``lattice`` do not come here: their factors
 q^{lo+i} up to a known top lo + len(a) - 1.  ``window`` copies a series
 into one, ``from_window`` strips one's zeros back into a series, and
 ``add_window`` is the one add of a window into another (``__add__``,
-``qproducts.term_sum`` and the Horner chains of ``lattice``).
+``qproducts.term_sum`` and ``qproducts``' Horner chains).
 
 Inversion solves for the inverse's coefficients one exponent at a time,
 summing only over the nonzero terms of the series being inverted.  No

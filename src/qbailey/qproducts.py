@@ -4,10 +4,12 @@ The symbol (sign*q^m; q^d)_n is represented by a ``PochFactor`` together with
 a length, and one function walks the factors of a symbol:
 ``apply_poch_units`` multiplies or divides a dense window by unit triples
 (f, length, power), one ``binomial_step`` per factor, skipping the factors
-past the window.  An infinite product is the unit of its factors at or
-below the order, one term of ``term_sum``.  Theta series of O(sqrt(order))
-terms (``theta_window``) give the partition numbers, ``apply_inf_ratio``
-and ``qtpi_product``, the only product with Laurent factors.
+past the window.  Beside it sit ``lattice``'s Horner kernels,
+``_link_sum``, which ``bailey``'s moves share, and ``_unit_horner``.  An
+infinite product is the unit of its factors at or below the order, one
+term of ``term_sum``.  Theta series of O(sqrt(order)) terms
+(``theta_window``) give the partition numbers, ``apply_inf_ratio`` and
+``qtpi_product``, the only product with Laurent factors.
 
 Every finite signed sum goes through one accumulator, ``term_sum``.  A
 term is (sign, q-shift, parent, unit triples): the parent is a series
@@ -277,6 +279,86 @@ def running_chain(chain: Chain, start: Callable[[int, int], list[int]]
         return a
 
     return window
+
+
+STEP = "step"  # lattice.Level.link of a j_1 whose j_2 lemma b1bc1 summed out
+
+
+def _binom2(x: int) -> int:
+    return x * (x - 1) // 2
+
+
+def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
+              link: bool | str) -> tuple[int, list[int]]:
+    """sum over carries (w, lo, g) of g times the ``link`` kernel at v - w
+    (``lattice.Level``), as a window up to ``top``.  A carry is a window:
+    g[i] is the coefficient of q^{lo+i}, known up to q^{lo+len(g)-1}, and
+    is only read.  The carries come in ascending w <= v.  The step kernel
+    adds the carries at w = v - 1 and w = v as they are.
+
+    Since q^{binom(d, 2)} / (q)_d = prod_{m=1..d} q^{m-1} / (1 - q^m), the
+    sum is the Horner chain
+
+        g_v + q^0/(1 - q) (g_{v-1} + q^1/(1 - q^2) (g_{v-2} + ...)),
+
+    run on one dense window that ends at ``top``: going from w - 1 to w
+    shifts by v - w (on a linked level only), divides by (1 - q^{v-w+1})
+    and adds g_w by ``add_window``, and after the last carry the
+    steps go on up to v.  A shift moves the window's start up and drops as
+    many coefficients past ``top``; a carry that starts below the window
+    extends it downward.  Every step is one pass over the window
+    (``binomial_step``).  A carry must itself reach ``top`` once
+    shifted by its binom(v-w, 2); one that does not would make the sum
+    claim coefficients it does not know.
+    """
+    horner = link is not STEP
+    if not horner:
+        carries = [c for c in carries[-2:] if c[0] >= v - 1]
+    for w, glo, g in carries:
+        s = _binom2(v - w) if link else 0  # 0 at the step's v - w <= 1
+        if glo + len(g) - 1 + s < top:
+            raise AssertionError(
+                f"carry at j={w} is exact to {glo + len(g) - 1 + s} after its "
+                f"shift, short of {top}")
+    lo, a = top + 1, []
+    if not carries:
+        return lo, a
+    u = carries[0][0]
+    for w, glo, g in carries + [(v, lo, [])]:
+        # the steps u + 1 .. w, d = v - u falling; an empty window stays so
+        for d in range(v - u - 1, v - w - 1, -1) if a and horner else ():
+            if link and d:
+                del a[-d:]
+                lo = top + 1 - len(a)
+            if d + 1 < len(a):  # a longer factor is 1 on the window
+                binomial_step(a, d + 1, 1, -1)
+        lo = add_window(a, lo, glo, g)
+        u = w
+    return lo, a
+
+
+def _units(row, v: int, length: int) -> list[Unit]:
+    """The units of ``row`` (a ``lattice.Level``) from index v on:
+    (-q^{b+v}; q)_length^{+-1}."""
+    return [(PochFactor(-1, b + v, 1), length, power)
+            for bases, power in ((row.numer, 1), (row.denom, -1)) for b in bases]
+
+
+def _unit_horner(blocks: list[tuple[int, int, list[int]]], row,
+                 top: int) -> tuple[int, list[int]]:
+    """sum over the blocks (v, lo, g), v ascending and each exact to
+    ``top``, of g times the ``row``'s units (-q^b; q)_v^{+-1}: one Horner
+    chain g_0 + f_0 (g_1 + f_1 (...)), f_v = prod_b (1 + q^{b+v})^{+-1},
+    from the last block down, a pass per base and index, not v per block."""
+    lo, a, u = top + 1, [], blocks[-1][0] if blocks else 0
+    for w, glo, g in [*reversed(blocks), (0, top + 1, [])]:
+        if glo + len(g) <= top:
+            raise AssertionError(f"block at j_1={w} is exact to "
+                                 f"{glo + len(g) - 1}, short of {top}")
+        apply_poch_units(a, _units(row, w, u - w))  # f_w ... f_{u-1}
+        lo = add_window(a, lo, glo, g)
+        u = w
+    return lo, a
 
 
 # -- partitions and Euler's product -----------------------------------------

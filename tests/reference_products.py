@@ -7,11 +7,16 @@ so those factors cannot erode exactness below the order.  The symbols and
 their inverses are built from it with ``LaurentSeries`` products and
 ``invert`` only.  ``ref_compose`` is the product form of ``compose_exact``:
 the parent times each unit as such a series, and ``ref_beta_from_spec``
-builds a registry beta the same way.
+builds a registry beta the same way.  ``ref_move_beta`` is a move's
+beta'_n summed term by term, each term's Pochhammer units applied from
+scratch, not in the move engine's one Horner chain.
 """
 
+from functools import partial
+
+from qbailey.bailey import _MOVE_TABLE, ratio_bases
 from qbailey.laurent import LaurentSeries, one, zero
-from qbailey.qproducts import PochFactor
+from qbailey.qproducts import Q_FACTOR, PochFactor, _binom2, neg_ratio, term_sum
 
 
 def schoolbook_binomials(exps_signs, order):
@@ -117,3 +122,18 @@ def ref_beta_from_spec(spec, n, order):
             acc = acc * build(f, length, work)
     assert scalars[1] % scalars[-1] == 0
     return (acc * (scalars[1] // scalars[-1])).shift(shift).truncated(order)
+
+
+def ref_move_beta(pair, move, n, order):
+    """beta'_n of ``move`` applied to ``pair``, exact to ``order``: one
+    ``term_sum`` term per j, the j-piece of the ``bailey`` docstring's
+    formula with its (-q^up)_j / (-q^down)_n and 1/(q)_{n-j} applied to
+    the parent's beta_j on its own."""
+    rule, c = _MOVE_TABLE[move], pair.base_exp
+    bases = ratio_bases(move, c)
+    return term_sum(
+        [(-1 if rule.backward and (n + j) % 2 else 1,
+          _binom2(n - j) - rule.f(n, c) if rule.backward else rule.f(j, c),
+          partial(pair.beta, j),
+          (*(neg_ratio(*bases, j, n) if bases else ()), (Q_FACTOR, n - j, -1)))
+         for j in range(n + 1)], order)
