@@ -8,7 +8,8 @@ and, equivalently, a quintuple-product form
     char(s0, s1) = Q(q^{level+3}, q^{-s1-1}) / (q; q)_inf,
 
 which is the bridge between the lattice's alpha-side sums and the product
-sides of the identities.
+sides of the identities.  Both forms end in one ``qproducts.divide_euler``
+on a window, so neither multiplies two series here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from collections import namedtuple
 from .bailey import compose_exact
 from .lattice import Schedule, alpha_side, verify_limit_identity
 from .laurent import LaurentSeries
-from .qproducts import PochFactor, Q_FACTOR, inv_euler, poch_finite, poch_inf, qtpi_product
+from .qproducts import (PochFactor, Q_FACTOR, _inf_unit, apply_poch_units, divide_euler,
+                         poch_finite, qtpi_product)
 
 # (1 + q) = (-q; q)_1 as a unit triple for ``compose_exact``
 _ONE_PLUS_Q = (PochFactor(-1, 1, 1), 1, 1)
@@ -64,17 +66,19 @@ def char_product_factors(m: ModuleLabel) -> list[PochFactor]:
 
 
 def char_product(m: ModuleLabel, order: int) -> LaurentSeries:
-    """The principal character as its closed periodic product."""
-    acc = inv_euler(order)
-    for f in char_product_factors(m):
-        acc = (acc * poch_inf(f, order)).truncated(order)
-    return acc
+    """The principal character as its closed periodic product: the five
+    factors applied to the window of 1 (``apply_poch_units``), then
+    ``divide_euler``.  A negative order has the empty window."""
+    a = [1] + [0] * order if order >= 0 else []
+    apply_poch_units(a, [_inf_unit(f, order) for f in char_product_factors(m)])
+    return LaurentSeries.from_window(0, divide_euler(a), order)
 
 
 def char_qtpi(m: ModuleLabel, order: int) -> LaurentSeries:
-    """The principal character via the quintuple-product substitution."""
-    q = qtpi_product(m.level + 3, -m.s1 - 1, order)
-    return (q * inv_euler(order)).truncated(order)
+    """The principal character via the quintuple-product substitution:
+    ``divide_euler`` on the window of Q(q^{level+3}, q^{-s1-1})."""
+    lo, a = qtpi_product(m.level + 3, -m.s1 - 1, order).window(order)
+    return LaurentSeries.from_window(lo, divide_euler(a), order)
 
 
 def schedule_module(pair_id: int, kind: str, k: int, i: int) -> ModuleLabel:

@@ -11,7 +11,8 @@ it; ``alpha_side`` evaluates the limiting alpha-series; and
     sum_side * (q^c; q)_inf  =  alpha_side        (a = q^c the registry base)
 
 exactly, coefficientwise, to the requested order, with no series product
-(``qproducts.apply_inf_ratio`` on the multisum's window).
+(``qproducts.apply_inf_ratio`` on the multisum's window).  ``sum_side``'s
+1/(-q^b; q)_inf goes on that window too: ``apply_inf_ratio``, ``divide_euler``.
 
 Multisum evaluation.  Every closed sum here is a chain: the summand is
 one ``Level`` row per variable (monomial, Pochhammer units, sign and link
@@ -107,7 +108,7 @@ from .qproducts import (
     _units,
     apply_inf_ratio,
     apply_poch_units,
-    inv_poch_inf,
+    divide_euler,
     neg_ratio,
     poch_finite,  # noqa: F401  unused; perfbench/selftest.py reads lattice.poch_finite
     vanishing_sum,
@@ -508,11 +509,12 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     # a live block's window ends at t_cap = order, since LOW[0] is 0, and a
     # one-row spec's units are on its chain already
     outer = levels[0] if V > 1 else inner._replace(numer=(), denom=())
-    total = LaurentSeries.from_window(*_unit_horner(nonzero[0], outer, order), order)
-    # 1/(-q^b)_inf = 1 + O(q) is exact to 0 even below a negative order
+    lo, a = _unit_horner(nonzero[0], outer, order)
+    # 1/(-q^b; q)_inf = [(q; q)_inf / (-q^b; q)_inf] / (q; q)_inf, theta series both
     for b in spec.prefactors:
-        total = total * inv_poch_inf(PochFactor(-1, b, 1), max(order, 0))
-    return total.truncated(order)
+        apply_inf_ratio(a, 1, b)
+        divide_euler(a)
+    return LaurentSeries.from_window(lo, a, order)
 
 
 def sum_side(s: Schedule, order: int) -> LaurentSeries:

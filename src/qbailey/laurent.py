@@ -27,10 +27,10 @@ into one, ``from_window`` strips one's zeros back into a series, and
 ``qproducts.term_sum`` and ``qproducts``' Horner chains).
 
 Inversion solves for the inverse's coefficients one exponent at a time,
-summing only over the nonzero terms of the series being inverted.  No
-verification path inverts a series: every inverse there is a product of
-one-pass division steps (``qproducts.inv_poch_finite``, and
-``qproducts.inv_poch_inf`` by Euler's product), so ``invert`` is the
+summing only over the nonzero terms of the series being inverted.  The
+package never calls it: every inverse there is made of one-pass division
+steps on a window (``qproducts.apply_poch_units``, and
+``qproducts.divide_euler`` for 1/(q; q)_inf), so ``invert`` is the
 generic inverse that the tests compare those against.
 
 Values are immutable after construction and safe to share between threads.

@@ -8,7 +8,7 @@ past the window.  Beside it sit ``lattice``'s Horner kernels,
 ``_link_sum``, which ``bailey``'s moves share, and ``_unit_horner``.  An
 infinite product is the unit of its factors at or below the order, one
 term of ``term_sum``.  Theta series of O(sqrt(order)) terms
-(``theta_window``) give the partition numbers, ``apply_inf_ratio`` and
+(``theta_window``) give ``divide_euler``, ``apply_inf_ratio`` and
 ``qtpi_product``, the only product with Laurent factors.
 
 Every finite signed sum goes through one accumulator, ``term_sum``.  A
@@ -33,9 +33,11 @@ two lengths are equal needs no chain: (a; q)_{m+n} = (a; q)_m (a q^m; q)_n
 gives (-q; q)_r / (-q^d; q)_r = (-q; q)_{d-1} / (-q^{r+1}; q)_{d-1}, the
 2(d - 1) factors of an alpha side's term however large r is.
 
-Inverses.  1/(f; q^d)_n divides the factors out one pass each.  The
-infinite 1/(-q^m; q^d)_inf is Euler's (q^m; q^d)_inf / (q^{2m}; q^{2d})_inf,
-again one pass per factor, so no series is inverted.
+Inverses.  1/(f; q^d)_n and 1/(f; q^d)_inf divide the factors out one
+pass each, so no series is inverted.  Every division by (q; q)_inf (the
+partition numbers, both characters, and the multisum limit's
+1/(-q^b; q)_inf = [(q; q)_inf / (-q^b; q)_inf] / (q; q)_inf) is one
+``divide_euler``, Euler's pentagonal recurrence on a window.
 """
 
 from __future__ import annotations
@@ -158,28 +160,10 @@ def inv_poch_finite(f: PochFactor, n: int, order: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def inv_poch_inf(f: PochFactor, order: int) -> LaurentSeries:
-    """1 / (sign*q^m; q^d)_inf, exact to order, as units on one window.
-    Sign +1 divides every factor out.  Sign -1 is Euler's
-    (q^m; q^d)_inf / (q^{2m}; q^{2d})_inf, from (x; p)_inf (-x; p)_inf =
-    (x^2; p^2)_inf at x = q^m, p = q^d; when m = r d every factor of the
-    denominator is one of the numerator's, which leaves
-    (q^m; q^d)_r (q^{2m+d}; q^{2d})_inf.  (-1; q^d)_inf has the constant
-    factor 2 and no integral inverse."""
+    """1 / (sign*q^m; q^d)_inf, exact to order: one division unit
+    (``apply_poch_units``), so m must be >= 1 once the order reaches 0."""
     _check_infinite(f)
-    if order < 0:
-        return zero(order)
-    m, d = f.base_exp, f.step
-    if m == 0:
-        raise InversionError(f"1/(-q^0; q^{d})_inf is not unit-leading")
-    if f.sign == 1:
-        units = (_inf_unit(f, order, -1),)
-    elif m % d:
-        units = (_inf_unit(PochFactor(1, m, d), order),
-                 _inf_unit(PochFactor(1, 2 * m, 2 * d), order, -1))
-    else:
-        units = ((PochFactor(1, m, d), m // d, 1),
-                 _inf_unit(PochFactor(1, 2 * m + d, 2 * d), order))
-    return term_sum([(1, 0, None, units)], order)
+    return term_sum([(1, 0, None, (_inf_unit(f, order, -1),))], order)
 
 
 def neg_ratio(up: int, down: int, j: int, n: int) -> tuple[Unit, Unit]:
@@ -363,23 +347,31 @@ def _unit_horner(blocks: list[tuple[int, int, list[int]]], row,
 
 # -- partitions and Euler's product -----------------------------------------
 
+def divide_euler(a: list[int]) -> list[int]:
+    """Divide the window ``a`` in place by (q; q)_inf and return it, by
+    Euler's pentagonal-number recurrence out[n] = a[n] - sum_{i >= 1} e_i
+    out[n - i], e_i the coefficients of (q; q)_inf (``theta_window``):
+    O(sqrt(n)) terms per coefficient.  (q; q)_inf has valuation 0 and
+    constant term 1, so the window may start anywhere."""
+    terms = [(i, c) for i, c in enumerate(theta_window(3, -1, len(a) - 1)[1]) if c][1:]
+    for n in range(1, len(a)):
+        s = a[n]
+        for i, c in terms:
+            if i > n:
+                break
+            s -= c * a[n - i]
+        a[n] = s
+    return a
+
+
 def partition_numbers(n_max: int) -> tuple[int, ...]:
-    """p(0), ..., p(n_max) by Euler's pentagonal-number recurrence
-    p(n) = -sum_{i >= 1} e_i p(n - i), e_i the coefficients of (q; q)_inf."""
-    terms = [(i, c) for i, c in enumerate(theta_window(3, -1, n_max)[1]) if c][1:]
-    p = [1] + [0] * n_max
-    for n in range(1, n_max + 1):
-        p[n] = -sum(c * p[n - i] for i, c in terms if i <= n)
-    return tuple(p)
+    """p(0), ..., p(n_max): 1/(q; q)_inf by ``divide_euler``."""
+    return tuple(divide_euler([1] + [0] * n_max))
 
 
 @lru_cache(maxsize=None)
 def inv_euler(order: int) -> LaurentSeries:
-    """1/(q;q)_inf, i.e. the partition generating function.
-
-    Fast path via the pentagonal recurrence; generic inversion of the Euler
-    product is kept as the oracle in the test suite.
-    """
+    """1/(q;q)_inf, the partition generating function, by ``partition_numbers``."""
     if order < 0:
         return zero(order)
     return LaurentSeries.from_window(0, partition_numbers(order), order)

@@ -15,7 +15,7 @@ from qbailey.characters import (
     verify_character_identity,
 )
 from qbailey.lattice import Schedule, SCHEDULE_TABLE, alpha_side, eval_multisum, sum_side
-from qbailey.laurent import LaurentSeries
+from qbailey.laurent import LaurentSeries, zero
 from qbailey.qproducts import (
     PochFactor,
     inv_euler,
@@ -329,6 +329,55 @@ def test_chain_makes_no_dense_series_product(monkeypatch):
     modules = {schedule_module(*cell) for cell in cells}
     assert len(calls) == qtpi_product.cache_info().misses == len(modules)
     assert max(max(pair) for pair in calls) <= 2 * isqrt(2 * 120) + 2
+
+
+@pytest.mark.parametrize("order", [-1, -3, -10])
+def test_characters_below_order_zero_are_zero(order):
+    # every character has valuation 0, so below q^0 it is zero to the order
+    for m in (ModuleLabel(1, 0), ModuleLabel(0, 1), ModuleLabel(3, 2), ModuleLabel(2, 5)):
+        assert char_product(m, order) == zero(order), m
+        assert char_qtpi(m, order) == zero(order), m
+
+
+def test_characters_and_sum_sides_make_no_series_product(monkeypatch):
+    # every division by (q; q)_inf, and the sum side's 1/(-q^b; q)_inf, is
+    # one pass on a window, so the one product left is the quintuple
+    # product's two theta series
+    from qbailey import lattice, qproducts
+    from qbailey.records import catalog_cells
+
+    for name in ("poch_finite", "inv_poch_finite", "poch_inf", "inv_poch_inf",
+                 "inv_euler", "qtpi_product"):
+        getattr(qproducts, name).cache_clear()
+    calls = []
+    real_mul, real_invert = LaurentSeries.__mul__, LaurentSeries.invert
+
+    def mul(self, other):
+        calls.append("mul")
+        return real_mul(self, other)
+
+    def invert(self):
+        calls.append("invert")
+        return real_invert(self)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", mul)
+    monkeypatch.setattr(LaurentSeries, "invert", invert)
+    modules = [ModuleLabel(level - 2 * s1, s1) for level in range(2, 8)
+               for s1 in range(level // 2 + 1)]
+    assert len(modules) == 18
+    for m in modules:
+        char_product(m, 200)
+    assert calls == []
+    for m in modules:
+        char_qtpi(m, 200)
+    assert calls == ["mul"] * qtpi_product.cache_info().misses
+    calls.clear()
+    cells = [Schedule(kind, k, i, pid) for pid, kind, k, i in catalog_cells(7)]
+    assert len(cells) == 30
+    assert sum(bool(lattice._sum_spec(s).prefactors) for s in cells) == 8
+    for s in cells:
+        sum_side(s, 120)
+    assert calls == []
 
 
 def test_quintuple_product_is_built_once_per_module():

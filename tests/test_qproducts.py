@@ -4,6 +4,9 @@ import pytest
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qbailey.laurent import (InversionError, LaurentSeries,
                              RunawayValuationError, one)
 from qbailey.qproducts import (
@@ -13,6 +16,7 @@ from qbailey.qproducts import (
     apply_inf_ratio,
     apply_poch_units,
     binomial_step,
+    divide_euler,
     inv_euler,
     inv_poch_finite,
     inv_poch_inf,
@@ -87,6 +91,27 @@ def test_poch_inf_rejects_divergent():
 def test_partition_numbers_against_dp_oracle():
     n = 60
     assert list(partition_numbers(n)) == partitions_by_dp(n)
+
+
+@given(st.integers(0, 4), st.lists(st.integers(-10**6, 10**6), max_size=60))
+@settings(max_examples=120)
+def test_divide_euler_undoes_the_euler_product(zeros, tail):
+    # the window, empty, of length 1 or led by zeros, divided by (q; q)_inf
+    # and multiplied back factor by factor
+    a = [0] * zeros + tail
+    b = a[:]
+    assert divide_euler(b) is b
+    apply_poch_units(b, ((Q_FACTOR, len(a), 1),))
+    assert b == a
+
+
+def test_divide_euler_on_a_window_below_q0():
+    # the window's start is never read: (q; q)_inf has valuation 0
+    rng = random.Random(5)
+    lo, top = -9, 60
+    a = [rng.randint(-9, 9) for _ in range(top - lo + 1)]
+    want = (LaurentSeries.from_window(lo, a, top) * inv_euler(top - lo)).truncated(top)
+    assert LaurentSeries.from_window(lo, divide_euler(a), top) == want
 
 
 def test_inv_euler_first_values():
