@@ -117,8 +117,10 @@ def verify_character_identity(pair_id: int, kind: str, k: int, i: int,
          the second family is used at i = 0 (and equals it otherwise);
 
     together: sum_side = normalization * character.  Link 3 is the one
-    check of the second family's i <= 1 displays against the unified form;
-    everywhere else the case form is the unified one, built once.  Link 2
+    check of the second family's i <= 1 displays against the unified form.
+    At i = 1 it compares two groupings of the same terms (the case row is the
+    unified one a block late), so only a wrong row can fail it there.
+    Everywhere else the case form is the unified one, built once.  Link 2
     makes no series product, link 1 one per module (two theta series); link
     2 reads the fold collapsed by lemmas f2b1 and b1bc1, the record the raw one."""
     m = schedule_module(pair_id, kind, k, i)

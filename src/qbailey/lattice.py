@@ -76,10 +76,13 @@ it is an internal error (AssertionError naming the cell), whatever the
 order, so inner carries meet no order wall.  ``vanishing_terms`` holds
 each j_1-block to ``laurent``'s runaway floor (``RunawayValuationError``).
 
-Hand-summed series.  The alpha sides are not chains.  Each is written as
-a block function of t that returns its terms (sign, q-shift, parent, unit
-triples).  An alpha side's ratio (-q; q)_r / (-q^d; q)_r is, by
-(a; q)_{m+n} = (a; q)_m (a q^m; q)_n, the 2(d - 1) unit factors
+Hand-summed series.  The alpha sides are not chains.  Each display is one
+row (h, delta, lag) of one block function of t, which returns its terms
+(sign, q-shift, parent, unit triples): q^{e(t)} alpha~_t, where
+e(t) = ckt + kt^2 - it - h binom(t+1, 2), less q^{e(u) + c(i+1) +
+(2i+2-delta)u - delta} alpha~_u at u = t - lag, with ratio index u + delta
+and ratio base d = c - delta (1 if h = 0).  The ratio (-q; q)_r / (-q^d; q)_r
+is, by (a; q)_{m+n} = (a; q)_m (a q^m; q)_n, the 2(d - 1) unit factors
 (-q; q)_{d-1} / (-q^{r+1}; q)_{d-1} on the term itself, however large r
 is.  In the bundled table d = 1, so every term is a signed monomial,
 except in the lim2 case form at i = 0, where d = 2.  One loop,
@@ -583,49 +586,34 @@ def alpha_side(s: Schedule, order: int, *, unified: bool = False) -> LaurentSeri
     displays for i = 0 and i = 1); with ``unified=True`` the single closed
     form of each family is used for every i, which is what the quintuple
     product collapses to.  The two choices differ only for lim2 with i = 0,
-    where case = (1 + q) * unified.
+    where case = (1 + q) * unified.  Each display is a row (h, delta, lag)
+    of the module docstring's form: lim1 (0, 0, 0); lim3 and the lim2 case
+    at i = 0 (1, 0, 0); lim2 unified and case at i >= 2 (1, 1, 0), and case
+    at i = 1 (1, 1, 1), the unified row with its negated pieces a block late.
     """
     c = s.base_exp
     k, i = s.k, s.i
     tilde = registry_entry(s.pair_id).alpha_tilde_monomial
-    # the ratio (-q; q)_r / (-q^d; q)_r of piece index r, 1 for the first
-    # family, is (-q; q)_{d-1} / (-q^{r+1}; q)_{d-1}: 1 when d = 1
-    d = 1 if s.kind == "lim1" else (
-        c if s.kind == "lim3" or (i == 0 and not unified) else c - 1)
+    h, delta, lag = ((0, 0, 0) if s.kind == "lim1" else
+                     (1, 0, 0) if s.kind == "lim3" or i == 0 and not unified else
+                     (1, 1, int(i == 1 and not unified)))
+    d = c - delta if h else 1  # the ratio base; d = 1 makes the ratio 1
     if d < 1:  # (-1; q)_r is not unit-leading
         raise ValueError(f"{s}: the alpha side's ratio base q^{d} is below q^1")
 
+    def e(t: int) -> int:
+        return c * k * t + k * t * t - i * t - h * (t * t + t) // 2
+
     def block(t: int) -> list[SumTerm]:
-        # pieces: (exponent shift, ratio index, tilde index); the second is
-        # negated
-        if s.kind == "lim1":
-            e = c * k * t + k * t * t - i * t
-            pieces = [(e, t, t), (e + c * (i + 1) + 2 * i * t + 2 * t, t, t)]
-        elif s.kind == "lim2" and (unified or i > 1):
-            e = c * k * t + k * t * t - i * t - (t * t + t) // 2
-            # the second is times (1 + q^{t+1}) / (1 + q^{c+t-1}): ratio_{t+1}
-            pieces = [(e, t, t), (e + c * (i + 1) + t - 1 + 2 * i * t, t + 1, t)]
-        elif s.kind == "lim3" or i == 0:
-            # the lim2 display at i = 0 is the lim3 form at i = 0
-            e = c * k * t + k * t * t - i * t - (t * t + t) // 2
-            pieces = [(e, t, t), (e + c * (i + 1) + 2 * t * (i + 1), t, t)]
-        else:  # lim2, i == 1, the separate two-term display
-            if t == 0:
-                pieces = [(0, 0, 0)]
-            else:
-                head = c * t + (t * t - t) // 2 - t
-                pieces = [
-                    (head + c * (k - 1) * t + (k - 1) * t * t, t, t),
-                    (head + c * (k - 1) * (t - 1) + (k - 1) * (t - 1) * (t - 1)
-                     + c + 2 * t - 2, t, t - 1),
-                ]
+        # (sign, shift, ratio index, tilde index) per piece; none at u < 0
+        u = t - lag
+        second = e(u) + c * (i + 1) + (2 * i + 2 - delta) * u - delta
         terms = []
-        for idx, (e, r, ti) in enumerate(pieces):
-            mono = tilde(ti)
+        for sign, shift, r, ti in ((1, e(t), t, t), (-1, second, u + delta, u)):
+            mono = tilde(ti) if ti >= 0 else None
             if mono is not None:
-                sign, te = mono
                 units = neg_ratio(1, r + 1, d - 1, d - 1) if d > 1 else ()
-                terms.append((sign if idx % 2 == 0 else -sign, e + te, None, units))
+                terms.append((sign * mono[0], shift + mono[1], None, units))
         return terms
 
     return vanishing_sum(block, order)

@@ -4,8 +4,8 @@ The symbol (sign*q^m; q^d)_n is represented by a ``PochFactor`` together with
 a length, and one function walks the factors of a symbol:
 ``apply_poch_units`` multiplies or divides a dense window by unit triples
 (f, length, power), one ``binomial_step`` per factor, skipping the factors
-past the window.  Beside it sit ``lattice``'s Horner kernels,
-``_link_sum``, which ``bailey``'s moves share, and ``_unit_horner``.  An
+past the window.  Beside it sit the Horner kernels of ``lattice``'s DP and
+``bailey``'s moves: ``_link_sum``, which both use, and ``_unit_horner``.  An
 infinite product is the unit of its factors at or below the order, one
 term of ``term_sum``.  Theta series of O(sqrt(order)) terms
 (``theta_window``) give ``divide_euler``, ``apply_inf_ratio`` and
