@@ -44,7 +44,9 @@ over the level below, sum_w g_w q^{binom(v-w, 2)} / (q)_{v-w}, is one
 Horner chain on one window, a pass per w, with no series product,
 inversion or Pochhammer cache (``qproducts._link_sum``, which the move
 engine's beta'_n shares; over a step kernel, the two carries at w = v - 1
-and w = v added), each carry first checked to reach the sum's truncation.
+and w = v added), each carry first checked to reach the sum's truncation;
+one whose shift puts it wholly above that is skipped, and the window opens
+as a copy of the first carry left.
 The cell's own exponent then moves the window's valuation and its sign
 negates it; its units (-q^b; q)_v^{+-1} apply on the list, v passes.  In the
 n -> oo limit the end rows step theirs, a factor per index (a middle row's

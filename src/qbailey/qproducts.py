@@ -293,30 +293,38 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
     extends it downward.  Every step is one pass over the window
     (``binomial_step``).  A carry must itself reach ``top`` once
     shifted by its binom(v-w, 2); one that does not would make the sum
-    claim coefficients it does not know.
+    claim coefficients it does not know.  A dead carry, one that its shift
+    puts wholly above ``top``, is still checked, but neither added nor
+    allowed to start the chain: the window opens at the first live carry
+    as a copy of it, cut at ``top`` or padded with zeros up to it.
     """
     horner = link is not STEP
     if not horner:
         carries = [c for c in carries[-2:] if c[0] >= v - 1]
+    live = []
     for w, glo, g in carries:
         s = _binom2(v - w) if link else 0  # 0 at the step's v - w <= 1
         if glo + len(g) - 1 + s < top:
             raise AssertionError(
                 f"carry at j={w} is exact to {glo + len(g) - 1 + s} after its "
                 f"shift, short of {top}")
-    lo, a = top + 1, []
-    if not carries:
-        return lo, a
-    u = carries[0][0]
-    for w, glo, g in carries + [(v, lo, [])]:
-        # the steps u + 1 .. w, d = v - u falling; an empty window stays so
-        for d in range(v - u - 1, v - w - 1, -1) if a and horner else ():
+        if glo + s <= top:  # a dead carry's every term lands above top
+            live.append((w, glo, g))
+    if not live:
+        return top + 1, []
+    u, lo, g = live[0]
+    a = g[:top + 1 - lo]  # a copy, never the carry itself
+    a += [0] * (top + 1 - lo - len(a))
+    for w, glo, g in live[1:] + [(v, lo, ())]:
+        # the steps u + 1 .. w, d = v - u falling
+        for d in range(v - u - 1, v - w - 1, -1) if horner else ():
             if link and d:
                 del a[-d:]
                 lo = top + 1 - len(a)
             if d + 1 < len(a):  # a longer factor is 1 on the window
                 binomial_step(a, d + 1, 1, -1)
-        lo = add_window(a, lo, glo, g)
+        if g:  # the end of the chain adds nothing
+            lo = add_window(a, lo, glo, g)
         u = w
     return lo, a
 

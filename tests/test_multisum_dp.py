@@ -666,6 +666,8 @@ def link_sum_pieces(carries, v, top, link):
 
 G0 = LaurentSeries({-3: 2, 0: -1, 5: 4}, 12)
 G1 = LaurentSeries({1: 1, 2: 3}, 15)
+ALL_DEAD = ([(0, LaurentSeries({2: 1}, 40)), (3, LaurentSeries({3: 2, 5: 1}, 40)),
+             (5, LaurentSeries({6: 1}, 40))], 6, 5)
 LINK_SUM_CASES = [
     # (carries, v, top)
     ([(0, G0), (1, G1)], 3, 10),
@@ -689,15 +691,55 @@ LINK_SUM_CASES = [
     ([(0, zero(50)), (2, LaurentSeries({3: 1, 8: -2}, 50))], 6, 20),
     ([(0, LaurentSeries({6: 1}, 50)), (1, LaurentSeries({9: 2}, 50))], 4, 5),
     ([(0, G0)], 3, -4),
+    # dead carries, whose shift binom(v - w, 2) puts every term above top:
+    # the lowest one, with live carries above it, one shifted onto top
+    ([(0, LaurentSeries({0: 1, 3: 2}, 40)), (5, LaurentSeries({24: 3}, 40)),
+      (6, LaurentSeries({-2: 4, 9: 1}, 40)), (8, LaurentSeries({0: 1, 5: 2}, 40))],
+     9, 30),
+    # one between two live carries, on a window the first opened exactly
+    # to top, the last at the step kernel's w = v - 1
+    ([(5, LaurentSeries({0: 3, 7: -1}, 20)), (6, LaurentSeries({16: 5}, 40)),
+      (9, LaurentSeries({-3: 1, 2: 2}, 40))], 10, 20),
+    # every one, on the linked level: (top + 1, [])
+    ALL_DEAD,
+    # the first live carry exact only to top - binom(v - w, 2) = 15: its
+    # window is padded with zeros up to top, which the shifts drop again
+    ([(0, LaurentSeries({1: 1}, 40)), (3, LaurentSeries({-2: 1, 10: 3}, 15)),
+      (7, LaurentSeries({0: 2, 4: -1}, 40))], 9, 30),
 ]
+
+
+def _short_of_top(carries, v, top, link):
+    """Whether a carry the ``link`` kernel reads falls short of top."""
+    return any(g.trunc + (_binom2(v - w) if link else 0) < top
+               for w, g in carries if link != STEP or w >= v - 1)
 
 
 def test_link_sum_matches_pieces():
     for carries, v, top in LINK_SUM_CASES:
         for linked in (False, True, STEP):
+            if _short_of_top(carries, v, top, linked):
+                with pytest.raises(AssertionError, match="short of"):
+                    link_sum_series(carries, v, top, linked)
+                continue
             got = link_sum_series(carries, v, top, linked)
             want = link_sum_pieces(carries, v, top, linked)
             assert got.to_text() == want.to_text(), (v, top, linked)
+
+
+def test_link_sum_only_reads_its_carries():
+    # bailey's moves keep their g_j windows across calls and the DP reuses
+    # its carries: no carry is written, and the window returned is none of them
+    for carries, v, top in LINK_SUM_CASES:
+        for linked in (False, True, STEP):
+            windows = [(w, *g.window(g.trunc)) for w, g in carries]
+            before = [list(a) for _, _, a in windows]
+            try:
+                _, got = _link_sum(windows, v, top, linked)
+            except AssertionError:  # a carry short of top
+                got = None
+            assert [a for _, _, a in windows] == before, (v, top, linked)
+            assert all(got is not a for _, _, a in windows), (v, top, linked)
 
 
 def test_linked_sum_reads_a_carry_only_up_to_top_minus_its_shift():
@@ -715,6 +757,9 @@ def test_linked_sum_reads_a_carry_only_up_to_top_minus_its_shift():
 def test_link_sum_of_no_carries_is_zero():
     assert _link_sum([], 4, 12, True) == (13, [])
     assert _link_sum([], 0, -3, False) == (-2, [])
+    # nor of carries that all land above top
+    dead = [(w, *g.window(g.trunc)) for w, g in ALL_DEAD[0]]
+    assert _link_sum(dead, 6, 5, True) == _link_sum(dead, 6, 5, STEP) == (6, [])
 
 
 @st.composite
