@@ -100,6 +100,7 @@ class RegistryError(ValueError):
 
 
 class Move(Enum):
+    __hash__ = object.__hash__  # by identity, in C: members are singletons
     F1 = "F1"
     B1 = "B1"
     F2 = "F2"

@@ -32,41 +32,37 @@ sum (a carry) per feasible (level, value) as a coefficient window,
                 (L, v), minimized over outer assignments that can still
                 reach a total exponent <= order.
 
-Both are built from per-level rows of each variable's own exponent and one
-table of binom(d, 2).  A level without a link binomial needs only a running
-minimum, a prefix minimum for IN and a suffix minimum for LOW, so it costs
-one pass over the values.  A value v is feasible at level L iff
-IN + LOW <= order.  Only feasible cells are visited; every completion of an
-infeasible one exceeds the order.  Each kept carry's window ends at
-order - LOW[L][v], which is exactly the precision that can still matter,
-and each level keeps the list of its nonzero carries.  A carry's inner sum
-over the level below, sum_w g_w q^{binom(v-w, 2)} / (q)_{v-w}, is one
-Horner chain on one window, a pass per w, with no series product,
-inversion or Pochhammer cache (``qproducts._link_sum``, which the move
-engine's beta'_n shares; over a step kernel, the two carries at w = v - 1
-and w = v added), each carry first checked to reach the sum's truncation;
-one whose shift puts it wholly above that is skipped, and the window opens
-as a copy of the first carry left.
-The cell's own exponent then moves the window's valuation and its sign
-negates it; its units (-q^b; q)_v^{+-1} apply on the list, v passes.  In the
-n -> oo limit the end rows step theirs, a factor per index (a middle row's
-carries differ per v): the innermost row's with its beta_v, on a chain for
-the call (``bailey.beta_chain``; a row without units reads one per registry
-``BetaSpec``, held here and by no Bailey pair).  At finite n the j_1-blocks
-are divided by (q)_{n-j_1} in one more Horner chain.  No carry depends on n,
-and LOW only falls as the cap n grows, so the carries of the last (spec,
-registry entry, order) are kept, zero ones too, with the t_cap each is exact
-to; a later call reuses one whose t_cap reaches its own, as ``_link_sum`` or
-the final truncation cuts a longer window.
-In the n -> oo limit the grid ends at a proved bound on j_1 (``_j1_bound``)
-when its P > 0, else at the heuristic cap 2 isqrt(order) + V + 14.  Summands
-with backward moves have unboundedly negative exponents that cancel in
-blocks of fixed outermost index, so each complete j_1-block is one block of
-``qproducts.vanishing_terms``.  A proved grid runs to its end; elsewhere
-three blocks in a row zero to the order end it (an infeasible block below a
-feasible one is not counted), and a block past the cap raises
-ArithmeticError.  ``qproducts._unit_horner`` sums the blocks with the
-outermost units, a factor per index, from the last block down.
+Both are one min-plus pass per level (``_tables``).  A value v is feasible
+at level L iff IN + LOW <= order.  Only feasible cells are visited; every
+completion of an infeasible one exceeds the order.  Each kept carry's
+window ends at order - LOW[L][v], which is exactly the precision that can
+still matter, and each level keeps the list of its nonzero carries.  A
+carry's inner sum over the level below, sum_w g_w q^{binom(v-w, 2)} /
+(q)_{v-w}, is one Horner chain on one window (``qproducts._link_sum``,
+which the move engine's beta'_n shares; over a step kernel, the carries at
+w = v - 1 and w = v added).  The cell's own exponent then moves the
+window's valuation and its sign negates it; its units (-q^b; q)_v^{+-1}
+apply on the list, v passes.  In the n -> oo limit the end rows step
+theirs, a factor per index (a middle row's carries differ per v): the
+innermost row's with its beta_v, on a chain for the call
+(``bailey.beta_chain``; a row without units reads one per registry
+``BetaSpec``, held here and by no Bailey pair).
+The grid ends at a proved bound B on j_1 (``_j1_bound``) when its P > 0.
+At finite n the j_1-blocks up to n are divided by (q)_{n-j_1} in one more
+Horner chain.  No carry depends on n, and B holds at every n, so the last
+(spec, registry entry, order) keeps one DP at cap B, which each call
+extends to the values it is the first to need.  Without B a call's grid
+ends at n, and as LOW only falls as n grows, each carry is kept, zero ones
+too, with the t_cap it is exact to, for a later call whose t_cap it
+reaches.  In the limit, without B, the grid ends at the heuristic cap
+2 isqrt(order) + V + 14.  Summands with backward moves have unboundedly
+negative exponents that cancel in blocks of fixed outermost index, so each
+complete j_1-block is one block of ``qproducts.vanishing_terms``.  A proved
+grid runs to its end; elsewhere three blocks in a row zero to the order end
+it (an infeasible block below a feasible one is not counted), and a block
+past the cap raises ArithmeticError.  ``qproducts._unit_horner`` sums the
+blocks with the outermost units, a factor per index, from the last block
+down.
 ``sum_side`` first sums out each F2·B1 pair by lemma f2b1: the raw folds of
 (1|3|5, lim3, 1, 1) and (1, lim3, 1, 2) have no bound, and once collapsed
 every bundled cell up to level 151 has one.  It then sums out each B1·BC1
@@ -398,10 +394,12 @@ def _tables(spec: MultisumSpec, order: int, cap: int, entry: RegistryEntry):
 
 
 def _j1_bound(spec: MultisumSpec, order: int, entry: RegistryEntry) -> int | None:
-    """The last j_1 whose block can reach ``order``, or None if unproved.
+    """The last j_1 whose block can reach ``order``, or None if unproved,
+    in the n -> oo limit and at every finite n.
 
     Twice a chain's exponent is sum A_l j_l^2 + B_l j_l plus link binomials
-    (>= 0), with A, B as below; the rest has valuation zero.  As j_1 >= ...
+    (>= 0), with A, B as below; the rest, at finite n 1/(q)_{n-j_1} and
+    1/(-q^b; q)_n too, has valuation zero.  As j_1 >= ...
     >= 0, Abel summation bounds it by P j_1^2 + S j_1, P and S the least
     prefix sums of A and B.  If P > 0, no block past the largest v with
     P v^2 + S v <= 2 order reaches the order."""
@@ -417,43 +415,25 @@ def _j1_bound(spec: MultisumSpec, order: int, entry: RegistryEntry) -> int | Non
     return (isqrt(max(S * S + 8 * P * order, 0)) - S) // (2 * P)
 
 
-# the DP's innermost betas without units, one stepped chain per BetaSpec; the
-# last finite-n carries, (L, v) -> (t_cap, ()) or (t_cap, (carry,))
+# the DP's innermost betas without units, one stepped chain per BetaSpec
 _beta_chain = lru_cache(maxsize=None)(beta_chain)
-_finite_carries = lru_cache(maxsize=1)(lambda spec, entry, order: {})
 
 
-def eval_multisum(spec: MultisumSpec, order: int, *,
-                  finite_n: int | None = None) -> LaurentSeries:
-    """Evaluate the multisum exactly to ``order``.
-
-    With ``finite_n`` the sum is the finite beta sequence member at n
-    (outer factor 1/(q)_{n-j_1} and finite leading Pochhammers), reusing
-    the carries of the call before it that are still exact, when that call
-    had the same spec, registry entry and order; without it, the n -> oo
-    limit (outer factor -> 1, leading factors -> infinite products), summed
-    in j_1-blocks by ``_unit_horner``.
-    """
+def _dp(spec: MultisumSpec, entry: RegistryEntry, order: int, cap: int,
+        finite: bool, memo: dict | None = None):
+    """The DP on the values 0..cap: ``(add_carries, nonzero, feas)``, where
+    ``add_carries(v)`` appends the nonzero carries (v, lo, window) at j = v
+    to ``nonzero[L]``, v ascending.  ``memo`` keeps each carry for later
+    calls, (L, v) -> (t_cap, ()) or (t_cap, (carry,)), exact to t_cap."""
     levels = spec.levels
-    V = len(levels)
-    entry = registry_entry(spec.pair_id)
-    n = finite_n
+    V, inner = len(levels), levels[-1]
     # in the limit the innermost row's units step with beta, on a call's chain
-    inner = levels[-1]
     beta = (beta_chain(entry.beta, tuple(_units(inner, 0, 1)))
-            if (inner.numer or inner.denom) and n is None else _beta_chain(entry.beta))
-    cap = n if n is not None else _j1_bound(spec, order, entry)
-    proved = cap is not None
-    if not proved:
-        cap = 2 * isqrt(max(order, 1)) + V + 14
+            if (inner.numer or inner.denom) and not finite else _beta_chain(entry.beta))
     IN, LOW, feas, own = _tables(spec, order, cap, entry)
-
-    # nonzero[L]: the nonzero carries (v, lo, window) at level L, v ascending
-    nonzero: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(V)]
-    memo = _finite_carries(spec, entry, order) if n is not None else None
+    nonzero: list[list[tuple[int, int, list[int]]]] = [[] for _ in levels]
 
     def add_carries(v: int) -> None:
-        """Append the nonzero carries at j = v, innermost level first."""
         for L in range(V - 1, -1, -1):
             if not feas[L][v]:
                 continue
@@ -469,7 +449,7 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
             else:
                 lo, a = _link_sum(nonzero[L + 1], v, top, lv.link)
             # in the limit the end rows step theirs: on the chain, in _unit_horner
-            if (lv.numer or lv.denom) and (0 < L < V - 1 or n is not None):
+            if (lv.numer or lv.denom) and (0 < L < V - 1 or finite):
                 apply_poch_units(a, _units(lv, 0, v))
             k = next((k for k, c in enumerate(a) if c), None)
             got = ()  # zero to t_cap
@@ -487,13 +467,54 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
             if memo is not None:
                 memo[L, v] = t_cap, got
 
-    # at finite n each j_1-block is divided by (q)_{n-j_1} on the way
+    return add_carries, nonzero, feas
+
+
+@lru_cache(maxsize=1)
+def _finite_carries(spec: MultisumSpec, entry: RegistryEntry, order: int) -> list:
+    """The finite-n DP of the last (spec, registry entry, order), which one
+    thread at a time extends: [B, done, add_carries, nonzero], ``_dp``'s at
+    cap B with the values below done added, if B is proved; else [None, memo]."""
+    B = _j1_bound(spec, order, entry)
+    return [B, {}] if B is None else [B, 0, *_dp(spec, entry, order, B, True)[:2]]
+
+
+def eval_multisum(spec: MultisumSpec, order: int, *,
+                  finite_n: int | None = None) -> LaurentSeries:
+    """Evaluate the multisum exactly to ``order``.
+
+    With ``finite_n`` the sum is the finite beta sequence member at n
+    (outer factor 1/(q)_{n-j_1} and finite leading Pochhammers), on the DP
+    of the calls before it with the same spec, registry entry and order,
+    which it extends; without it, the n -> oo limit (outer factor -> 1,
+    leading factors -> infinite products), summed in j_1-blocks by
+    ``_unit_horner``.
+    """
+    levels = spec.levels
+    V = len(levels)
+    entry = registry_entry(spec.pair_id)
+    n = finite_n
     if n is not None:
-        for v in range(n + 1):
-            add_carries(v)
-        lo, a = _link_sum(nonzero[0], n, order, False)
+        dp = _finite_carries(spec, entry, order)
+        if dp[0] is None:  # a grid at cap n, served by the carries kept
+            dp = [n, 0, *_dp(spec, entry, order, n, True, dp[1])[:2]]
+        B, done, add, nonzero = dp
+        try:  # past B every block is above the order, at every n
+            list(map(add, range(done, min(n, B) + 1)))
+        except BaseException:  # a value half added would be added twice
+            _finite_carries.cache_clear()
+            raise
+        dp[1] = max(done, min(n, B) + 1)
+        # each j_1-block up to n is divided by (q)_{n-j_1} on the way
+        lo, a = _link_sum([c for c in nonzero[0] if c[0] <= n], n, order, False)
         apply_poch_units(a, [(PochFactor(-1, b, 1), n, -1) for b in spec.prefactors])
         return LaurentSeries.from_window(lo, a, order)
+
+    cap = _j1_bound(spec, order, entry)
+    proved = cap is not None
+    if not proved:
+        cap = 2 * isqrt(max(order, 1)) + V + 14
+    add_carries, nonzero, feas = _dp(spec, entry, order, cap, False)
 
     def block(v: int) -> list[SumTerm]:
         # the rule reads a block's shift, its window waits in nonzero[0]; a zero
@@ -513,7 +534,7 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     list(vanishing_terms(block, order))  # its blocks are kept in nonzero[0]
     # a live block's window ends at t_cap = order, since LOW[0] is 0, and a
     # one-row spec's units are on its chain already
-    outer = levels[0] if V > 1 else inner._replace(numer=(), denom=())
+    outer = levels[0] if V > 1 else levels[-1]._replace(numer=(), denom=())
     lo, a = _unit_horner(nonzero[0], outer, order)
     # 1/(-q^b; q)_inf = [(q; q)_inf / (-q^b; q)_inf] / (q; q)_inf, theta series both
     for b in spec.prefactors:
@@ -575,7 +596,7 @@ def _collapse_b1bc1(spec: MultisumSpec) -> MultisumSpec:
 
 def sum_side_finite(s: Schedule, n: int, order: int) -> LaurentSeries:
     """The closed-multisum value of beta^final_n at finite n, the move
-    engine's check; calls for n = 0, 1, ... on s share one DP's carries."""
+    engine's check; calls on s, for any n in any order, share one DP."""
     return eval_multisum(build_multisum_spec(s), order, finite_n=n)
 
 

@@ -341,15 +341,21 @@ def _unit_horner(blocks: list[tuple[int, int, list[int]]], row,
     """sum over the blocks (v, lo, g), v ascending and each exact to
     ``top``, of g times the ``row``'s units (-q^b; q)_v^{+-1}: one Horner
     chain g_0 + f_0 (g_1 + f_1 (...)), f_v = prod_b (1 + q^{b+v})^{+-1},
-    from the last block down, a pass per base and index, not v per block."""
-    lo, a, u = top + 1, [], blocks[-1][0] if blocks else 0
-    for w, glo, g in [*reversed(blocks), (0, top + 1, [])]:
+    from the last block down, a pass per base and index, not v per block.
+    The blocks are only read: the window opens as a copy of the last one
+    that starts at or below ``top``."""
+    lo, a, u = top + 1, [], 0
+    for w, glo, g in reversed(blocks):
         if glo + len(g) <= top:
             raise AssertionError(f"block at j_1={w} is exact to "
                                  f"{glo + len(g) - 1}, short of {top}")
-        apply_poch_units(a, _units(row, w, u - w))  # f_w ... f_{u-1}
-        lo = add_window(a, lo, glo, g)
+        if a:
+            apply_poch_units(a, _units(row, w, u - w))  # f_w ... f_{u-1}
+            lo = add_window(a, lo, glo, g)
+        elif glo <= top:  # cut at top: every block reaches it
+            lo, a = glo, g[:top + 1 - glo]
         u = w
+    apply_poch_units(a, _units(row, 0, u))  # f_0 ... f_{u-1}
     return lo, a
 
 

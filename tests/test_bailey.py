@@ -3,7 +3,9 @@
 import copy
 import itertools
 import json
+import pickle
 import random
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -355,6 +357,25 @@ def test_moves_are_exactly_the_move_table():
     # the base shift is base_shift alone, not a seventh move
     assert set(Move) == set(_MOVE_TABLE)
     assert len(Move) == 6
+
+
+def test_moves_hash_without_python_code():
+    # a move word keys the fold's memo, and a move keys the move table and
+    # each pair's children: hashing a word runs no Python-level function
+    word = tuple(itertools.islice(itertools.cycle(Move), 25))
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        hash(word)
+    finally:
+        sys.setprofile(None)
+    assert "call" not in events, events
+    # a pickled member is the member itself, so every dict lookup still finds it
+    children = {m: m.value for m in Move}
+    for m in Move:
+        back = pickle.loads(pickle.dumps(m))
+        assert back is m and hash(back) == hash(m)
+        assert _MOVE_TABLE[back] is _MOVE_TABLE[m] and children[back] == m.value
 
 
 def test_registry_errors(tmp_path, monkeypatch):

@@ -483,6 +483,24 @@ def test_unit_horner_rejects_a_block_short_of_top():
     assert _unit_horner([(0, 0, [1] * 6), (3, 7, [2])], row, 5) == (0, [1] * 6)
 
 
+def test_unit_horner_only_reads_its_blocks():
+    # the DP keeps its j_1-blocks in nonzero[0]: no block is written, and the
+    # window returned is none of them, whether the last block is live or dead
+    top = 9
+    for blocks in ([(0, 2, [1] * 8), (3, -1, [2, 0, -1] + [1] * 8)],
+                   [(1, 0, [3] * 10), (4, 5, [1] * 5), (6, 11, [7])],
+                   [(2, 10, [1, 2])]):
+        for row in UNIT_ROWS:
+            before = [list(g) for _, _, g in blocks]
+            lo, a = _unit_horner(blocks, row, top)
+            assert [g for _, _, g in blocks] == before, (blocks, row)
+            assert all(a is not g for _, _, g in blocks), (blocks, row)
+            assert not a or lo + len(a) - 1 == top
+    # no blocks, or none that reaches top, sum to zero
+    assert _unit_horner([], UNIT_ROWS[3], top) == (top + 1, [])
+    assert _unit_horner([(2, 10, [1, 2])], UNIT_ROWS[3], top) == (top + 1, [])
+
+
 def test_no_chain_with_units_outlives_its_call():
     # a row's units ride on a beta chain built for the call and dropped
     # with it; the chains held for the process are the registry's betas
@@ -562,13 +580,55 @@ def test_finite_n_reuses_a_zero_carry_only_up_to_its_top():
     spec = _spec(1, (0, 0, 0, 100), (-1, 0, 0, 0), link_binoms=(1,),
                  signs=(2,), numer=((2, 6),))
     want = [fresh_finite(spec, 0, n) for n in range(8)]
+    # P = 0: no j_1 bound, so each call's grid ends at its n and the slot
+    # is [None, memo], the carries kept by (L, v) with their t_cap
     key = spec, registry_entry(1), 0
+    assert _j1_bound(spec, 0, registry_entry(1)) is None
     got, kept = [], []
     for n in range(8):
         got.append(eval_multisum(spec, 0, finite_n=n).to_text())
-        kept.append(lattice._finite_carries(*key).get((1, 1)))
+        kept.append(lattice._finite_carries(*key)[1].get((1, 1)))
     assert got == want
     assert [(top, bool(c)) for top, c in kept[1:]] == [(n, n >= 6) for n in range(1, 8)]
+    lattice._finite_carries.cache_clear()
+
+
+@pytest.mark.parametrize("order", [0, 20])
+def test_finite_n_past_the_proved_grid_matches_reference(order):
+    # a proved grid ends at the j_1 bound B, at every n; the reference sums
+    # every j_1 <= n, so the n past B check the blocks the grid leaves out
+    for spec in small_k_specs(2):
+        B = _j1_bound(spec, order, registry_entry(spec.pair_id))
+        if B is None:
+            continue
+        lattice._finite_carries.cache_clear()
+        for n in range(B + 4):
+            assert (eval_multisum(spec, order, finite_n=n)
+                    == ref_eval_multisum(spec, order, finite_n=n)), (spec, n)
+
+
+def test_a_proved_spec_builds_its_tables_once(monkeypatch):
+    caps = []
+    real = lattice._tables
+    monkeypatch.setattr(lattice, "_tables",
+                        lambda *args: caps.append(args[2]) or real(*args))
+    spec = build_multisum_spec(Schedule("lim1", 2, 3, 1))
+    B = _j1_bound(spec, 20, registry_entry(1))
+    ns = list(range(B + 4))
+    for run in (ns, ns[::-1], random.Random(B).sample(ns, len(ns))):
+        lattice._finite_carries.cache_clear()
+        caps.clear()
+        got = [eval_multisum(spec, 20, finite_n=n).to_text() for n in run]
+        assert caps == [B], run
+        assert got == [fresh_finite(spec, 20, n) for n in run]
+    # an unproved spec builds them at cap n, once per call
+    spec = build_multisum_spec(Schedule("lim3", 1, 1, 1))
+    assert _j1_bound(spec, 20, registry_entry(1)) is None
+    lattice._finite_carries.cache_clear()
+    caps.clear()
+    for n in (4, 0, 2, 1, 3):
+        eval_multisum(spec, 20, finite_n=n)
+    assert caps == [4, 0, 2, 1, 3]
     lattice._finite_carries.cache_clear()
 
 
