@@ -84,7 +84,6 @@ from .qproducts import (
     _binom2,
     _link_sum,
     apply_poch_units,
-    neg_ratio,
     running_chain,
     term_sum,
 )
@@ -241,9 +240,10 @@ def _build_move(pair: BaileyPair, move: Move) -> BaileyPair:
     backward = rule.backward
     sign = -1 if backward else 1
     kept: dict[int, tuple[int, int, list[int]]] = {}  # j -> g_j's carry (j, lo, window)
+    up, down = (PochFactor(-1, b, 1) for b in bases) if bases else (None, None)
 
-    def ratio(j: int, n: int) -> tuple[Unit, ...]:
-        return neg_ratio(*bases, j, n) if bases else ()
+    def ratio(j: int, n: int) -> tuple[Unit, ...]:  # (-q^up; q)_j / (-q^down; q)_n
+        return ((up, j, 1), (down, n, -1)) if bases else ()
 
     def bracketed(n: int, o: int) -> LaurentSeries:
         s = c + 2 * n - 2

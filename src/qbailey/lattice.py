@@ -439,10 +439,11 @@ def _dp(spec: MultisumSpec, entry: RegistryEntry, order: int, cap: int,
                 continue
             lv = levels[L]
             t_cap = order - LOW[L][v]
-            hit = memo and memo.get((L, v))
-            if hit and hit[0] >= t_cap:
-                nonzero[L] += hit[1]
-                continue
+            if memo is not None:
+                hit = memo.get((L, v))
+                if hit and hit[0] >= t_cap:
+                    nonzero[L] += hit[1]
+                    continue
             top = t_cap - own[L][v]
             if L == V - 1:
                 lo, a = beta(v, top)
@@ -451,7 +452,7 @@ def _dp(spec: MultisumSpec, entry: RegistryEntry, order: int, cap: int,
             # in the limit the end rows step theirs: on the chain, in _unit_horner
             if (lv.numer or lv.denom) and (0 < L < V - 1 or finite):
                 apply_poch_units(a, _units(lv, 0, v))
-            k = next((k for k, c in enumerate(a) if c), None)
+            k = 0 if a and a[0] else next((k for k, c in enumerate(a) if c), None)
             got = ()  # zero to t_cap
             if k is not None:
                 lo += own[L][v] + k
@@ -493,23 +494,8 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     levels = spec.levels
     V = len(levels)
     entry = registry_entry(spec.pair_id)
-    n = finite_n
-    if n is not None:
-        dp = _finite_carries(spec, entry, order)
-        if dp[0] is None:  # a grid at cap n, served by the carries kept
-            dp = [n, 0, *_dp(spec, entry, order, n, True, dp[1])[:2]]
-        B, done, add, nonzero = dp
-        try:  # past B every block is above the order, at every n
-            list(map(add, range(done, min(n, B) + 1)))
-        except BaseException:  # a value half added would be added twice
-            _finite_carries.cache_clear()
-            raise
-        dp[1] = max(done, min(n, B) + 1)
-        # each j_1-block up to n is divided by (q)_{n-j_1} on the way
-        lo, a = _link_sum([c for c in nonzero[0] if c[0] <= n], n, order, False)
-        apply_poch_units(a, [(PochFactor(-1, b, 1), n, -1) for b in spec.prefactors])
-        return LaurentSeries.from_window(lo, a, order)
-
+    if finite_n is not None:
+        return _eval_finite(spec, entry, order, finite_n)
     cap = _j1_bound(spec, order, entry)
     proved = cap is not None
     if not proved:
@@ -540,6 +526,25 @@ def eval_multisum(spec: MultisumSpec, order: int, *,
     for b in spec.prefactors:
         apply_inf_ratio(a, 1, b)
         divide_euler(a)
+    return LaurentSeries.from_window(lo, a, order)
+
+
+def _eval_finite(spec: MultisumSpec, entry: RegistryEntry, order: int,
+                 n: int) -> LaurentSeries:
+    """``eval_multisum`` at finite n, on the spec's registry entry."""
+    dp = _finite_carries(spec, entry, order)
+    if dp[0] is None:  # a grid at cap n, served by the carries kept
+        dp = [n, 0, *_dp(spec, entry, order, n, True, dp[1])[:2]]
+    B, done, add, nonzero = dp
+    try:  # past B every block is above the order, at every n
+        list(map(add, range(done, min(n, B) + 1)))
+    except BaseException:  # a value half added would be added twice
+        _finite_carries.cache_clear()
+        raise
+    dp[1] = max(done, min(n, B) + 1)
+    # each j_1-block up to n is divided by (q)_{n-j_1} on the way
+    lo, a = _link_sum([c for c in nonzero[0] if c[0] <= n], n, order, False)
+    apply_poch_units(a, [(PochFactor(-1, b, 1), n, -1) for b in spec.prefactors])
     return LaurentSeries.from_window(lo, a, order)
 
 
@@ -595,9 +600,10 @@ def _collapse_b1bc1(spec: MultisumSpec) -> MultisumSpec:
 
 
 def sum_side_finite(s: Schedule, n: int, order: int) -> LaurentSeries:
-    """The closed-multisum value of beta^final_n at finite n, the move
-    engine's check; calls on s, for any n in any order, share one DP."""
-    return eval_multisum(build_multisum_spec(s), order, finite_n=n)
+    """beta^final_n by the closed multisum, the move engine's check, on one
+    registry lookup; calls on s, for any n in any order, share one DP."""
+    entry = registry_entry(s.pair_id)
+    return _eval_finite(_fold(s, tuple(expand_schedule(s)), entry), entry, order, n)
 
 
 # -- alpha side ---------------------------------------------------------------

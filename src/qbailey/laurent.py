@@ -156,7 +156,9 @@ class LaurentSeries:
         while j > i and not a[j - 1]:
             j -= 1
         lo = lo + i if i < j else trunc + 1  # a zero series starts past trunc
-        _check_span(lo, lo + j - i - 1, trunc)
+        # the floor is at most -RUNAWAY_FACTOR * RUNAWAY_BASE: check only past either
+        if lo + j - i - 1 > trunc or lo < -RUNAWAY_FACTOR * RUNAWAY_BASE:
+            _check_span(lo, lo + j - i - 1, trunc)
         return object.__new__(cls)._set(lo, tuple(a[i:j]), trunc)
 
     def __setattr__(self, name, value):

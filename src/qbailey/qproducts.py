@@ -277,8 +277,8 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
     """sum over carries (w, lo, g) of g times the ``link`` kernel at v - w
     (``lattice.Level``), as a window up to ``top``.  A carry is a window:
     g[i] is the coefficient of q^{lo+i}, known up to q^{lo+len(g)-1}, and
-    is only read.  The carries come in ascending w <= v.  The step kernel
-    adds the carries at w = v - 1 and w = v as they are.
+    is only read.  The carries come in strictly ascending w <= v.  The step
+    kernel adds the carries at w = v - 1 and w = v as they are.
 
     Since q^{binom(d, 2)} / (q)_d = prod_{m=1..d} q^{m-1} / (1 - q^m), the
     sum is the Horner chain
@@ -296,14 +296,15 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
     claim coefficients it does not know.  A dead carry, one that its shift
     puts wholly above ``top``, is still checked, but neither added nor
     allowed to start the chain: the window opens at the first live carry
-    as a copy of it, cut at ``top`` or padded with zeros up to it.
+    as a copy of it, cut at ``top`` or padded with zeros up to it.  When
+    that carry is at w = v, no step or add follows, and the copy is the sum.
     """
     horner = link is not STEP
     if not horner:
         carries = [c for c in carries[-2:] if c[0] >= v - 1]
     live = []
     for w, glo, g in carries:
-        s = _binom2(v - w) if link else 0  # 0 at the step's v - w <= 1
+        s = (v - w) * (v - w - 1) // 2 if link else 0  # 0 at the step's v - w <= 1
         if glo + len(g) - 1 + s < top:
             raise AssertionError(
                 f"carry at j={w} is exact to {glo + len(g) - 1 + s} after its "
@@ -312,20 +313,23 @@ def _link_sum(carries: list[tuple[int, int, list[int]]], v: int, top: int,
             live.append((w, glo, g))
     if not live:
         return top + 1, []
-    u, lo, g = live[0]
+    live.reverse()  # popped from the end, w ascending
+    u, lo, g = live.pop()
     a = g[:top + 1 - lo]  # a copy, never the carry itself
     a += [0] * (top + 1 - lo - len(a))
-    for w, glo, g in live[1:] + [(v, lo, ())]:
-        # the steps u + 1 .. w, d = v - u falling
-        for d in range(v - u - 1, v - w - 1, -1) if horner else ():
-            if link and d:
-                del a[-d:]
-                lo = top + 1 - len(a)
-            if d + 1 < len(a):  # a longer factor is 1 on the window
-                binomial_step(a, d + 1, 1, -1)
-        if g:  # the end of the chain adds nothing
+    if u == v:  # the copy path: nothing is stepped or added after g_v
+        return lo, a
+    # the steps u + 1 .. v, d = v - u falling, each carry added after its
+    # own; the step kernel's u is v - 1, and it adds g_v as it is
+    for d in range(v - u - 1, -1, -1):
+        if link and d:
+            del a[-d:]
+            lo = top + 1 - len(a)
+        if horner and d + 1 < len(a):  # a longer factor is 1 on the window
+            binomial_step(a, d + 1, 1, -1)
+        if live and live[-1][0] + d == v:
+            _, glo, g = live.pop()
             lo = add_window(a, lo, glo, g)
-        u = w
     return lo, a
 
 

@@ -400,12 +400,25 @@ def _built(make):
     (-600, [0] * 120 + [7, 0, -1], 10),  # first nonzero at q^-480, above the floor
     (-600, [0] * 90 + [7, 0, -1], 10),   # first nonzero at q^-510, below it
     (-600, [7], 60),                 # at the floor itself, -10 * 60
+    (-601, [7], 60),                 # one below it
+    (-3, [0, 0, 4, 0, 1], 1),        # leading zeros, the last nonzero at trunc
+    (-3, [0, 0, 4, 0, 0, 1], 1),     # leading zeros, one past trunc
+    (-501, [0, 7, 0], 10),           # leading zeros, at the floor of a small trunc
+    (-501, [7, 0], 10),              # a plain window one below it
 ])
 def test_from_window_matches_the_dict_constructor(lo, a, trunc):
     # from_window builds its map without zeros and skips the constructor's
     # filter; it must keep every check the constructor makes
     want = _built(lambda: S(dict(enumerate(a, lo)), trunc))
     assert _built(lambda: LaurentSeries.from_window(lo, a, trunc)) == want
+
+
+@pytest.mark.parametrize("lo, a, trunc", [
+    (3, [0, 0, 0], 5), (-700, [0, 0], 10), (40, [0], -3), (2, [], 1)])
+def test_from_window_of_zeros_is_the_zero_series_past_trunc(lo, a, trunc):
+    # whatever the window's place, even below the floor or past trunc
+    z = LaurentSeries.from_window(lo, a, trunc)
+    assert (z.lo, z.coeffs, z.trunc) == (trunc + 1, (), trunc) and z == zero(trunc)
 
 
 @pytest.mark.parametrize("terms, trunc, order", [

@@ -667,6 +667,43 @@ def test_finite_n_reuse_follows_a_changed_registry_beta(tmp_path, monkeypatch):
     assert got == want and got != bundled
 
 
+def test_sum_side_finite_loads_the_registry_once_per_call(monkeypatch):
+    # one registry_entry per call serves both the fold and the DP
+    from qbailey import bailey
+
+    calls = []
+    load = bailey.load_registry
+    monkeypatch.setattr(bailey, "load_registry", lambda: calls.append(1) or load())
+    for s in (Schedule("lim1", 1, 0, 1), Schedule("lim2", 2, 1, 4),
+              Schedule("lim3", 1, 1, 5)):
+        for n in (0, 3, 1):
+            sum_side_finite(s, n, 20)
+    assert len(calls) == 9
+
+
+def test_sum_side_finite_follows_a_registry_changed_between_calls(tmp_path, monkeypatch):
+    # each call resolves QBAILEY_REGISTRY anew: a copy that changes only
+    # pair 1's beta changes the next call on the same schedule, which still
+    # equals the move engine's beta_n on that copy
+    from qbailey.bailey import apply_moves, registry_pair
+    from qbailey.lattice import expand_schedule
+
+    s = Schedule("lim1", 2, 1, 1)
+    monkeypatch.delenv("QBAILEY_REGISTRY", raising=False)
+    bundled = [sum_side_finite(s, n, 20).to_text() for n in (4, 3)]
+    data = json.loads(Path(_DEFAULT_REGISTRY).read_text())
+    data["pairs"][0]["beta"]["mono_lin"] += 1
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(data))
+    monkeypatch.setenv("QBAILEY_REGISTRY", str(reg))
+    moved = apply_moves(registry_pair(1), expand_schedule(s))
+    got = [sum_side_finite(s, n, 20) for n in (4, 3)]
+    assert [g.to_text() for g in got] != bundled
+    assert all(g.eq_to_order(moved.beta(n, 20), 20) for g, n in zip(got, (4, 3)))
+    monkeypatch.delenv("QBAILEY_REGISTRY")
+    assert [sum_side_finite(s, n, 20).to_text() for n in (4, 3)] == bundled
+
+
 def test_only_the_last_finite_n_spec_keeps_its_carries():
     # the kept carries are those of the last finite-n call alone; the n -> oo
     # limit keeps none
@@ -766,6 +803,15 @@ LINK_SUM_CASES = [
     # window is padded with zeros up to top, which the shifts drop again
     ([(0, LaurentSeries({1: 1}, 40)), (3, LaurentSeries({-2: 1, 10: 3}, 15)),
       (7, LaurentSeries({0: 2, 4: -1}, 40))], 9, 30),
+    # the copy path, one live carry at w = v: exact to top, so never padded
+    # (one unit short raises on every kernel), and cut at top when longer
+    ([(4, LaurentSeries({-2: 1, 3: 5}, 9))], 4, 9),
+    ([(4, LaurentSeries({-2: 1, 3: 5}, 8))], 4, 9),
+    ([(4, LaurentSeries({-2: 1, 3: 5, 12: 2}, 20))], 4, 9),
+    # below it one carry dead by its shift (live unlinked) and one by its
+    # valuation, at the step kernel's w = v - 1
+    ([(0, LaurentSeries({4: 1}, 40)), (5, LaurentSeries({12: 1}, 40)),
+      (6, LaurentSeries({-1: 2, 5: -3}, 30))], 6, 10),
 ]
 
 
@@ -812,6 +858,15 @@ def test_linked_sum_reads_a_carry_only_up_to_top_minus_its_shift():
     assert got.to_text() == link_sum_pieces(carries, 9, 16, True).to_text()
     assert link_sum_series(carries[:1], 9, 30, True).to_text() == link_sum_pieces(
         carries[:1], 9, 30, True).to_text()
+
+
+def test_link_sum_copies_a_lone_live_carry_at_v():
+    # the sum is the carry cut at top, as a new list even when nothing is cut
+    for link in (False, True, STEP):
+        for top in (3, 5):
+            g = [2, 0, -1, 0, 4]
+            lo, a = _link_sum([(0, 9, [1]), (3, 1, g)], 3, top, link)
+            assert (lo, a) == (1, g[:top]) and a is not g, (link, top)
 
 
 def test_link_sum_of_no_carries_is_zero():
